@@ -1,37 +1,32 @@
-"""Build script: compiles the optional C kernel, falling back to pure Python.
+"""Build script: compiles the C kernel at install time when it can.
 
-The package works without the extension (the pure backend is selected at
-import time); the extension only accelerates the hot kernels.
+The package works without it (the pure-Python backend is selected at import
+time), and an installed package with its C source but no library builds the
+library on first import instead, so a failed compile here only warns.  The
+compile command lives in `src/redld/_kernels/_build.py`, loaded from its file
+so that the build does not import redld.
 """
 
-from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
+import importlib.util
+from pathlib import Path
+
+from setuptools import setup
+from setuptools.command.build_py import build_py
+
+_spec = importlib.util.spec_from_file_location(
+    "_redld_kernel_build", Path(__file__).parent / "src" / "redld" / "_kernels" / "_build.py")
+_build = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_build)
 
 
-class OptionalBuildExt(build_ext):
-    # A toolchain failure must not fail the install: the pure backend works.
+class BuildPyWithKernel(build_py):
     def run(self):
+        super().run()
+        kernels = Path(self.build_lib) / "redld" / "_kernels"
         try:
-            super().run()
-        except Exception as exc:  # pragma: no cover - toolchain dependent
-            print(f"warning: C kernel build skipped ({exc}); pure Python backend will be used")
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:  # pragma: no cover - toolchain dependent
-            print(f"warning: building {ext.name} failed ({exc}); pure Python backend will be used")
+            _build.build(kernels / "_ckern.c", kernels)
+        except ImportError as exc:
+            print(f"warning: {exc}; the pure Python backend will be used")
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:  # pragma: no cover - build environment dependent
-        return []
-    return cythonize(
-        [Extension("redld._kernels._ckern", ["src/redld/_kernels/_ckern.pyx"])],
-        language_level="3",
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(cmdclass={"build_py": BuildPyWithKernel})

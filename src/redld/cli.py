@@ -36,8 +36,9 @@ def _read_graph(path: str) -> Graph:
 
 
 def _budget(args) -> Optional[SolveBudget]:
+    # 0 means no limit on the command line; SolveBudget reads None that way
     if args.budget_nodes or args.budget_seconds:
-        return SolveBudget(args.budget_nodes or 0, args.budget_seconds or 0.0)
+        return SolveBudget(args.budget_nodes or None, args.budget_seconds or None)
     return None
 
 

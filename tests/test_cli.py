@@ -89,6 +89,13 @@ def test_solve_budget_exit(tmp_path, capsys):
     assert "budget exceeded" in err
 
 
+def test_solve_with_only_a_seconds_budget(tmp_path, capsys):
+    path = graph_file(tmp_path, build_petersen())
+    code, out, _ = run(capsys, ["solve", "--budget-seconds", "5", path])
+    assert code == 0
+    assert out.splitlines()[0] == "optimum: 6"
+
+
 def test_family_path(capsys):
     code, out, _ = run(capsys, ["family", "path", "9"])
     assert code == 0

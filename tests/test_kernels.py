@@ -1,13 +1,17 @@
 """Backend equivalence: the compiled kernel and the pure-Python kernel must
 agree bit for bit (verdicts, optima, witnesses, and search node counts)."""
 
+import importlib
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
+import redld
 import redld._kernels as K
 import redld._kernels.pybits as py
+from redld._kernels import _build
 
 try:
     import redld._kernels._ckern as ck
@@ -111,3 +115,46 @@ def test_pairs_ok_checks_domination_too():
     us, vs = [], []
     assert not py.pairs_ok(ctx, 0b0111, us, vs)
     assert py.pairs_ok(ctx, 0b1111, us, vs)
+
+
+@needs_c
+def test_backends_agree_beyond_512_vertices():
+    n = 600
+    adj = [sorted(((v - 1) % n, (v + 1) % n)) for v in range(n)]
+    cp, cc = py.make_ctx(adj), ck.make_ctx(adj)
+    rng = random.Random(6)
+    us = list(range(n)) + list(range(n))
+    vs = [(v + 1) % n for v in range(n)] + [(v + 2) % n for v in range(n)]
+    every_other = sum(1 << v for v in range(0, n, 2))
+    masks = [(1 << n) - 1, every_other, ((1 << n) - 1) ^ 1 ^ (1 << 599)] + \
+        [rng.getrandbits(n) | every_other for _ in range(3)]
+    for m in masks:
+        assert py.is_ld(cp, m) == ck.is_ld(cc, m)
+        assert py.is_redld(cp, m) == ck.is_redld(cc, m)
+        assert py.pairs_ok(cp, m, us, vs) == ck.pairs_ok(cc, m, us, vs)
+    for mode in (K.MODE_LD, K.MODE_REDLD):
+        got_py = py.bnb(cp, mode, 0, 0, n, 0, 40, 0.0)
+        assert got_py == ck.bnb(cc, mode, 0, 0, n, 0, 40, 0.0)
+        assert got_py[0] == 2
+
+
+def test_failed_build_falls_back_to_python(tmp_path, monkeypatch):
+    missing_cc = str(tmp_path / "no-such-cc")
+    with pytest.raises(ImportError):
+        _build.build(cc=missing_cc, directory=tmp_path)
+    assert list(tmp_path.iterdir()) == []  # no partly written library is left
+
+    # re-run backend selection with every build failing that way
+    real_build = _build.build
+    monkeypatch.setattr(_build, "build", lambda: real_build(cc=missing_cc, directory=tmp_path))
+    monkeypatch.setattr(redld, "_kernels", K)
+    monkeypatch.delitem(sys.modules, "redld._kernels")
+    monkeypatch.delitem(sys.modules, "redld._kernels._ckern", raising=False)
+    monkeypatch.delenv("REDLD_BACKEND", raising=False)
+    assert importlib.import_module("redld._kernels").BACKEND == "py"
+
+    del sys.modules["redld._kernels"]
+    sys.modules.pop("redld._kernels._ckern", None)
+    monkeypatch.setenv("REDLD_BACKEND", "c")
+    with pytest.raises(RuntimeError, match="REDLD_BACKEND=c"):
+        importlib.import_module("redld._kernels")
