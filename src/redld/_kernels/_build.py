@@ -23,16 +23,28 @@ def build(source: Path = SOURCE, directory: Path | None = None, cc: str | None =
 
     The compiler writes a temporary file in the target directory, which is
     then renamed into place, so concurrent builds never expose a partly
-    written library.  Any failure raises ImportError.
+    written library.  After a compile, the libraries of other sources in
+    that directory are deleted.  Any failure to build raises ImportError.
     """
     try:
         digest = hashlib.sha256(source.read_bytes()).hexdigest()
         target = Path(directory or source.parent) / f"_ckern-{digest}.so"
         if not target.is_file():
             _compile(source, target, cc)
+            _remove_stale(target)
     except OSError as exc:
         raise ImportError(f"cannot build the C kernel: {exc}") from exc
     return target
+
+
+def _remove_stale(target: Path) -> None:
+    # a process that still has an old library loaded keeps its mapping
+    for old in target.parent.glob("_ckern-*.so"):
+        if old != target:
+            try:
+                old.unlink()
+            except OSError:
+                pass  # best effort: a stale library costs only disk space
 
 
 def _compile(source: Path, target: Path, cc: str | None) -> None:

@@ -3,7 +3,11 @@
  * Plain C with no Python headers; _ckern.py builds it into a shared library
  * and calls it through ctypes.  The decision order of the branch and bound
  * (propagation, pruning, bound, branch choice, IN branch first) is transcribed
- * from pybits.py, so optima, witnesses and node counts are identical.
+ * from pybits.py, so optima, witnesses and node counts are identical.  One
+ * difference in the work, not in the result: where pybits tests every vertex
+ * pair for the pair conditions, dfs tests only pairs within distance 2 of each
+ * other, because at a node that passed the domination test a pair at distance
+ * 3 or more cannot fail them (the argument is above the pair loops in dfs).
  *
  * Vertex sets are arrays of W = ceil(n / 64) little-endian 64-bit words.  At
  * the interface they are byte strings of 8 * W bytes, least significant byte
@@ -31,14 +35,16 @@ typedef uint64_t u64;
 
 typedef struct {
     int n, W, maxdeg;
-    /* open neighbourhood rows, then closed neighbourhood rows (n * W words
-     * each), then n degrees as ints */
+    /* open neighbourhood rows, then closed neighbourhood rows, then the rows
+     * of the vertices within distance 2, N[N[v]] (n * W words each), then n
+     * degrees as ints */
     u64 rows[];
 } rlk_ctx;
 
 #define OPEN(c, v) ((c)->rows + (size_t)(v) * (c)->W)
 #define CLOSED(c, v) ((c)->rows + ((size_t)(c)->n + (v)) * (c)->W)
-#define DEG(c) ((int *)((c)->rows + 2 * (size_t)(c)->n * (c)->W))
+#define NEAR(c, v) ((c)->rows + (2 * (size_t)(c)->n + (v)) * (c)->W)
+#define DEG(c) ((int *)((c)->rows + 3 * (size_t)(c)->n * (c)->W))
 
 static inline int popc(u64 x) { return __builtin_popcountll(x); }
 static inline int get(const u64 *m, int v) { return (int)(m[v >> 6] >> (v & 63)) & 1; }
@@ -82,7 +88,7 @@ static double monotime(void)
 
 size_t rlk_ctx_size(int n)
 {
-    return sizeof(rlk_ctx) + 2 * (size_t)n * words(n) * sizeof(u64) + (size_t)n * sizeof(int);
+    return sizeof(rlk_ctx) + 3 * (size_t)n * words(n) * sizeof(u64) + (size_t)n * sizeof(int);
 }
 
 /* Vertex v's neighbours are nbrs[off .. off + deg[v]), offsets running in
@@ -107,6 +113,13 @@ int rlk_ctx_init(rlk_ctx *c, int n, const int *deg, const int *nbrs)
     memcpy(CLOSED(c, 0), OPEN(c, 0), (size_t)n * c->W * sizeof(u64));
     for (int v = 0; v < n; v++)
         set(CLOSED(c, v), v);
+    /* NEAR(v) is the union of N[w] over w in N[v] */
+    memcpy(NEAR(c, 0), CLOSED(c, 0), (size_t)n * c->W * sizeof(u64));
+    off = 0;
+    for (int v = 0; v < n; v++)
+        for (int i = 0; i < deg[v]; i++, off++)
+            for (int w = 0; w < c->W; w++)
+                NEAR(c, v)[w] |= CLOSED(c, nbrs[off])[w];
     return 0;
 }
 
@@ -397,38 +410,54 @@ static void dfs(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m)
     if (in_ct > st->cap || in_ct >= st->best)
         return;
 
-    /* pair feasibility: prune once no undecided vertex can fix a pair */
-    for (int u = 0; u < n; u++) {
-        if (!get(out_m, u))
-            continue;
-        const u64 *ou = OPEN(c, u);
-        for (int v = u + 1; v < n; v++) {
-            if (!get(out_m, v))
-                continue;
-            int pc = 0;
-            for (int w = 0; w < W && pc < 2; w++)
-                pc += popc((ou[w] ^ OPEN(c, v)[w]) & pool[w]);
-            if (pc < (st->mode == MODE_REDLD ? 2 : 1))
-                return;
-        }
-    }
-    if (st->mode == MODE_REDLD) {
-        for (int v = 0; v < n; v++) {
-            if (!get(in_m, v))
-                continue;
-            const u64 *ov = OPEN(c, v);
-            for (int u = 0; u < n; u++) {
-                if (!get(out_m, u))
-                    continue;
-                u64 d = 0;
-                for (int w = 0; w < W && !d; w++) {
-                    u64 x = (ov[w] ^ OPEN(c, u)[w]) & pool[w];
-                    d = w == v >> 6 ? x & ~((u64)1 << (v & 63)) : x;
+    /* pair feasibility: prune once no undecided vertex can fix a pair.
+     *
+     * Only pairs within distance 2 are tested.  Two vertices u, v at distance
+     * 3 or more have disjoint open neighbourhoods, and neither is adjacent to
+     * the other, so (N(u) ^ N(v)) & pool is the disjoint union of N(u) & pool
+     * and N(v) & pool.  The domination test above has already guaranteed, for
+     * every out vertex u, |N(u) & pool| >= 1 in LD mode and, since u is not in
+     * the pool, |N[u] & pool| = |N(u) & pool| >= 2 in RED:LD mode.  So an
+     * out/out pair at distance >= 3 sees at least 2 pool vertices, enough in
+     * both modes, and an in/out pair (v in, u out) keeps N(u) & pool, which
+     * does not contain v, after v is dropped.  Skipping such pairs changes no
+     * verdict, and pybits, which tests all pairs, still counts the same
+     * nodes. */
+    for (int wu = 0; wu < W; wu++)
+        for (u64 mu = out_m[wu]; mu; mu &= mu - 1) {
+            int u = wu << 6 | __builtin_ctzll(mu);
+            const u64 *ou = OPEN(c, u), *nu = NEAR(c, u);
+            for (int wv = wu; wv < W; wv++) {
+                u64 mv = nu[wv] & out_m[wv];
+                if (wv == wu)
+                    mv &= (~(u64)1) << (u & 63); /* only v above u */
+                for (; mv; mv &= mv - 1) {
+                    const u64 *ov = OPEN(c, wv << 6 | __builtin_ctzll(mv));
+                    int pc = 0;
+                    for (int w = 0; w < W && pc < 2; w++)
+                        pc += popc((ou[w] ^ ov[w]) & pool[w]);
+                    if (pc < (st->mode == MODE_REDLD ? 2 : 1))
+                        return;
                 }
-                if (!d)
-                    return;
             }
         }
+    if (st->mode == MODE_REDLD) {
+        for (int wv = 0; wv < W; wv++)
+            for (u64 mv = in_m[wv]; mv; mv &= mv - 1) {
+                int v = wv << 6 | __builtin_ctzll(mv);
+                const u64 *ov = OPEN(c, v), *nv = NEAR(c, v);
+                for (int wu = 0; wu < W; wu++)
+                    for (u64 mu = nv[wu] & out_m[wu]; mu; mu &= mu - 1) {
+                        const u64 *ou = OPEN(c, wu << 6 | __builtin_ctzll(mu));
+                        u64 d = 0;
+                        for (int w = 0; w < W && !d; w++) {
+                            u64 x = (ov[w] ^ ou[w]) & pool[w];
+                            d = w == v >> 6 ? x & ~((u64)1 << (v & 63)) : x;
+                        }
+                        if (!d)
+                            return;
+                    }
+            }
     }
 
     /* admissible bound: each detector covers at most `cover` units of deficit */

@@ -102,6 +102,8 @@ def brute_force_min(ctx: Ctx, mode: int) -> tuple[int, int]:
 
     Returns (size, mask), or (-1, 0) when no subset is valid.
     """
+    if mode not in (MODE_LD, MODE_REDLD, MODE_REDLD_DEF):
+        raise ValueError(f"unknown mode {mode!r}")
     pred = (is_ld, is_redld, is_redld_def)[mode]
     n = ctx.n
     for k in range(n + 1):
@@ -114,8 +116,14 @@ def brute_force_min(ctx: Ctx, mode: int) -> tuple[int, int]:
     return -1, 0
 
 
+def _check_pairs(us, vs) -> None:
+    if len(us) != len(vs):
+        raise ValueError("us and vs differ in length")
+
+
 def pairs_ok(ctx: Ctx, s: int, us: list[int], vs: list[int]) -> bool:
     """2-domination of every vertex plus the pair conditions on (us[i], vs[i])."""
+    _check_pairs(us, vs)
     open_, closed = ctx.open_, ctx.closed
     for v in range(ctx.n):
         if (closed[v] & s).bit_count() < 2:
@@ -136,6 +144,7 @@ def pairs_ok(ctx: Ctx, s: int, us: list[int], vs: list[int]) -> bool:
 
 def pairs_scan(ctx: Ctx, us: list[int], vs: list[int], candidates) -> int:
     """Index of the first candidate mask passing pairs_ok, or -1."""
+    _check_pairs(us, vs)
     for i, mask in enumerate(candidates):
         if pairs_ok(ctx, mask, us, vs):
             return i

@@ -26,7 +26,7 @@ from typing import Optional
 
 from . import _kernels as kern
 from .graph import Graph
-from .solver import BudgetExceededError, SolveBudget
+from .solver import BudgetExceededError, SolveBudget, _mask_to_vertices
 from .verify import DetectorSet
 
 _GADGET_EDGES = [
@@ -198,18 +198,7 @@ def decide_via_redld(
     if status == 1:
         return False, None
     assert value == art.k
-    return True, extract_assignment(art, DetectorSet(_mask_bits(mask)))
-
-
-def _mask_bits(mask: int) -> list[int]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
+    return True, extract_assignment(art, DetectorSet(_mask_to_vertices(mask)))
 
 
 def render_roles(art: ReductionArtifact) -> str:

@@ -162,29 +162,20 @@ def _drop(adj: dict[int, set[int]], x: int) -> None:
         adj[nb].discard(x)
 
 
-_DEG0_RULES = ("current", "original", "both")
+def _w_has_degree_2(adj: dict[int, set[int]], deg0: dict[int, int], w: int) -> bool:
+    return len(adj[w]) == 2 and deg0[w] == 2
 
 
-def _w_has_degree_2(adj: dict[int, set[int]], deg0: dict[int, int],
-                    rule: str, w: int) -> bool:
-    cur = len(adj[w]) == 2
-    orig = deg0[w] == 2
-    if rule == "current":
-        return cur
-    if rule == "original":
-        return orig
-    return cur and orig
-
-
-def _strip(adj: dict[int, set[int]], q: int, deg0: dict[int, int], rule: str):
+def _strip(adj: dict[int, set[int]], q: int, deg0: dict[int, int]):
     """Repeatedly remove (leaf u, its degree-2 neighbor v, v's other
     neighbor w) triples while at least q vertices remain.
 
-    w must have degree 2, measured per rule: in the current forest, in
-    the forest as it was when deg0 was snapshotted, or in both.  "both"
-    means w is an intact degree-2 connector, which keeps the removed
-    non-detectors pairwise non-adjacent and their remaining neighbors
-    un-strippable, so the accumulated witness stays 2-dominating.
+    w must have degree 2 both in the current forest and in the forest as
+    it was when deg0 was snapshotted: an intact degree-2 connector.  That
+    keeps the removed non-detectors pairwise non-adjacent and their
+    remaining neighbors un-strippable, so the accumulated witness stays
+    2-dominating.  (Testing only one of the two degrees makes classify_tmin
+    give wrong verdicts on some trees of order at most 12.)
     """
     pairs: list[tuple[int, int]] = []
     nondets: list[int] = []
@@ -195,7 +186,7 @@ def _strip(adj: dict[int, set[int]], q: int, deg0: dict[int, int], rule: str):
                 continue
             a, b = sorted(adj[v])
             for u, w in ((a, b), (b, a)):
-                if len(adj[u]) == 1 and _w_has_degree_2(adj, deg0, rule, w):
+                if len(adj[u]) == 1 and _w_has_degree_2(adj, deg0, w):
                     found = (u, v, w)
                     break
             if found:
@@ -214,27 +205,25 @@ def _deg_snapshot(adj: dict[int, set[int]]) -> dict[int, int]:
     return {v: len(nbrs) for v, nbrs in adj.items()}
 
 
-def strip_exterior_p2(g: Graph, q: int, deg0_rule: str = "both") -> StripResult:
+def strip_exterior_p2(g: Graph, q: int) -> StripResult:
     """Strip exterior P_2-plus-nondetector triples while >= q vertices remain."""
     _require_tree(g)
-    if deg0_rule not in _DEG0_RULES:
-        raise ValueError(f"deg0_rule must be one of {_DEG0_RULES}")
     adj = _adj_dict(g)
-    pairs, nondets, rest = _strip(adj, q, _deg_snapshot(adj), deg0_rule)
+    pairs, nondets, rest = _strip(adj, q, _deg_snapshot(adj))
     residual, _ = g.induced_subgraph(sorted(rest))
     return StripResult(tuple(pairs), tuple(nondets), residual)
 
 
-def _extremal_cls2(adj: dict[int, set[int]], rule: str) -> set[int]:
-    pairs, _nds, rest = _strip(adj, 0, _deg_snapshot(adj), rule)
+def _extremal_cls2(adj: dict[int, set[int]]) -> set[int]:
+    pairs, _nds, rest = _strip(adj, 0, _deg_snapshot(adj))
     s1 = {x for p in pairs for x in p}
     if len(rest) == 2:
         return set(rest) | s1
     return set()
 
 
-def _extremal_cls0(adj: dict[int, set[int]], rule: str) -> set[int]:
-    pairs, _nds, rest = _strip(adj, 0, _deg_snapshot(adj), rule)
+def _extremal_cls0(adj: dict[int, set[int]]) -> set[int]:
+    pairs, _nds, rest = _strip(adj, 0, _deg_snapshot(adj))
     s1 = {x for p in pairs for x in p}
     if len(rest) == 3:
         return set(rest) | s1
@@ -271,12 +260,12 @@ def _hanging_component(adj: dict[int, set[int]], w: int, x: int) -> set[int]:
     return seen
 
 
-def _branches(adj: dict[int, set[int]], deg0: dict[int, int], rule: str):
+def _branches(adj: dict[int, set[int]], deg0: dict[int, int]):
     # a branch is a 3-vertex component hanging off a parent w of degree 2;
     # it is either a pendant path or a pendant 2-leaf star
     out = []
     for w in sorted(adj):
-        if not _w_has_degree_2(adj, deg0, rule, w):
+        if not _w_has_degree_2(adj, deg0, w):
             continue
         for x in sorted(adj[w]):
             comp = _hanging_component(adj, w, x)
@@ -285,8 +274,7 @@ def _branches(adj: dict[int, set[int]], deg0: dict[int, int], rule: str):
     return out
 
 
-def _deg3_splits(rest: dict[int, set[int]], s1: set[int],
-                 rule: str) -> list[set[int]]:
+def _deg3_splits(rest: dict[int, set[int]], s1: set[int]) -> list[set[int]]:
     # a degree-3 non-detector whose removal splits the residual into three
     # components of order 2 mod 3, each contributing its own extremal set
     out = []
@@ -299,7 +287,7 @@ def _deg3_splits(rest: dict[int, set[int]], s1: set[int],
         union: set[int] = set()
         for comp in comps:
             sub = {t: rest[t] & comp for t in comp}
-            inner = _extremal_cls2(sub, rule)
+            inner = _extremal_cls2(sub)
             if not inner:
                 break
             union |= inner
@@ -308,7 +296,7 @@ def _deg3_splits(rest: dict[int, set[int]], s1: set[int],
     return out
 
 
-def _extremal_cls1(adj: dict[int, set[int]], rule: str) -> list[set[int]]:
+def _extremal_cls1(adj: dict[int, set[int]]) -> list[set[int]]:
     """Candidate optimal sets for a tree on 3k+1 vertices.
 
     Several residual decompositions can qualify and the wrong pick can
@@ -316,7 +304,7 @@ def _extremal_cls1(adj: dict[int, set[int]], rule: str) -> list[set[int]]:
     caller keeps the first one that actually verifies.
     """
     deg0 = _deg_snapshot(adj)
-    pairs, _nds, rest = _strip(adj, 5, deg0, rule)
+    pairs, _nds, rest = _strip(adj, 5, deg0)
     s1 = {x for p in pairs for x in p}
     r = len(rest)
     if r <= 3:
@@ -327,7 +315,7 @@ def _extremal_cls1(adj: dict[int, set[int]], rule: str) -> list[set[int]]:
     center = _t7_center(rest)
     if center is not None:
         candidates.append((set(rest) - {center}) | s1)
-    branches = _branches(rest, deg0, rule)
+    branches = _branches(rest, deg0)
     for (w1, b1), (w2, b2) in combinations(branches, 2):
         if w1 == w2 and not b1 & b2:
             candidates.append(b1 | b2 | s1)
@@ -336,10 +324,10 @@ def _extremal_cls1(adj: dict[int, set[int]], rule: str) -> list[set[int]]:
             remainder = {v: set(nbrs) for v, nbrs in rest.items()}
             for x in b1 | b2 | {w1, w2}:
                 _drop(remainder, x)
-            inner = _extremal_cls2(remainder, rule)
+            inner = _extremal_cls2(remainder)
             if inner:
                 candidates.append(b1 | b2 | inner | s1)
-    candidates.extend(_deg3_splits(rest, s1, rule))
+    candidates.extend(_deg3_splits(rest, s1))
     return candidates
 
 
@@ -350,7 +338,7 @@ class TminClass:
     witness: Optional[DetectorSet]
 
 
-def classify_tmin(g: Graph, deg0_rule: str = "both") -> TminClass:
+def classify_tmin(g: Graph) -> TminClass:
     """Decide membership in the minimum family, with an optimal witness.
 
     The dispatch on n mod 3 returns candidate sets; one counts only if it
@@ -358,15 +346,11 @@ def classify_tmin(g: Graph, deg0_rule: str = "both") -> TminClass:
     strip happens to reduce to a recognized residual by accident.
     """
     _require_tree(g)
-    if deg0_rule not in _DEG0_RULES:
-        raise ValueError(f"deg0_rule must be one of {_DEG0_RULES}")
     residue = g.n % 3
     if residue == 1:
-        candidates = _extremal_cls1(_adj_dict(g), deg0_rule)
+        candidates = _extremal_cls1(_adj_dict(g))
     else:
-        single = {2: _extremal_cls2, 0: _extremal_cls0}[residue](
-            _adj_dict(g), deg0_rule
-        )
+        single = {2: _extremal_cls2, 0: _extremal_cls0}[residue](_adj_dict(g))
         candidates = [single] if single else []
     bound = tree_lower_bound(g.n)
     for candidate in candidates:

@@ -4,7 +4,7 @@ agree bit for bit (verdicts, optima, witnesses, and search node counts)."""
 import importlib
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -12,6 +12,7 @@ import redld
 import redld._kernels as K
 import redld._kernels.pybits as py
 from redld._kernels import _build
+from redld.satreduce import SatInstance, build_reduction
 
 try:
     import redld._kernels._ckern as ck
@@ -108,6 +109,85 @@ def test_pair_checks_agree():
     assert py.pairs_scan(cp, us, vs, masks) == ck.pairs_scan(cc, us, vs, masks)
 
 
+@needs_c
+def test_bnb_agrees_on_reduction_graphs():
+    # the searches of decide_via_redld on 6- and 7-variable formulas (102 to
+    # 147 vertices, two or three words per vertex set): sparse graphs whose
+    # vertex pairs are mostly at distance 3 or more
+    rng = random.Random(9)
+    unsat = [(a * 1, b * 2, c * 3) for a, b, c in product((1, -1), repeat=3)]
+    formulas = [SatInstance(6, tuple(unsat) + ((4, -5, 6), (-4, 5, -6)))]
+    for n_vars in (6, 7, 7):
+        clauses = []
+        for _ in range(rng.randint(2 * n_vars, 3 * n_vars)):
+            clauses.append(tuple(v * rng.choice((1, -1))
+                                 for v in rng.sample(range(1, n_vars + 1), 3)))
+        formulas.append(SatInstance(n_vars, tuple(clauses)))
+    statuses = set()
+    for phi in formulas:
+        art = build_reduction(phi)
+        adj = [list(nbrs) for nbrs in art.graph.adj]
+        args = (K.MODE_REDLD, art.forced.mask(), 0, art.k, art.k, 0, 0.0)
+        got_py = py.bnb(py.make_ctx(adj), *args)
+        assert got_py == ck.bnb(ck.make_ctx(adj), *args)
+        statuses.add(got_py[0])
+    assert statuses == {0, 1}  # satisfiable and unsatisfiable formulas
+
+
+@needs_c
+def test_bnb_agrees_on_long_paths_and_cycles():
+    # 63 to 130 vertices: pairs at distance 3 or more, and pairs across the
+    # word boundaries at vertices 63/64 and 127/128.  The square of a cycle
+    # is there because on graphs of maximum degree 2 no in/out pair can fail
+    # once every vertex is 2-dominated.
+    rng = random.Random(10)
+    statuses = []
+    for n in (63, 64, 65, 127, 128, 130):
+        path = [[w for w in (v - 1, v + 1) if 0 <= w < n] for v in range(n)]
+        cycle = [sorted({(v - 1) % n, (v + 1) % n}) for v in range(n)]
+        square = [sorted({(v + d) % n for d in (-2, -1, 1, 2)}) for v in range(n)]
+        for adj in (path, cycle, square):
+            cp, cc = py.make_ctx(adj), ck.make_ctx(adj)
+            for mode in (K.MODE_LD, K.MODE_REDLD):
+                # forced sets taken from a valid set of the path or cycle (all
+                # vertices but some pairwise at distance >= 3): deep searches
+                outside = set()
+                for v in rng.sample(range(2, n - 2), n // 3):
+                    if all(min(abs(v - u), n - abs(v - u)) >= 3 for u in outside):
+                        outside.add(v)
+                forced = [(sum(1 << v for v in range(n)
+                               if v not in outside and rng.random() < 0.7),
+                           sum(1 << v for v in outside if rng.random() < 0.7))]
+                # everything in but a window across a word boundary, where
+                # random out vertices make close pairs fail
+                for centre in (64, 128) * 3:
+                    window = range(max(centre - 8, 0), min(centre + 8, n))
+                    if len(window) < 8:
+                        continue
+                    out = sum(1 << v for v in window if rng.random() < 0.3)
+                    undecided = sum(1 << v for v in window if rng.random() < 0.8)
+                    forced.append((((1 << n) - 1) & ~undecided & ~out, out))
+                for forced_in, forced_out in forced:
+                    args = (mode, forced_in, forced_out, n, 0, 300, 0.0)
+                    got_py = py.bnb(cp, *args)
+                    assert got_py == ck.bnb(cc, *args)
+                    statuses.append(got_py[0])
+    assert min(statuses.count(status) for status in (0, 1, 2)) >= 10
+
+
+@pytest.mark.parametrize("kern", [py, pytest.param(ck, marks=needs_c)],
+                         ids=["py", "c"])
+def test_backends_reject_the_same_bad_input(kern):
+    ctx = kern.make_ctx([[1], [0, 2], [1]])  # P_3
+    for mode in (-1, 3):
+        with pytest.raises(ValueError, match="unknown mode"):
+            kern.brute_force_min(ctx, mode)
+    with pytest.raises(ValueError, match="differ in length"):
+        kern.pairs_ok(ctx, 0b111, [0, 1], [2])
+    with pytest.raises(ValueError, match="differ in length"):
+        kern.pairs_scan(ctx, [0], [], [])
+
+
 def test_pairs_ok_checks_domination_too():
     # a mask that distinguishes every pair but leaves a vertex under-dominated fails
     adj = [[1, 2], [0, 2], [0, 1, 3], [2]]
@@ -136,6 +216,23 @@ def test_backends_agree_beyond_512_vertices():
         got_py = py.bnb(cp, mode, 0, 0, n, 0, 40, 0.0)
         assert got_py == ck.bnb(cc, mode, 0, 0, n, 0, 40, 0.0)
         assert got_py[0] == 2
+
+
+@needs_c
+def test_build_deletes_libraries_of_other_sources(tmp_path):
+    source = tmp_path / "_ckern.c"
+    source.write_bytes(_build.SOURCE.read_bytes())
+    stale = tmp_path / "_ckern-0123abcd.so"
+    stale.write_bytes(b"old")
+    other = tmp_path / "other.so"
+    other.write_bytes(b"kept")
+    target = _build.build(source)
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        sorted([source.name, target.name, other.name])
+    # no compile, no deletion: a library present for another source survives
+    stale.write_bytes(b"old")
+    assert _build.build(source) == target
+    assert stale.exists()
 
 
 def test_failed_build_falls_back_to_python(tmp_path, monkeypatch):

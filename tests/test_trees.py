@@ -81,8 +81,6 @@ def test_classifier_matches_solver():
 def test_classifier_rejects_non_trees():
     with pytest.raises(ValueError):
         classify_tmin(Graph(3, [(0, 1), (1, 2), (0, 2)]))
-    with pytest.raises(ValueError):
-        classify_tmin(build_path(4), deg0_rule="sometimes")
 
 
 def test_enumerate_counts():
@@ -174,8 +172,6 @@ def test_strip_exterior_p2():
     assert res.pairs == ((0, 1), (3, 4))
     assert res.nondetectors == (2, 5)
     assert res.residual.n == 2
-    with pytest.raises(ValueError):
-        strip_exterior_p2(build_path(8), 0, deg0_rule="never")
 
 
 def test_2dom_equals_redld_on_trees():
