@@ -35,3 +35,4 @@ brute_force_min = _impl.brute_force_min
 pairs_ok = _impl.pairs_ok
 pairs_scan = _impl.pairs_scan
 bnb = _impl.bnb
+dom_candidates = _impl.dom_candidates

@@ -3,7 +3,9 @@
  * Plain C with no Python headers; _ckern.py builds it into a shared library
  * and calls it through ctypes.  The decision order of the branch and bound
  * (propagation, pruning, bound, branch choice, IN branch first) is transcribed
- * from pybits.py, so optima, witnesses and node counts are identical.  One
+ * from pybits.py, so optima, witnesses and node counts are identical, and so
+ * is the walk of the grid candidate search, whose candidate lists and
+ * budget-limited prefixes therefore come out in the same order.  One
  * difference in the work, not in the result: where pybits tests every vertex
  * pair for the pair conditions, dfs tests only pairs within distance 2 of each
  * other, because at a node that passed the domination test a pair at distance
@@ -16,7 +18,8 @@
  * A context is written once by rlk_ctx_init into memory the caller owns and
  * is only read afterwards.  Every other entry point allocates its scratch per
  * call, so concurrent calls on one context are safe.  Entry points that
- * allocate return RLK_NOMEM when malloc fails.
+ * allocate return RLK_NOMEM when malloc fails.  rlk_dom_candidates needs no
+ * context and hands back a buffer of its own, which rlk_free releases.
  */
 
 #define _POSIX_C_SOURCE 199309L
@@ -343,6 +346,127 @@ long rlk_pairs_scan(const rlk_ctx *c, int npairs, const int *us, const int *vs, 
     }
     free(s);
     return hit;
+}
+
+/* ---- folded domination candidates --------------------------------------- */
+
+typedef struct {
+    int n, W, count, nomem;
+    int exhausted; /* cleared when the node budget runs out */
+    const int *off, *cons, *mult;
+    int *cnt, *open; /* per constraint: chosen and undecided multiplicity */
+    long long node_budget, nodes;
+    u64 *chosen;
+    unsigned char *out; /* n_out masks of 8 * W bytes, room for cap_out */
+    size_t n_out, cap_out;
+} dom_state;
+
+static void dom_emit(dom_state *st)
+{
+    size_t size = 8 * (size_t)st->W;
+    if (st->n_out == st->cap_out) {
+        size_t cap = st->cap_out ? 2 * st->cap_out : 64;
+        unsigned char *grown = realloc(st->out, cap * size);
+        if (!grown) {
+            st->nomem = 1;
+            return;
+        }
+        st->out = grown;
+        st->cap_out = cap;
+    }
+    store(st->out + st->n_out++ * size, st->chosen, st->W);
+}
+
+/* The walk of pybits.dom_candidates, decision for decision: cell i is
+ * decided at depth i, cell 0 only IN, otherwise IN before OUT; every entry
+ * counts as a node, and the budget check precedes the cardinality prune. */
+static void dom_dfs(dom_state *st, int i, int picked)
+{
+    if (!st->exhausted || st->nomem)
+        return;
+    st->nodes++;
+    if (st->nodes > st->node_budget) {
+        st->exhausted = 0;
+        return;
+    }
+    if (picked > st->count || picked + (st->n - i) < st->count)
+        return;
+    if (i == st->n) {
+        dom_emit(st);
+        return;
+    }
+    for (int val = 1; val >= (i == 0 ? 1 : 0); val--) {
+        int ok = 1;
+        for (int k = st->off[i]; k < st->off[i + 1]; k++) {
+            int v = st->cons[k], m = st->mult[k];
+            st->open[v] -= m;
+            if (val)
+                st->cnt[v] += m;
+            if (st->cnt[v] + st->open[v] < 2)
+                ok = 0;
+        }
+        if (ok) {
+            if (val)
+                set(st->chosen, i);
+            dom_dfs(st, i + 1, picked + val);
+            if (val)
+                st->chosen[i >> 6] &= ~((u64)1 << (i & 63));
+        }
+        for (int k = st->off[i]; k < st->off[i + 1]; k++) {
+            st->open[st->cons[k]] += st->mult[k];
+            if (val)
+                st->cnt[st->cons[k]] -= st->mult[k];
+        }
+    }
+}
+
+/* Every subset of exactly `count` of the n_cells cells, cell 0 among them,
+ * that leaves each of the n_cons constraints able to reach 2.  Cell c adds
+ * mult[k] to constraint cons[k] for k in off[c] .. off[c + 1].  On success
+ * returns 0, writes the masks (8 * ceil(n_cells / 64) bytes each, in walk
+ * order) to a buffer that *out points to and the caller releases with
+ * rlk_free, their number to *n_out, and to *exhausted 1 when the walk ended
+ * within node_budget nodes, 0 when it stopped early with the masks found so
+ * far.  Returns RLK_RANGE when a constraint index is out of range and
+ * RLK_NOMEM when an allocation fails, with *out NULL in both cases. */
+int rlk_dom_candidates(int n_cells, int n_cons, const int *off, const int *cons,
+                       const int *mult, int count, long long node_budget, unsigned char **out,
+                       long *n_out, int *exhausted)
+{
+    *out = NULL;
+    *n_out = 0;
+    *exhausted = 1;
+    for (int k = 0; k < off[n_cells]; k++)
+        if (cons[k] < 0 || cons[k] >= n_cons)
+            return RLK_RANGE;
+    dom_state st = {.n = n_cells, .W = words(n_cells), .count = count, .exhausted = 1,
+                    .off = off, .cons = cons, .mult = mult, .node_budget = node_budget};
+    st.cnt = calloc((size_t)n_cons + 1, sizeof(int));
+    st.open = calloc((size_t)n_cons + 1, sizeof(int));
+    st.chosen = calloc((size_t)st.W + 1, sizeof(u64));
+    if (st.cnt && st.open && st.chosen) {
+        for (int k = 0; k < off[n_cells]; k++)
+            st.open[cons[k]] += mult[k];
+        dom_dfs(&st, 0, 0);
+    } else {
+        st.nomem = 1;
+    }
+    free(st.cnt);
+    free(st.open);
+    free(st.chosen);
+    if (st.nomem) {
+        free(st.out);
+        return RLK_NOMEM;
+    }
+    *out = st.out;
+    *n_out = (long)st.n_out;
+    *exhausted = st.exhausted;
+    return 0;
+}
+
+void rlk_free(void *p)
+{
+    free(p);
 }
 
 /* ---- branch and bound --------------------------------------------------- */

@@ -18,6 +18,7 @@ import time
 from array import array
 
 from . import _build
+from .pybits import _check_walk
 
 BACKEND = "c"
 
@@ -41,6 +42,10 @@ def _load() -> ctypes.CDLL:
         ("rlk_check", i32, [ptr, i32, ptr]),
         ("rlk_brute_force_min", i32, [ptr, i32, ptr]),
         ("rlk_pairs_scan", ctypes.c_long, [ptr, i32, ptr, ptr, ctypes.c_long, ptr]),
+        ("rlk_dom_candidates", i32, [i32, i32, ptr, ptr, ptr, i32, i64,
+                                     ctypes.POINTER(ptr), ctypes.POINTER(ctypes.c_long),
+                                     ctypes.POINTER(i32)]),
+        ("rlk_free", None, [ptr]),
         ("rlk_bnb", i32, [ptr, i32, ptr, ptr, i32, i32, i64, ctypes.c_double,
                           ctypes.POINTER(i32), ptr, ctypes.POINTER(i64)]),
     ):
@@ -124,6 +129,30 @@ def pairs_ok(ctx: Ctx, s: int, us: list[int], vs: list[int]) -> bool:
 def pairs_scan(ctx: Ctx, us: list[int], vs: list[int], candidates) -> int:
     """Index of the first candidate mask passing pairs_ok, or -1."""
     return _scan(ctx, us, vs, b"".join(_bytes(ctx, m) for m in candidates))
+
+
+def dom_candidates(n_cells: int, touch, count: int,
+                   node_budget: int) -> tuple[list[int], bool]:
+    """Same contract as pybits.dom_candidates."""
+    _check_walk(n_cells, touch, count)
+    off, cons, mult = array("i", [0]), array("i"), array("i")
+    for items in touch:
+        for v, m in items:
+            cons.append(v)
+            mult.append(m)
+        off.append(len(cons))
+    out, n_out, exhausted = ctypes.c_void_p(), ctypes.c_long(), ctypes.c_int()
+    _ok(_lib.rlk_dom_candidates(n_cells, max(cons, default=-1) + 1, off.tobytes(),
+                                cons.tobytes(), mult.tobytes(), count, node_budget,
+                                ctypes.byref(out), ctypes.byref(n_out),
+                                ctypes.byref(exhausted)))
+    size = 8 * ((n_cells + 63) >> 6)
+    try:
+        raw = ctypes.string_at(out, n_out.value * size) if n_out.value else b""
+    finally:
+        _lib.rlk_free(out)
+    masks = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+    return masks, exhausted.value == 1
 
 
 def bnb(ctx: Ctx, mode: int, forced_in: int, forced_out: int, cap: int,

@@ -1,4 +1,5 @@
-"""Pure-Python kernel backend: bitmask predicates, brute force, branch and bound.
+"""Pure-Python kernel backend: bitmask predicates, brute force, branch and
+bound, and the grid candidate walk.
 
 Vertex sets are Python ints used as bitmasks. The compiled backend implements
 the same algorithms with the same deterministic decision order, so search node
@@ -149,6 +150,72 @@ def pairs_scan(ctx: Ctx, us: list[int], vs: list[int], candidates) -> int:
         if pairs_ok(ctx, mask, us, vs):
             return i
     return -1
+
+
+def _check_walk(n_cells: int, touch, count: int) -> None:
+    """The argument checks of dom_candidates that both backends share."""
+    if n_cells < 1 or len(touch) != n_cells:
+        raise ValueError("touch needs one list per cell and at least one cell")
+    if count < 0:
+        raise ValueError("count must be non-negative")
+
+
+def dom_candidates(n_cells: int, touch, count: int,
+                   node_budget: int) -> tuple[list[int], bool]:
+    """Masks of the exactly-count subsets of cells 0 .. n_cells - 1, cell 0
+    among them, that leave every constraint able to reach 2.
+
+    Cell c adds m to constraint v for each (v, m) in touch[c]; a constraint
+    fails once its chosen plus undecided total drops below 2.  The walk is
+    depth first and decides cell i at depth i, IN before OUT (cell 0 only
+    IN).  Returns (masks, True) when it exhausted the cells, or (the masks
+    found so far, False) once it has spent node_budget nodes.  Raises
+    IndexError for a negative constraint index.
+    """
+    _check_walk(n_cells, touch, count)
+    ids = [v for items in touch for v, _m in items]
+    if min(ids, default=0) < 0:
+        raise IndexError("vertex out of range")
+    n = n_cells
+    cnt = [0] * (max(ids, default=-1) + 1)
+    open_ = list(cnt)
+    for items in touch:
+        for v, m in items:
+            open_[v] += m
+    out: list[int] = []
+    nodes = 0
+    exhausted = True
+
+    def dfs(i: int, picked: int, mask: int) -> None:
+        nonlocal nodes, exhausted
+        if not exhausted:
+            return
+        nodes += 1
+        if nodes > node_budget:
+            exhausted = False
+            return
+        if picked > count or picked + (n - i) < count:
+            return
+        if i == n:
+            out.append(mask)
+            return
+        for val in ((1,) if i == 0 else (1, 0)):
+            ok = True
+            for v, m in touch[i]:
+                open_[v] -= m
+                if val:
+                    cnt[v] += m
+                if cnt[v] + open_[v] < 2:
+                    ok = False
+            if ok:
+                dfs(i + 1, picked + val, mask | val << i)
+            for v, m in touch[i]:
+                open_[v] += m
+                if val:
+                    cnt[v] -= m
+
+    dfs(0, 0, 0)
+    return out, exhausted
 
 
 def bnb(ctx: Ctx, mode: int, forced_in: int, forced_out: int, cap: int,

@@ -9,7 +9,7 @@ across runs.
 from __future__ import annotations
 
 import argparse
-import os
+import functools
 import sys
 import time
 from dataclasses import dataclass
@@ -188,9 +188,7 @@ def cmd_grid(args) -> RunReport:
         return RunReport(text, OK if report.ok else NEGATIVE)
     kind = grids.LatticeKind(args.kind.upper())
     target = Fraction(args.target)
-    found = grids.pattern_search(
-        kind, args.max_period, target, seed=args.seed, threads=args.threads
-    )
+    found = grids.pattern_search(kind, args.max_period, target, seed=args.seed)
     if found is None:
         return RunReport("not found", NEGATIVE)
     return RunReport(
@@ -211,10 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=["text", "csv"], default="text")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1,
-        help="worker threads for grid pattern scans",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check a detector set on a graph")
@@ -267,9 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args fills a new namespace on every call, so one parser serves
+    # every main() call of a process
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
         report = args.fn(args)

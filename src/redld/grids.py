@@ -11,7 +11,6 @@ disjoint traces of size at least 2, so only nearby pairs can collide.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -161,22 +160,24 @@ def share_histogram(pattern: PeriodicPattern) -> dict[Fraction, int]:
     return hist
 
 
-def _near_pairs(g: Graph, radius: int = 4) -> tuple[list[int], list[int]]:
+# The pair scan tests the pair conditions only on vertices within distance
+# 2, which is enough: pairs_ok first requires every vertex to be 2-dominated,
+# and two vertices u, v at distance 3 or more have disjoint open
+# neighbourhoods and are not adjacent.  If neither is a detector, each of
+# N(u) & S and N(v) & S has at least 2 detectors (u, v are not in S), so
+# their symmetric difference has at least 4.  If v is a detector and u is
+# not, the difference minus v still holds N(u) & S, which does not contain v
+# and has at least 2.  Two detectors face no pair condition.  So no pair
+# farther apart can fail, and the verdict equals the full check.
+def _near_pairs(g: Graph) -> tuple[list[int], list[int]]:
     us, vs = [], []
-    for start in range(g.n):
-        dist = {start: 0}
-        frontier = [start]
-        for d in range(1, radius + 1):
-            nxt = []
-            for v in frontier:
-                for w in g.adj[v]:
-                    if w not in dist:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        for v in dist:
-            if v > start:
-                us.append(start)
+    for u in range(g.n):
+        near = set(g.adj[u])
+        for w in g.adj[u]:
+            near.update(g.adj[w])
+        for v in sorted(near):
+            if v > u:
+                us.append(u)
                 vs.append(v)
     return us, vs
 
@@ -215,56 +216,15 @@ def _dominating_candidates(
 ) -> tuple[list[frozenset[tuple[int, int]]], bool]:
     """Exactly-count subsets of the domain, cell (0,0) pinned, such that
     every grid vertex keeps at least 2 detectors in its closed
-    neighborhood.  Depth-first with folded domination pruning; returns
-    (candidates, True) when the walk exhausted the domain, (prefix, False)
-    when it ran out of node budget.
+    neighborhood.  Depth-first with folded domination pruning, in the
+    kernel; returns (candidates, True) when the walk exhausted the domain,
+    (prefix, False) when it ran out of node budget.
     """
-    n = w * h
-    n_vertices, touch = _fold_constraints(kind, w, h)
-    cnt = [0] * n_vertices
-    open_ = [0] * n_vertices
-    for items in touch:
-        for v, m in items:
-            open_[v] += m
-    out: list[frozenset[tuple[int, int]]] = []
-    chosen: list[int] = []
-    nodes = 0
-    exhausted = True
-
-    def dfs(i: int, picked: int) -> None:
-        nonlocal nodes, exhausted
-        if not exhausted:
-            return
-        nodes += 1
-        if nodes > node_budget:
-            exhausted = False
-            return
-        if picked > count or picked + (n - i) < count:
-            return
-        if i == n:
-            out.append(frozenset((c % w, c // w) for c in chosen))
-            return
-        for val in ((1,) if i == 0 else (1, 0)):
-            ok = True
-            for v, m in touch[i]:
-                open_[v] -= m
-                if val:
-                    cnt[v] += m
-                if cnt[v] + open_[v] < 2:
-                    ok = False
-            if ok:
-                if val:
-                    chosen.append(i)
-                dfs(i + 1, picked + val)
-                if val:
-                    chosen.pop()
-            for v, m in touch[i]:
-                open_[v] += m
-                if val:
-                    cnt[v] -= m
-
-    dfs(0, 0)
-    return out, exhausted
+    _n_vertices, touch = _fold_constraints(kind, w, h)
+    masks, exhausted = kern.dom_candidates(w * h, touch, count, node_budget)
+    cells = [(c % w, c // w) for c in range(w * h)]
+    candidates = [frozenset(xy for c, xy in enumerate(cells) if mask >> c & 1) for mask in masks]
+    return candidates, exhausted
 
 
 def _random_descents(
@@ -329,7 +289,6 @@ def pattern_search(
     max_period: int,
     target_density: Fraction,
     seed: int = 0,
-    threads: int = 1,
 ) -> Optional[PeriodicPattern]:
     """Search fundamental domains up to max_period for a verified pattern
     of density at most target_density.
@@ -369,36 +328,30 @@ def pattern_search(
         ctx = kern.make_ctx([list(nbrs) for nbrs in g.adj])
         us, vs = _near_pairs(g)
         masks = [_tiled_mask(kind, w, h, cand) for cand in candidates]
-        hit = _scan(ctx, us, vs, masks, threads)
+        hit = _scan(ctx, us, vs, masks)
         if hit >= 0:
             return PeriodicPattern(kind, w, h, candidates[hit])
     return None
 
 
 def _tiled_mask(kind: LatticeKind, w: int, h: int, cells) -> int:
+    """The torus mask of the pattern tiled over the verification torus."""
     probe = PeriodicPattern(kind, w, h, frozenset([(0, 0)]))
     c_w, c_h = _tile_counts(probe, 8)
-    big_w, big_h = w * c_w, h * c_h
-    mask = 0
-    for y in range(big_h):
-        for x in range(big_w):
-            if (x % w, y % h) in cells:
-                mask |= 1 << (y * big_w + x)
-    return mask
+    big_w = w * c_w
+    domain = 0
+    for x, y in cells:
+        domain |= 1 << (y * w + x)
+    # Multiplying a w-bit row by a sum of disjoint shifts ORs shifted copies
+    # of it: here c_w copies side by side, a full torus row.  Stacking the h
+    # rows gives one band, repeated the same way c_h times down the torus.
+    row_rep = sum(1 << (k * w) for k in range(c_w))
+    band = 0
+    for y in range(h):
+        band |= ((domain >> (y * w)) & ((1 << w) - 1)) * row_rep << (y * big_w)
+    return band * sum(1 << (k * h * big_w) for k in range(c_h))
 
 
-def _scan(ctx, us, vs, masks: list[int], threads: int) -> int:
-    if threads <= 1 or len(masks) < 64:
-        return kern.pairs_scan(ctx, us, vs, masks)
-    chunk = -(-len(masks) // threads)
-    spans = [(i, masks[i : i + chunk]) for i in range(0, len(masks), chunk)]
-    best = -1
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(kern.pairs_scan, ctx, us, vs, part) for _off, part in spans]
-        for (off, _part), fut in zip(spans, futures):
-            local = fut.result()
-            if local >= 0:
-                cand = off + local
-                if best < 0 or cand < best:
-                    best = cand
-    return best
+def _scan(ctx, us, vs, masks: list[int]) -> int:
+    # its own function so that the benchmark's tracer can time the scan
+    return kern.pairs_scan(ctx, us, vs, masks)

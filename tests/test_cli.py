@@ -1,3 +1,4 @@
+from redld import grids
 from redld.cli import main
 from redld.graph import build_path, build_petersen, render_edge_list
 
@@ -231,3 +232,19 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
         _, out, _ = run(capsys, ["solve", path])
         outs.add(out)
     assert len(outs) == 1
+
+
+def test_successive_calls_share_no_options(monkeypatch, capsys):
+    seeds = []
+
+    def search(kind, max_period, target, seed):
+        seeds.append(seed)
+        return None
+
+    monkeypatch.setattr(grids, "pattern_search", search)
+    argv = ["grid", "search", "tri", "3", "1/3"]
+    assert run(capsys, ["--seed", "3", *argv])[:2] == (1, "not found\n")
+    assert run(capsys, argv)[:2] == (1, "not found\n")
+    assert run(capsys, ["--format", "csv", "family", "constants"])[1].startswith("graph,")
+    assert not run(capsys, ["family", "constants"])[1].startswith("graph,")
+    assert seeds == [3, 0]

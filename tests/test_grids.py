@@ -1,10 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from redld import _kernels as kern
 from redld.grids import (
     LatticeKind,
     PeriodicPattern,
+    _dominating_candidates,
+    _near_pairs,
+    _tile_counts,
+    _tiled_mask,
     build_torus,
     density,
     parse_pattern,
@@ -153,11 +159,54 @@ def test_search_king():
     assert verify_periodic(p).ok
 
 
-def test_search_threads_agree():
-    a = pattern_search(LatticeKind.TRI, 3, Fraction(1, 3), threads=1)
-    b = pattern_search(LatticeKind.TRI, 3, Fraction(1, 3), threads=2)
-    assert a == b
-
-
 def test_search_miss_returns_none():
     assert pattern_search(LatticeKind.HEX, 2, Fraction(1, 3)) is None
+
+
+def test_near_pairs_within_distance_2():
+    for kind, want in ((LatticeKind.SQ, 600), (LatticeKind.KING, 1200)):
+        g, _ = build_torus(PeriodicPattern(kind, 5, 5), 2, 2)
+        us, vs = _near_pairs(g)
+        assert len(us) == want
+        assert len(set(zip(us, vs))) == want and all(u < v for u, v in zip(us, vs))
+
+
+def test_near_pair_scan_equals_full_check():
+    # pairs_ok on the distance-2 pairs gives the verdict of the full
+    # characterization on every candidate, passing and failing alike: the
+    # counts of the searched densities and, for SQ, some denser ones
+    verdicts = set()
+    for kind, w, h, counts in ((LatticeKind.SQ, 5, 5, (10, 11, 12)),
+                               (LatticeKind.KING, 5, 5, (6, 7)),
+                               (LatticeKind.HEX, 6, 5, (12, 13, 14, 15))):
+        probe = PeriodicPattern(kind, w, h, frozenset([(0, 0)]))
+        g, _ = build_torus(probe, *_tile_counts(probe, 8))
+        ctx = kern.make_ctx([list(nbrs) for nbrs in g.adj])
+        us, vs = _near_pairs(g)
+        for count in counts:
+            candidates, exhausted = _dominating_candidates(kind, w, h, count, 10**7)
+            assert exhausted
+            for cand in candidates:
+                mask = _tiled_mask(kind, w, h, cand)
+                verdict = kern.pairs_ok(ctx, mask, us, vs)
+                assert verdict == kern.is_redld(ctx, mask)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_tiled_mask_matches_per_cell_tiling():
+    rng = random.Random(11)
+    for kind in LatticeKind:
+        widths = (2, 4, 6) if kind is LatticeKind.HEX else (1, 3, 4, 5)
+        for w in widths:
+            for h in (1, 3, 4, 5):
+                cells = [(x, y) for y in range(h) for x in range(w)]
+                probe = PeriodicPattern(kind, w, h, frozenset([(0, 0)]))
+                c_w, c_h = _tile_counts(probe, 8)
+                big_w = w * c_w
+                for _ in range(3):
+                    chosen = frozenset(rng.sample(cells, rng.randint(0, len(cells))))
+                    want = sum(1 << (y * big_w + x)
+                               for y in range(h * c_h) for x in range(big_w)
+                               if (x % w, y % h) in chosen)
+                    assert _tiled_mask(kind, w, h, chosen) == want

@@ -4,6 +4,7 @@ agree bit for bit (verdicts, optima, witnesses, and search node counts)."""
 import importlib
 import random
 import sys
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -12,6 +13,7 @@ import redld
 import redld._kernels as K
 import redld._kernels.pybits as py
 from redld._kernels import _build
+from redld.grids import LatticeKind, _fold_constraints
 from redld.satreduce import SatInstance, build_reduction
 
 try:
@@ -173,6 +175,64 @@ def test_bnb_agrees_on_long_paths_and_cycles():
                     assert got_py == ck.bnb(cc, *args)
                     statuses.append(got_py[0])
     assert min(statuses.count(status) for status in (0, 1, 2)) >= 10
+
+
+# the densities that grid searches probe: published patterns and open gaps
+GRID_DENSITIES = {
+    LatticeKind.HEX: (Fraction(1, 2), Fraction(2, 5)),
+    LatticeKind.TRI: (Fraction(1, 3),),
+    LatticeKind.SQ: (Fraction(2, 5), Fraction(7, 16)),
+    LatticeKind.KING: (Fraction(5, 16), Fraction(3, 11), Fraction(2, 7)),
+}
+
+
+@needs_c
+def test_dom_candidates_agree():
+    kinds = {"found": 0, "exhausted": 0, "prefix": 0}
+    for kind, targets in GRID_DENSITIES.items():
+        widths = range(2, 7, 2) if kind is LatticeKind.HEX else range(1, 6)
+        for w, h in product(widths, range(1, 6)):
+            _n, touch = _fold_constraints(kind, w, h)
+            for target in targets:
+                count = w * h * target.numerator // target.denominator
+                for budget in (1, 37, 10_000):
+                    got = py.dom_candidates(w * h, touch, count, budget)
+                    assert got == ck.dom_candidates(w * h, touch, count, budget)
+                    kinds["found"] += bool(got[0])
+                    kinds["exhausted" if got[1] else "prefix"] += bool(got[0])
+    # candidates found, walks exhausted with candidates, budget-cut prefixes
+    assert min(kinds.values()) >= 10
+
+
+@needs_c
+def test_dom_candidates_agree_beyond_64_cells():
+    # 72 cells: masks span two words.  At the grid densities the walk finds
+    # nothing within a small budget; denser counts give prefixes of masks
+    # with and without cells past the first word.
+    cases = [(LatticeKind.SQ, 31), (LatticeKind.SQ, 62), (LatticeKind.KING, 23),
+             (LatticeKind.KING, 53), (LatticeKind.KING, 56)]
+    high = low = 0
+    for kind, count in cases:
+        _n, touch = _fold_constraints(kind, 9, 8)
+        got = py.dom_candidates(72, touch, count, 3000)
+        assert got == ck.dom_candidates(72, touch, count, 3000)
+        assert not got[1]
+        high += sum(1 for m in got[0] if m >> 64)
+        low += sum(1 for m in got[0] if not m >> 64)
+    assert high >= 10 and low >= 10
+
+
+@pytest.mark.parametrize("kern", [py, pytest.param(ck, marks=needs_c)],
+                         ids=["py", "c"])
+def test_dom_candidates_reject_bad_input(kern):
+    touch = [[(0, 1), (1, 1)], [(1, 2)]]
+    assert kern.dom_candidates(2, touch, 1, 100) == ([], True)
+    with pytest.raises(ValueError, match="non-negative"):
+        kern.dom_candidates(2, touch, -1, 100)
+    with pytest.raises(ValueError, match="one list per cell"):
+        kern.dom_candidates(3, touch, 1, 100)
+    with pytest.raises(IndexError):
+        kern.dom_candidates(2, [[(0, 1)], [(-1, 1)]], 1, 100)
 
 
 @pytest.mark.parametrize("kern", [py, pytest.param(ck, marks=needs_c)],
