@@ -10,11 +10,13 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
+from . import _kernels
+
 
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "labels")
+    __slots__ = ("n", "adj", "labels", "_ctx")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], labels: Sequence[str] | None = None):
         if n < 1:
@@ -36,6 +38,7 @@ class Graph:
             if len(labels) != n:
                 raise ValueError("label count must equal n")
         self.labels: tuple[str, ...] | None = labels
+        self._ctx = None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -45,6 +48,16 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"
+
+    def kernel_ctx(self):
+        """The kernel context of this graph, built on first use and kept.
+
+        The graph is immutable and a context is read-only to the kernel, so
+        one context serves every later call, from any thread.
+        """
+        if self._ctx is None:
+            self._ctx = _kernels.make_ctx(self.adj)
+        return self._ctx
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]

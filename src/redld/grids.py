@@ -120,8 +120,7 @@ def build_torus(pattern: PeriodicPattern, c_w: int, c_h: int) -> tuple[Graph, De
                 nx, ny = (x + dx) % big_w, (y + dy) % big_h
                 a, b = idx(x, y), idx(nx, ny)
                 edges.add((min(a, b), max(a, b)))
-    labels = [f"({x},{y})" for y in range(big_h) for x in range(big_w)]
-    g = Graph(big_w * big_h, sorted(edges), labels=labels)
+    g = Graph(big_w * big_h, sorted(edges))
     members = [
         idx(x, y)
         for y in range(big_h)
@@ -148,14 +147,13 @@ def verify_periodic(pattern: PeriodicPattern, extent: int = 8) -> VerificationRe
 
 def share_histogram(pattern: PeriodicPattern) -> dict[Fraction, int]:
     """Shares of the detectors inside one fundamental domain."""
-    report = verify_periodic(pattern)
-    if not report.ok:
+    c_w, c_h = _tile_counts(pattern, 8)
+    g, s = build_torus(pattern, c_w, c_h)
+    if not is_redld_set(g, s).ok:
         raise ValueError("pattern does not verify; shares are undefined")
-    g, s = build_torus(pattern, *_tile_counts(pattern, 8))
     hist: dict[Fraction, int] = {}
     for x, y in sorted(pattern.detectors):
-        v = y * (pattern.w * _tile_counts(pattern, 8)[0]) + x
-        val = share(g, s, v)
+        val = share(g, s, y * (pattern.w * c_w) + x)
         hist[val] = hist.get(val, 0) + 1
     return hist
 
@@ -325,7 +323,7 @@ def pattern_search(
             continue
         probe = PeriodicPattern(kind, w, h, frozenset([(0, 0)]))
         g, _ = build_torus(probe, *_tile_counts(probe, 8))
-        ctx = kern.make_ctx([list(nbrs) for nbrs in g.adj])
+        ctx = g.kernel_ctx()
         us, vs = _near_pairs(g)
         masks = [_tiled_mask(kind, w, h, cand) for cand in candidates]
         hit = _scan(ctx, us, vs, masks)

@@ -20,13 +20,12 @@ from c to each literal vertex.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 from . import _kernels as kern
 from .graph import Graph
-from .solver import BudgetExceededError, SolveBudget, _mask_to_vertices
+from .solver import BudgetExceededError, SolveBudget, _BudgetClock, _mask_to_vertices
 from .verify import DetectorSet
 
 _GADGET_EDGES = [
@@ -177,24 +176,13 @@ def decide_via_redld(
 ) -> tuple[bool, Optional[dict[int, bool]]]:
     """Satisfiability via detector-set feasibility at cap K on the reduction."""
     art = build_reduction(phi)
-    ctx = kern.make_ctx([list(nbrs) for nbrs in art.graph.adj])
-    forced_mask = art.forced.mask()
-    node_budget = budget.max_nodes if budget and budget.max_nodes else 0
-    deadline = 0.0
-    if budget and budget.max_seconds:
-        deadline = time.monotonic() + budget.max_seconds
+    clock = _BudgetClock(budget)
     status, value, mask, nodes = kern.bnb(
-        ctx,
-        kern.MODE_REDLD,
-        forced_mask,
-        0,
-        art.k,
-        art.k,
-        node_budget,
-        deadline,
-    )
+        art.graph.kernel_ctx(), kern.MODE_REDLD, art.forced.mask(), 0, art.k, art.k,
+        clock.node_arg(), clock.deadline)
+    clock.spend(nodes)
     if status == 2:
-        raise BudgetExceededError(nodes, None)
+        raise BudgetExceededError(clock.used, None)
     if status == 1:
         return False, None
     assert value == art.k

@@ -111,7 +111,7 @@ def _solve_mode(g: Graph, mode: int, budget: SolveBudget | None) -> SolveResult:
     for comp in g.connected_components():
         sub, index = g.induced_subgraph(comp)
         back = {i: v for v, i in index.items()}
-        ctx = K.make_ctx(sub.adj)
+        ctx = sub.kernel_ctx()
         forced = 0
         if mode == K.MODE_REDLD:
             for v in forced_detectors(sub):
@@ -160,7 +160,7 @@ def brute_force_min_redld(g: Graph) -> SolveResult:
         raise ValueError("brute force is capped at 24 vertices")
     if not redld_exists(g):
         return SolveResult(None, None, True, 0)
-    ctx = K.make_ctx(g.adj)
+    ctx = g.kernel_ctx()
     size, mask = K.brute_force_min(ctx, K.MODE_REDLD_DEF)
     assert size >= 0
     return SolveResult(size, DetectorSet(_mask_to_vertices(mask)), False, 0)
@@ -170,7 +170,7 @@ def brute_force_min_ld(g: Graph) -> SolveResult:
     """Reference LD solver, same enumeration order."""
     if g.n > 24:
         raise ValueError("brute force is capped at 24 vertices")
-    ctx = K.make_ctx(g.adj)
+    ctx = g.kernel_ctx()
     size, mask = K.brute_force_min(ctx, K.MODE_LD)
     assert size >= 0
     return SolveResult(size, DetectorSet(_mask_to_vertices(mask)), False, 0)
@@ -184,7 +184,7 @@ def upper_bound_redld(g: Graph, budget: SolveBudget) -> tuple[int | None, Detect
     if not redld_exists(g):
         return None, None, 0
     clock = _BudgetClock(budget)
-    ctx = K.make_ctx(g.adj)
+    ctx = g.kernel_ctx()
     forced = sum(1 << v for v in forced_detectors(g))
     status, value, mask, nodes = K.bnb(
         ctx, K.MODE_REDLD, forced, 0, g.n, _component_lower_bound(g, K.MODE_REDLD),

@@ -10,17 +10,18 @@ characterization):
         |((N(v) ∩ S) △ (N(u) ∩ S)) − {v}| >= 1,
   (iii) for every two non-detectors u, v, |(N(u) ∩ S) △ (N(v) ∩ S)| >= 2.
 
-Reports carry every violation, each tagged with a condition id and a witness
-tuple. All arithmetic is exact (fractions.Fraction for shares).
+Verdicts come from the kernel (`redld._kernels`); reports list every
+violation on demand, each tagged with a condition id and a witness tuple.
+All arithmetic is exact (fractions.Fraction for shares).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
+from . import _kernels as K
 from .graph import Graph
 
 # condition ids
@@ -72,9 +73,12 @@ class DetectorSet:
 Violation = tuple[str, tuple[int, ...]]
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one verification: mode, verdict, and all violations.
+
+    The verdict comes from the kernel.  The violations are listed by the
+    set-based lister on first access to `violations`, and only when the
+    verdict fails; an ok report has none and runs no lister.
 
     Violation witnesses: (v,) for domination/existence conditions, (u, v) for
     pair conditions. For the removal-definition check the witness is prefixed
@@ -82,9 +86,24 @@ class VerificationReport:
     LD conditions on S − {r}.
     """
 
-    mode: str
-    ok: bool
-    violations: list[Violation] = field(default_factory=list)
+    __slots__ = ("mode", "ok", "_lister", "_violations")
+
+    def __init__(self, mode: str, ok: bool, lister: Callable[[], list[Violation]]):
+        self.mode = mode
+        self.ok = ok
+        self._lister = lister
+        self._violations: list[Violation] | None = None
+
+    @property
+    def violations(self) -> list[Violation]:
+        if self.ok:
+            return []
+        if self._violations is None:
+            self._violations = self._lister()
+        return self._violations
+
+    def __repr__(self) -> str:
+        return f"VerificationReport(mode={self.mode!r}, ok={self.ok})"
 
     def render(self) -> str:
         lines = [f"mode={self.mode} ok={str(self.ok).lower()}"]
@@ -123,10 +142,43 @@ def _trace(g: Graph, s: frozenset[int], v: int) -> frozenset[int]:
     return frozenset(w for w in g.adj[v] if w in s)
 
 
+def _mask(s: frozenset[int]) -> int:
+    m = 0
+    for v in s:
+        m |= 1 << v
+    return m
+
+
 def is_ld_set(g: Graph, s: Iterable[int]) -> VerificationReport:
     """LD check: domination of non-detectors plus pairwise distinct traces."""
     ss = _as_set(s)
     _check_vertices(g, ss)
+    ok = K.is_ld(g.kernel_ctx(), _mask(ss))
+    return VerificationReport("ld", ok, lambda: _ld_violations(g, ss))
+
+
+def is_redld_set(g: Graph, s: Iterable[int]) -> VerificationReport:
+    """RED:LD check through the three-condition characterization."""
+    ss = _as_set(s)
+    _check_vertices(g, ss)
+    ok = K.is_redld(g.kernel_ctx(), _mask(ss))
+    return VerificationReport("redld", ok, lambda: _redld_violations(g, ss))
+
+
+def is_redld_by_definition(g: Graph, s: Iterable[int]) -> VerificationReport:
+    """RED:LD check straight from the definition: S and every S − {v} are LD."""
+    ss = _as_set(s)
+    _check_vertices(g, ss)
+    ok = K.is_redld_def(g.kernel_ctx(), _mask(ss))
+    return VerificationReport("redld-def", ok, lambda: _redld_def_violations(g, ss))
+
+
+# The set-based listers below name every violation of a failed check.  They
+# are also an oracle independent of the kernel: tests check that each one
+# returns no violation exactly when the kernel's verdict is ok.
+
+
+def _ld_violations(g: Graph, ss: frozenset[int]) -> list[Violation]:
     violations: list[Violation] = []
     non = [v for v in range(g.n) if v not in ss]
     traces = {v: _trace(g, ss, v) for v in non}
@@ -136,13 +188,10 @@ def is_ld_set(g: Graph, s: Iterable[int]) -> VerificationReport:
     for u, v in combinations(non, 2):
         if traces[u] == traces[v]:
             violations.append((LD_PAIR_1DIST, (u, v)))
-    return VerificationReport("ld", not violations, violations)
+    return violations
 
 
-def is_redld_set(g: Graph, s: Iterable[int]) -> VerificationReport:
-    """RED:LD check through the three-condition characterization."""
-    ss = _as_set(s)
-    _check_vertices(g, ss)
+def _redld_violations(g: Graph, ss: frozenset[int]) -> list[Violation]:
     violations: list[Violation] = []
     for v in range(g.n):
         if g.degree(v) == 0:
@@ -159,23 +208,18 @@ def is_redld_set(g: Graph, s: Iterable[int]) -> VerificationReport:
         for u in non:
             if not (traces[v] ^ traces[u]) - {v}:
                 violations.append((DET_NONDET_1DIST, (v, u)))
-    return VerificationReport("redld", not violations, violations)
+    return violations
 
 
-def is_redld_by_definition(g: Graph, s: Iterable[int]) -> VerificationReport:
-    """RED:LD check straight from the definition: S and every S − {v} are LD."""
-    ss = _as_set(s)
-    _check_vertices(g, ss)
+def _redld_def_violations(g: Graph, ss: frozenset[int]) -> list[Violation]:
     violations: list[Violation] = []
     for v in range(g.n):
         if g.degree(v) == 0:
             violations.append((EXISTENCE, (v,)))
-    base = is_ld_set(g, ss)
-    violations.extend(base.violations)
+    violations.extend(_ld_violations(g, ss))
     for r in sorted(ss):
-        rep = is_ld_set(g, ss - {r})
-        violations.extend((cond, (r, *wit)) for cond, wit in rep.violations)
-    return VerificationReport("redld-def", not violations, violations)
+        violations.extend((cond, (r, *wit)) for cond, wit in _ld_violations(g, ss - {r}))
+    return violations
 
 
 def share(g: Graph, s: Iterable[int], x: int) -> Fraction:

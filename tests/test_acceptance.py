@@ -102,6 +102,8 @@ def test_criterion_04_kary_table_all_60_entries():
 
 
 def test_criterion_05_characterization_equals_definition():
+    """The kernel's characterization mode against its removal-definition
+    mode; the set-based listers are checked against both in test_verify."""
     start = time.perf_counter()
     pairs = 0
     for n in range(1, 6):

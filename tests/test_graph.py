@@ -96,6 +96,14 @@ def test_labels():
     assert g.label(1) == "1"
 
 
+def test_kernel_ctx_is_built_once():
+    g = build_petersen()
+    ctx = g.kernel_ctx()
+    assert g.kernel_ctx() is ctx
+    assert ctx.n == g.n
+    assert Graph(10, g.edges()).kernel_ctx() is not ctx
+
+
 def test_edge_list_round_trip():
     g = build_petersen()
     text = render_edge_list(g)

@@ -75,7 +75,7 @@ def test_torus_regularity():
     for kind, want in degrees.items():
         p = PeriodicPattern(kind, 2, 2, frozenset([(0, 0)]))
         g, s = build_torus(p, 4, 4)
-        assert g.n == 64
+        assert g.n == 64 and g.labels is None
         assert g.min_degree() == g.max_degree() == want
         assert len(s) == 16
 

@@ -146,3 +146,15 @@ def test_decide_budget():
     phi = SatInstance(5, ((1, 2, 3), (-2, 4, 5), (-1, -3, -5)))
     with pytest.raises(BudgetExceededError):
         decide_via_redld(phi, SolveBudget(max_nodes=2))
+
+
+def test_decide_budget_reads_like_the_solver():
+    # a zero node budget gives up at once, as in min_redld; a seconds-only
+    # budget leaves the node count unlimited
+    phi = SatInstance(5, ((1, 2, 3), (-2, 4, 5), (-1, -3, -5)))
+    for budget in (SolveBudget(max_nodes=0), SolveBudget(max_nodes=0, max_seconds=30)):
+        with pytest.raises(BudgetExceededError):
+            decide_via_redld(phi, budget)
+        with pytest.raises(BudgetExceededError):
+            min_redld(build_reduction(phi).graph, budget)
+    assert decide_via_redld(phi, SolveBudget(max_seconds=30)) == decide_via_redld(phi)

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import redld._kernels as K
+import redld._kernels.pybits as py
+import redld.verify as verify
 from redld.graph import Graph, build_complete_multipartite, build_cycle, build_path, build_petersen
 from redld.solver import forced_detectors, min_redld
 from redld.verify import (
@@ -16,6 +19,10 @@ from redld.verify import (
     LD_PAIR_1DIST,
     NONDET_PAIR_2DIST,
     DetectorSet,
+    VerificationReport,
+    _ld_violations,
+    _redld_def_violations,
+    _redld_violations,
     distinguishing_degree,
     domination_count,
     find_twins,
@@ -24,6 +31,16 @@ from redld.verify import (
     is_redld_set,
     share,
 )
+
+try:
+    import redld._kernels._ckern as ck
+except ImportError:
+    ck = None
+
+BACKENDS = [
+    pytest.param(py, id="py"),
+    pytest.param(ck, id="c", marks=pytest.mark.skipif(ck is None, reason="compiled kernel not built")),
+]
 
 
 def random_graph(n, p, rng):
@@ -102,6 +119,7 @@ def test_full_set_rule():
 
 
 def test_characterization_matches_definition():
+    """The kernel's characterization mode against its removal-definition mode."""
     rng = random.Random(5)
     for _ in range(200):
         n = rng.randint(2, 7)
@@ -120,6 +138,98 @@ def test_definition_report_prefixes_removed_detector():
             r, v = wit
             assert r in (0, 1, 2)
     assert any(wit[0] == 2 and wit[1] == 3 for cond, wit in rep.violations if len(wit) == 2)
+
+
+# Reports as the former eager, set-based verification rendered them.
+EAGER_REPORTS = [
+    (is_redld_set, build_path(3), [0, 1],
+     "mode=redld ok=false\nviolation DOM2 2\nviolation DET_NONDET_1DIST 0 2\n"),
+    (is_redld_set, build_path(5), [1, 3],
+     "mode=redld ok=false\nviolation DOM2 0\nviolation DOM2 1\nviolation DOM2 3\n"
+     "violation DOM2 4\nviolation NONDET_PAIR_2DIST 0 2\nviolation NONDET_PAIR_2DIST 2 4\n"
+     "violation DET_NONDET_1DIST 1 0\nviolation DET_NONDET_1DIST 3 4\n"),
+    (is_redld_set, Graph(3, [(0, 1)]), [0, 1],
+     "mode=redld ok=false\nviolation EXISTENCE 2\nviolation DOM2 2\n"),
+    (is_redld_by_definition, build_path(4), [0, 1, 2],
+     "mode=redld-def ok=false\nviolation LD_DOM1 2 3\n"),
+    (is_ld_set, build_path(4), [0],
+     "mode=ld ok=false\nviolation LD_DOM1 2\nviolation LD_DOM1 3\nviolation LD_PAIR_1DIST 2 3\n"),
+]
+
+
+@pytest.mark.parametrize("check, g, s, text", EAGER_REPORTS)
+def test_lazy_report_equals_eager_output(check, g, s, text):
+    rep = check(g, s)
+    assert not rep.ok
+    assert rep.render() == text
+    assert rep.violations == [
+        (cond, tuple(map(int, wit)))
+        for cond, *wit in (line.split()[1:] for line in text.splitlines()[1:])
+    ]
+    assert rep.violations is rep.violations
+
+
+def _must_not_run(*args):
+    raise AssertionError("called")
+
+
+def test_ok_report_runs_no_lister(monkeypatch):
+    rep = VerificationReport("redld", True, _must_not_run)
+    assert rep.violations == []
+    assert rep.render() == "mode=redld ok=true\n"
+    for name in ("_ld_violations", "_redld_violations", "_redld_def_violations"):
+        monkeypatch.setattr(verify, name, _must_not_run)
+    g = build_cycle(5)
+    for check in (is_ld_set, is_redld_set, is_redld_by_definition):
+        rep = check(g, range(5))
+        assert rep.ok and rep.violations == []
+
+
+def test_out_of_range_detector_raises_before_kernel(monkeypatch):
+    for name in ("make_ctx", "is_ld", "is_redld", "is_redld_def"):
+        monkeypatch.setattr(K, name, _must_not_run)
+    g = build_path(4)
+    for check in (is_ld_set, is_redld_set, is_redld_by_definition):
+        with pytest.raises(ValueError):
+            check(g, [0, 4])
+        with pytest.raises(ValueError):
+            check(g, [-1])
+
+
+def _lister_cases(kern, g, subsets):
+    ctx = kern.make_ctx(g.adj)
+    preds = ((_ld_violations, kern.is_ld), (_redld_violations, kern.is_redld),
+             (_redld_def_violations, kern.is_redld_def))
+    for mask in subsets:
+        ss = frozenset(v for v in range(g.n) if mask >> v & 1)
+        for lister, pred in preds:
+            yield lister.__name__, not lister(g, ss), pred(ctx, mask), (g.adj, mask)
+
+
+@pytest.mark.parametrize("kern", BACKENDS)
+def test_listers_agree_with_kernel_verdicts(kern):
+    """The set-based violation listers stay an independent oracle: each one
+    lists no violation exactly when the kernel's verdict is ok."""
+    graphs = []
+    for n in range(1, 5):
+        slots = list(combinations(range(n), 2))
+        for picks in product((0, 1), repeat=len(slots)):
+            g = Graph(n, [e for e, take in zip(slots, picks) if take])
+            graphs.append((g, range(1 << n)))
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(6, 9)
+        p = rng.uniform(0.2, 0.8)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        subsets = [rng.getrandbits(n) for _ in range(10)]
+        subsets += [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(10)]
+        graphs.append((g, subsets))
+    seen = set()
+    for g, subsets in graphs:
+        for name, listed, verdict, case in _lister_cases(kern, g, subsets):
+            assert listed == verdict, (name, case)
+            seen.add((name, verdict))
+    assert len(seen) == 6
 
 
 def test_render_report():
