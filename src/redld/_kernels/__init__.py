@@ -7,6 +7,7 @@ if the extension was not built.
 import os
 
 from . import pybits as _py
+from .pybits import MODE_LD, MODE_REDLD, MODE_REDLD_DEF
 
 _choice = os.environ.get("REDLD_BACKEND", "").strip().lower()
 if _choice not in ("", "c", "py"):
@@ -23,9 +24,6 @@ else:
         _impl = _py
 
 BACKEND = _impl.BACKEND
-MODE_LD = 0
-MODE_REDLD = 1
-MODE_REDLD_DEF = 2
 
 make_ctx = _impl.make_ctx
 is_ld = _impl.is_ld

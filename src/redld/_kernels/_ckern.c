@@ -5,11 +5,14 @@
  * (propagation, pruning, bound, branch choice, IN branch first) is transcribed
  * from pybits.py, so optima, witnesses and node counts are identical, and so
  * is the walk of the grid candidate search, whose candidate lists and
- * budget-limited prefixes therefore come out in the same order.  One
+ * budget-limited prefixes therefore come out in the same order.
+ *
+ * The pair conditions (ii)/(iii) are written once, in pair_fails and
+ * pairs_fail; the predicates, pairs_ok_core and dfs all call them.  One
  * difference in the work, not in the result: where pybits tests every vertex
- * pair for the pair conditions, dfs tests only pairs within distance 2 of each
- * other, because at a node that passed the domination test a pair at distance
- * 3 or more cannot fail them (the argument is above the pair loops in dfs).
+ * pair, pairs_fail tests only pairs within distance 2 of each other, in the
+ * predicates as in dfs, because once the domination test has passed a pair at
+ * distance 3 or more cannot fail (the argument is above pairs_fail).
  *
  * Vertex sets are arrays of W = ceil(n / 64) little-endian 64-bit words.  At
  * the interface they are byte strings of 8 * W bytes, least significant byte
@@ -34,7 +37,9 @@ typedef uint64_t u64;
 #define RLK_NOMEM (-3)
 #define RLK_RANGE (-4)
 
+#define MODE_LD 0
 #define MODE_REDLD 1
+#define MODE_REDLD_DEF 2
 
 typedef struct {
     int n, W, maxdeg;
@@ -50,6 +55,9 @@ typedef struct {
 #define DEG(c) ((int *)((c)->rows + 3 * (size_t)(c)->n * (c)->W))
 
 static inline int popc(u64 x) { return __builtin_popcountll(x); }
+/* the bits set in x, capped at 2: enough for a test against 1 or 2, and
+ * cheaper than popc, a library call on builds without a popcount instruction */
+static inline int popc2(u64 x) { return (x != 0) + ((x & (x - 1)) != 0); }
 static inline int get(const u64 *m, int v) { return (int)(m[v >> 6] >> (v & 63)) & 1; }
 static inline void set(u64 *m, int v) { m[v >> 6] |= (u64)1 << (v & 63); }
 
@@ -126,112 +134,141 @@ int rlk_ctx_init(rlk_ctx *c, int n, const int *deg, const int *nbrs)
     return 0;
 }
 
+/* ---- pair conditions ---------------------------------------------------- */
+
+/* dst = the vertices not in src */
+static void complement(const rlk_ctx *c, u64 *dst, const u64 *src)
+{
+    for (int w = 0; w < c->W; w++)
+        dst[w] = ~src[w];
+    if (c->n & 63)
+        dst[c->W - 1] &= ((u64)1 << (c->n & 63)) - 1;
+}
+
+/* every vertex has at least `need` members of s in its closed neighbourhood */
+static int dominated(const rlk_ctx *c, const u64 *s, int need)
+{
+    for (int v = 0; v < c->n; v++) {
+        int pc = 0;
+        for (int w = 0; w < c->W && pc < need; w++)
+            pc += popc2(CLOSED(c, v)[w] & s[w]);
+        if (pc < need)
+            return 0;
+    }
+    return 1;
+}
+
+/* Does the pair (u, v), u out, fail on pool?  Its condition needs `need`
+ * vertices of (N(u) ^ N(v)) & pool other than v.  With v out, that is
+ * condition (ii) with need 1 for LD and 2 for RED:LD; out vertices are not
+ * in the pool, so dropping v changes nothing.  With v in, it is condition
+ * (iii) with need 1. */
+static inline int pair_fails(const rlk_ctx *c, const u64 *pool, int need, int u, int v)
+{
+    const u64 *ou = OPEN(c, u), *ov = OPEN(c, v);
+    int pc = 0;
+    for (int w = 0; w < c->W && pc < need; w++) {
+        u64 x = (ou[w] ^ ov[w]) & pool[w];
+        pc += popc2(w == v >> 6 ? x & ~((u64)1 << (v & 63)) : x);
+    }
+    return pc < need;
+}
+
+/* Does some pair of `mode` fail on pool: two out vertices, or in RED:LD mode
+ * an in and an out vertex?  The caller has passed the domination test: every
+ * out vertex u has |N(u) & pool| >= 1 in LD mode, and |N[u] & pool| =
+ * |N(u) & pool| >= 2 in RED:LD mode, since u is not in the pool.
+ *
+ * Only pairs within distance 2 are tested.  Two vertices u, v at distance 3
+ * or more have disjoint open neighbourhoods, and neither is adjacent to the
+ * other, so (N(u) ^ N(v)) & pool is the disjoint union of N(u) & pool and
+ * N(v) & pool.  An out/out pair at distance >= 3 thus sees at least 2 pool
+ * vertices, enough in both modes, and an in/out pair (v in, u out) keeps
+ * N(u) & pool, which does not contain v, after v is dropped.  Skipping such
+ * pairs changes no verdict; pybits, which tests all pairs, is the check. */
+static int pairs_fail(const rlk_ctx *c, int mode, const u64 *in, const u64 *out,
+                      const u64 *pool)
+{
+    int W = c->W, need = mode == MODE_REDLD ? 2 : 1;
+    for (int wu = 0; wu < W; wu++)
+        for (u64 mu = out[wu]; mu; mu &= mu - 1) {
+            int u = wu << 6 | __builtin_ctzll(mu);
+            for (int wv = wu; wv < W; wv++) {
+                u64 mv = NEAR(c, u)[wv] & out[wv];
+                if (wv == wu)
+                    mv &= (~(u64)1) << (u & 63); /* only v above u */
+                for (; mv; mv &= mv - 1)
+                    if (pair_fails(c, pool, need, u, wv << 6 | __builtin_ctzll(mv)))
+                        return 1;
+            }
+        }
+    if (mode != MODE_REDLD)
+        return 0;
+    for (int wv = 0; wv < W; wv++)
+        for (u64 mv = in[wv]; mv; mv &= mv - 1) {
+            int v = wv << 6 | __builtin_ctzll(mv);
+            for (int wu = 0; wu < W; wu++)
+                for (u64 mu = NEAR(c, v)[wu] & out[wu]; mu; mu &= mu - 1)
+                    if (pair_fails(c, pool, 1, wu << 6 | __builtin_ctzll(mu), v))
+                        return 1;
+        }
+    return 0;
+}
+
 /* ---- predicates --------------------------------------------------------- */
 
-/* Predicates take scratch of n + 1 trace rows (W words each). */
+/* Predicates take scratch of 2 rows of W words: the complement of the set,
+ * and the set less one detector in is_redld_def_core. */
 static u64 *scratch_new(const rlk_ctx *c)
 {
-    return malloc(((size_t)c->n + 1) * c->W * sizeof(u64));
+    return malloc(2 * (size_t)c->W * sizeof(u64));
 }
 
-/* traces of non-detectors are nonempty and pairwise distinct */
-static int is_ld_core(const rlk_ctx *c, const u64 *s, u64 *tr)
+/* LD or RED:LD (by conditions (i)-(iii)): domination, then the pairs with
+ * the members of s in and the rest out */
+static int characterized(const rlk_ctx *c, int mode, const u64 *s, u64 *scratch)
 {
-    int n = c->n, W = c->W, cnt = 0;
-    for (int v = 0; v < n; v++) {
-        if (get(s, v))
-            continue;
-        u64 acc = 0;
-        for (int w = 0; w < W; w++)
-            acc |= tr[cnt * W + w] = OPEN(c, v)[w] & s[w];
-        if (!acc)
-            return 0;
-        cnt++;
-    }
-    for (int i = 0; i < cnt; i++)
-        for (int j = i + 1; j < cnt; j++)
-            if (!memcmp(tr + (size_t)i * W, tr + (size_t)j * W, W * sizeof(u64)))
-                return 0;
-    return 1;
-}
-
-static int is_redld_core(const rlk_ctx *c, const u64 *s, u64 *tr)
-{
-    int n = c->n, W = c->W, cnt = 0;
-    u64 *tv = tr + (size_t)n * W;
-    for (int v = 0; v < n; v++) {
-        int pc = 0;
-        for (int w = 0; w < W; w++)
-            pc += popc(CLOSED(c, v)[w] & s[w]);
-        if (pc < 2)
-            return 0;
-    }
-    for (int v = 0; v < n; v++) {
-        if (get(s, v))
-            continue;
-        for (int w = 0; w < W; w++)
-            tr[cnt * W + w] = OPEN(c, v)[w] & s[w];
-        cnt++;
-    }
-    for (int i = 0; i < cnt; i++)
-        for (int j = i + 1; j < cnt; j++) {
-            int pc = 0;
-            for (int w = 0; w < W && pc < 2; w++)
-                pc += popc(tr[i * W + w] ^ tr[j * W + w]);
-            if (pc < 2)
-                return 0;
-        }
-    for (int v = 0; v < n; v++) {
-        if (!get(s, v))
-            continue;
-        for (int w = 0; w < W; w++)
-            tv[w] = OPEN(c, v)[w] & s[w];
-        for (int j = 0; j < cnt; j++) {
-            u64 d = 0;
-            for (int w = 0; w < W; w++) {
-                u64 x = tv[w] ^ tr[j * W + w];
-                d |= w == v >> 6 ? x & ~((u64)1 << (v & 63)) : x;
-            }
-            if (!d)
-                return 0;
-        }
-    }
-    return 1;
+    if (!dominated(c, s, mode == MODE_REDLD ? 2 : 1))
+        return 0;
+    complement(c, scratch, s);
+    return !pairs_fail(c, mode, s, scratch, s);
 }
 
 /* LD, and still LD after removing any one detector */
-static int is_redld_def_core(const rlk_ctx *c, const u64 *s, u64 *tr)
+static int is_redld_def_core(const rlk_ctx *c, const u64 *s, u64 *scratch)
 {
-    if (!is_ld_core(c, s, tr))
+    if (!characterized(c, MODE_LD, s, scratch))
         return 0;
-    u64 *sm = tr + (size_t)c->n * c->W; /* is_ld_core uses rows < n only */
+    u64 *sm = scratch + c->W; /* characterized uses the first row only */
     for (int v = 0; v < c->n; v++) {
         if (!get(s, v))
             continue;
         memcpy(sm, s, c->W * sizeof(u64));
         sm[v >> 6] ^= (u64)1 << (v & 63);
-        if (!is_ld_core(c, sm, tr))
+        if (!characterized(c, MODE_LD, sm, scratch))
             return 0;
     }
     return 1;
 }
 
-typedef int (*predicate)(const rlk_ctx *, const u64 *, u64 *);
-
-static const predicate predicates[3] = {is_ld_core, is_redld_core, is_redld_def_core};
+static int valid(const rlk_ctx *c, int mode, const u64 *s, u64 *scratch)
+{
+    return mode == MODE_REDLD_DEF ? is_redld_def_core(c, s, scratch)
+                                  : characterized(c, mode, s, scratch);
+}
 
 /* 1 or 0 for the predicate of `mode` on `mask`, or RLK_NOMEM */
 int rlk_check(const rlk_ctx *c, int mode, const unsigned char *mask)
 {
-    u64 *s = malloc(c->W * sizeof(u64)), *tr = scratch_new(c);
-    if (!s || !tr) {
+    u64 *s = malloc(c->W * sizeof(u64)), *scratch = scratch_new(c);
+    if (!s || !scratch) {
         free(s);
-        free(tr);
+        free(scratch);
         return RLK_NOMEM;
     }
     load(s, mask, c->W);
-    int ok = predicates[mode](c, s, tr);
-    free(tr);
+    int ok = valid(c, mode, s, scratch);
+    free(scratch);
     free(s);
     return ok;
 }
@@ -243,11 +280,11 @@ int rlk_check(const rlk_ctx *c, int mode, const unsigned char *mask)
 int rlk_brute_force_min(const rlk_ctx *c, int mode, unsigned char *out)
 {
     int n = c->n, W = c->W, found = -1;
-    u64 *s = malloc(W * sizeof(u64)), *tr = scratch_new(c);
+    u64 *s = malloc(W * sizeof(u64)), *scratch = scratch_new(c);
     int *idx = malloc((size_t)n * sizeof(int));
-    if (!s || !tr || !idx) {
+    if (!s || !scratch || !idx) {
         free(s);
-        free(tr);
+        free(scratch);
         free(idx);
         return RLK_NOMEM;
     }
@@ -258,7 +295,7 @@ int rlk_brute_force_min(const rlk_ctx *c, int mode, unsigned char *out)
             memset(s, 0, W * sizeof(u64));
             for (int i = 0; i < k; i++)
                 set(s, idx[i]);
-            if (predicates[mode](c, s, tr)) {
+            if (valid(c, mode, s, scratch)) {
                 store(out, s, W);
                 found = k;
                 break;
@@ -274,7 +311,7 @@ int rlk_brute_force_min(const rlk_ctx *c, int mode, unsigned char *out)
                 idx[j] = idx[j - 1] + 1;
         }
     }
-    free(tr);
+    free(scratch);
     free(idx);
     free(s);
     return found;
@@ -285,36 +322,16 @@ int rlk_brute_force_min(const rlk_ctx *c, int mode, unsigned char *out)
 static int pairs_ok_core(const rlk_ctx *c, const u64 *s, int npairs, const int *us,
                          const int *vs)
 {
-    int n = c->n, W = c->W;
-    for (int v = 0; v < n; v++) {
-        int pc = 0;
-        for (int w = 0; w < W; w++)
-            pc += popc(CLOSED(c, v)[w] & s[w]);
-        if (pc < 2)
-            return 0;
-    }
+    if (!dominated(c, s, 2))
+        return 0;
     for (int i = 0; i < npairs; i++) {
         int u = us[i], v = vs[i];
-        int du = get(s, u), dv = get(s, v);
-        if (du && dv)
-            continue;
-        const u64 *ou = OPEN(c, u), *ov = OPEN(c, v);
-        if (du || dv) {
-            int det = du ? u : v;
-            u64 d = 0;
-            for (int w = 0; w < W; w++) {
-                u64 x = (ou[w] ^ ov[w]) & s[w];
-                d |= w == det >> 6 ? x & ~((u64)1 << (det & 63)) : x;
-            }
-            if (!d)
-                return 0;
-        } else {
-            int pc = 0;
-            for (int w = 0; w < W && pc < 2; w++)
-                pc += popc((ou[w] ^ ov[w]) & s[w]);
-            if (pc < 2)
-                return 0;
+        if (get(s, u)) { /* put the out vertex first; two detectors need nothing */
+            u = vs[i];
+            v = us[i];
         }
+        if (!get(s, u) && pair_fails(c, s, get(s, v) ? 1 : 2, u, v))
+            return 0;
     }
     return 1;
 }
@@ -479,7 +496,7 @@ typedef struct {
     double deadline;
     u64 *best_mask;
     u64 *frames; /* per depth: in_m, pool, child (W words each) */
-    u64 *tr;    /* predicate scratch */
+    u64 *scratch; /* predicate scratch */
 } bnb_state;
 
 static void dfs(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m)
@@ -497,12 +514,8 @@ static void dfs(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m)
         st->stop = 2;
         return;
     }
-    for (int w = 0; w < W; w++) {
-        in_m[w] = in_m0[w];
-        pool[w] = ~out_m[w];
-    }
-    if (n & 63)
-        pool[W - 1] &= ((u64)1 << (n & 63)) - 1;
+    memcpy(in_m, in_m0, W * sizeof(u64));
+    complement(c, pool, out_m);
 
     /* domination feasibility and unit propagation */
     if (st->mode == MODE_REDLD) {
@@ -534,55 +547,9 @@ static void dfs(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m)
     if (in_ct > st->cap || in_ct >= st->best)
         return;
 
-    /* pair feasibility: prune once no undecided vertex can fix a pair.
-     *
-     * Only pairs within distance 2 are tested.  Two vertices u, v at distance
-     * 3 or more have disjoint open neighbourhoods, and neither is adjacent to
-     * the other, so (N(u) ^ N(v)) & pool is the disjoint union of N(u) & pool
-     * and N(v) & pool.  The domination test above has already guaranteed, for
-     * every out vertex u, |N(u) & pool| >= 1 in LD mode and, since u is not in
-     * the pool, |N[u] & pool| = |N(u) & pool| >= 2 in RED:LD mode.  So an
-     * out/out pair at distance >= 3 sees at least 2 pool vertices, enough in
-     * both modes, and an in/out pair (v in, u out) keeps N(u) & pool, which
-     * does not contain v, after v is dropped.  Skipping such pairs changes no
-     * verdict, and pybits, which tests all pairs, still counts the same
-     * nodes. */
-    for (int wu = 0; wu < W; wu++)
-        for (u64 mu = out_m[wu]; mu; mu &= mu - 1) {
-            int u = wu << 6 | __builtin_ctzll(mu);
-            const u64 *ou = OPEN(c, u), *nu = NEAR(c, u);
-            for (int wv = wu; wv < W; wv++) {
-                u64 mv = nu[wv] & out_m[wv];
-                if (wv == wu)
-                    mv &= (~(u64)1) << (u & 63); /* only v above u */
-                for (; mv; mv &= mv - 1) {
-                    const u64 *ov = OPEN(c, wv << 6 | __builtin_ctzll(mv));
-                    int pc = 0;
-                    for (int w = 0; w < W && pc < 2; w++)
-                        pc += popc((ou[w] ^ ov[w]) & pool[w]);
-                    if (pc < (st->mode == MODE_REDLD ? 2 : 1))
-                        return;
-                }
-            }
-        }
-    if (st->mode == MODE_REDLD) {
-        for (int wv = 0; wv < W; wv++)
-            for (u64 mv = in_m[wv]; mv; mv &= mv - 1) {
-                int v = wv << 6 | __builtin_ctzll(mv);
-                const u64 *ov = OPEN(c, v), *nv = NEAR(c, v);
-                for (int wu = 0; wu < W; wu++)
-                    for (u64 mu = nv[wu] & out_m[wu]; mu; mu &= mu - 1) {
-                        const u64 *ou = OPEN(c, wu << 6 | __builtin_ctzll(mu));
-                        u64 d = 0;
-                        for (int w = 0; w < W && !d; w++) {
-                            u64 x = (ov[w] ^ ou[w]) & pool[w];
-                            d = w == v >> 6 ? x & ~((u64)1 << (v & 63)) : x;
-                        }
-                        if (!d)
-                            return;
-                    }
-            }
-    }
+    /* pair feasibility: prune once no undecided vertex can fix a pair */
+    if (pairs_fail(c, st->mode, in_m, out_m, pool))
+        return;
 
     /* admissible bound: each detector covers at most `cover` units of deficit */
     int deficit = 0;
@@ -608,8 +575,7 @@ static void dfs(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m)
     int limit = st->best < st->cap + 1 ? st->best : st->cap + 1;
     if (in_ct + (deficit + st->cover - 1) / st->cover >= limit)
         return;
-    if (deficit == 0 && (st->mode == MODE_REDLD ? is_redld_core(c, in_m, st->tr)
-                                                : is_ld_core(c, in_m, st->tr))) {
+    if (deficit == 0 && characterized(c, st->mode, in_m, st->scratch)) {
         st->best = in_ct;
         memcpy(st->best_mask, in_m, W * sizeof(u64));
         if (st->best <= st->stop_at)
@@ -660,11 +626,11 @@ int rlk_bnb(const rlk_ctx *c, int mode, const unsigned char *forced_in,
     u64 *masks = malloc((size_t)W * 3 * sizeof(u64));
     /* depth <= n: every level decides one more vertex */
     st.frames = malloc(((size_t)c->n + 1) * 3 * W * sizeof(u64));
-    st.tr = scratch_new(c);
-    if (!masks || !st.frames || !st.tr) {
+    st.scratch = scratch_new(c);
+    if (!masks || !st.frames || !st.scratch) {
         free(masks);
         free(st.frames);
-        free(st.tr);
+        free(st.scratch);
         return RLK_NOMEM;
     }
     u64 *in_m = masks, *out_m = masks + W;
@@ -677,7 +643,7 @@ int rlk_bnb(const rlk_ctx *c, int mode, const unsigned char *forced_in,
         store(witness, st.best_mask, W);
     }
     *nodes = st.nodes;
-    free(st.tr);
+    free(st.scratch);
     free(st.frames);
     free(masks);
     return st.stop == 2 ? 2 : st.best <= cap ? 0 : 1;

@@ -18,13 +18,9 @@ import time
 from array import array
 
 from . import _build
-from .pybits import _check_walk
+from .pybits import MODE_LD, MODE_REDLD, MODE_REDLD_DEF, _check_mode, _check_walk
 
 BACKEND = "c"
-
-MODE_LD = 0
-MODE_REDLD = 1
-MODE_REDLD_DEF = 2
 
 _NOMEM, _RANGE = -3, -4
 
@@ -107,8 +103,7 @@ def brute_force_min(ctx: Ctx, mode: int) -> tuple[int, int]:
 
     Returns (size, mask), or (-1, 0) when no subset is valid.
     """
-    if mode not in (MODE_LD, MODE_REDLD, MODE_REDLD_DEF):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_mode(mode, (MODE_LD, MODE_REDLD, MODE_REDLD_DEF))
     out = ctypes.create_string_buffer(ctx.nbytes)
     size = _ok(_lib.rlk_brute_force_min(ctx.buf, mode, out))
     return (size, int.from_bytes(out.raw, "little")) if size >= 0 else (-1, 0)
@@ -158,6 +153,7 @@ def dom_candidates(n_cells: int, touch, count: int,
 def bnb(ctx: Ctx, mode: int, forced_in: int, forced_out: int, cap: int,
         stop_at: int, node_budget: int, deadline: float) -> tuple[int, int, int, int]:
     """Same contract as pybits.bnb."""
+    _check_mode(mode, (MODE_LD, MODE_REDLD))
     value, nodes = ctypes.c_int(), ctypes.c_longlong()
     witness = ctypes.create_string_buffer(ctx.nbytes)
     # C keeps its own clock: pass the time left rather than a monotonic-clock

@@ -12,7 +12,7 @@ Modes: 0 = LD, 1 = RED:LD via the three-condition characterization,
 from __future__ import annotations
 
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 BACKEND = "py"
 
@@ -61,29 +61,31 @@ def is_ld(ctx: Ctx, s: int) -> bool:
     return True
 
 
+def _two_dominated(ctx: Ctx, s: int) -> bool:
+    return all((c & s).bit_count() >= 2 for c in ctx.closed)
+
+
+def _pairs_fail(ctx: Ctx, pool: int, need: int, out_pairs, in_pairs) -> bool:
+    """Whether some pair fails on pool; every pair given is tested.
+
+    A pair (u, v) of out vertices, condition (ii), needs `need` vertices of
+    (N(u) ^ N(v)) & pool: 1 for LD, 2 for RED:LD.  A pair (u, v) with u out
+    and v in, condition (iii), needs one such vertex other than v.
+    """
+    open_ = ctx.open_
+    for u, v in out_pairs:
+        if ((open_[u] ^ open_[v]) & pool).bit_count() < need:
+            return True
+    for u, v in in_pairs:
+        if (open_[u] ^ open_[v]) & pool & ~(1 << v) == 0:
+            return True
+    return False
+
+
 def is_redld(ctx: Ctx, s: int) -> bool:
-    open_, closed = ctx.open_, ctx.closed
-    for v in range(ctx.n):
-        if (closed[v] & s).bit_count() < 2:
-            return False
-    non = _bit_list(ctx.full & ~s)
-    traces = [open_[u] & s for u in non]
-    for i in range(len(non)):
-        ti = traces[i]
-        for j in range(i + 1, len(non)):
-            if (ti ^ traces[j]).bit_count() < 2:
-                return False
-    m = s
-    while m:
-        b = m & -m
-        v = b.bit_length() - 1
-        tv = open_[v] & s
-        keep = ~b
-        for j in range(len(non)):
-            if (tv ^ traces[j]) & keep == 0:
-                return False
-        m ^= b
-    return True
+    outs = _bit_list(ctx.full & ~s)
+    return _two_dominated(ctx, s) and not _pairs_fail(
+        ctx, s, 2, combinations(outs, 2), product(outs, _bit_list(s)))
 
 
 def is_redld_def(ctx: Ctx, s: int) -> bool:
@@ -98,13 +100,17 @@ def is_redld_def(ctx: Ctx, s: int) -> bool:
     return True
 
 
+def _check_mode(mode: int, modes: tuple[int, ...]) -> None:
+    if mode not in modes:
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def brute_force_min(ctx: Ctx, mode: int) -> tuple[int, int]:
     """Minimum valid set by cardinality then lexicographic order.
 
     Returns (size, mask), or (-1, 0) when no subset is valid.
     """
-    if mode not in (MODE_LD, MODE_REDLD, MODE_REDLD_DEF):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_mode(mode, (MODE_LD, MODE_REDLD, MODE_REDLD_DEF))
     pred = (is_ld, is_redld, is_redld_def)[mode]
     n = ctx.n
     for k in range(n + 1):
@@ -125,22 +131,13 @@ def _check_pairs(us, vs) -> None:
 def pairs_ok(ctx: Ctx, s: int, us: list[int], vs: list[int]) -> bool:
     """2-domination of every vertex plus the pair conditions on (us[i], vs[i])."""
     _check_pairs(us, vs)
-    open_, closed = ctx.open_, ctx.closed
-    for v in range(ctx.n):
-        if (closed[v] & s).bit_count() < 2:
-            return False
+    out_pairs, in_pairs = [], []
     for u, v in zip(us, vs):
-        du = s >> u & 1
-        dv = s >> v & 1
-        if du and dv:
-            continue
-        d = (open_[u] ^ open_[v]) & s
-        if du or dv:
-            if d & ~(1 << (u if du else v)) == 0:
-                return False
-        elif d.bit_count() < 2:
-            return False
-    return True
+        if s >> u & 1:
+            u, v = v, u  # the out vertex first
+        if not s >> u & 1:  # two detectors have no condition
+            (in_pairs if s >> v & 1 else out_pairs).append((u, v))
+    return _two_dominated(ctx, s) and not _pairs_fail(ctx, s, 2, out_pairs, in_pairs)
 
 
 def pairs_scan(ctx: Ctx, us: list[int], vs: list[int], candidates) -> int:
@@ -233,6 +230,7 @@ def bnb(ctx: Ctx, mode: int, forced_in: int, forced_out: int, cap: int,
     Branch vertex: highest degree among undecided, ties to the smallest index;
     the IN branch is explored first.
     """
+    _check_mode(mode, (MODE_LD, MODE_REDLD))
     n = ctx.n
     full = ctx.full
     open_ = ctx.open_
@@ -241,6 +239,7 @@ def bnb(ctx: Ctx, mode: int, forced_in: int, forced_out: int, cap: int,
     if forced_in & forced_out:
         return 1, -1, 0, 0
     cover = ctx.maxdeg + 1 if mode == MODE_REDLD else max(ctx.maxdeg, 1)
+    need = 2 if mode == MODE_REDLD else 1
     valid = is_redld if mode == MODE_REDLD else is_ld
     best = cap + 1
     best_mask = 0
@@ -281,27 +280,9 @@ def bnb(ctx: Ctx, mode: int, forced_in: int, forced_out: int, cap: int,
             return
         # pair feasibility: prune once no undecided vertex can fix a pair
         outs = _bit_list(out_m)
-        if mode == MODE_REDLD:
-            for i, u in enumerate(outs):
-                ou = open_[u]
-                for j in range(i + 1, len(outs)):
-                    if ((ou ^ open_[outs[j]]) & pool).bit_count() < 2:
-                        return
-            m = in_m
-            while m:
-                b = m & -m
-                ov = open_[b.bit_length() - 1]
-                keep = ~b
-                for u in outs:
-                    if (ov ^ open_[u]) & pool & keep == 0:
-                        return
-                m ^= b
-        else:
-            for i, u in enumerate(outs):
-                ou = open_[u]
-                for j in range(i + 1, len(outs)):
-                    if (ou ^ open_[outs[j]]) & pool == 0:
-                        return
+        ins = _bit_list(in_m) if mode == MODE_REDLD else []
+        if _pairs_fail(ctx, pool, need, combinations(outs, 2), product(outs, ins)):
+            return
         # admissible bound: each detector covers at most maxdeg+1 units of deficit
         if mode == MODE_REDLD:
             deficit = 0

@@ -187,7 +187,10 @@ def cmd_grid(args) -> RunReport:
         text = report.render().rstrip("\n") + f"\ndensity: {grids.density(pattern)}"
         return RunReport(text, OK if report.ok else NEGATIVE)
     kind = grids.LatticeKind(args.kind.upper())
-    target = Fraction(args.target)
+    try:
+        target = Fraction(args.target)
+    except ZeroDivisionError:
+        raise ValueError(f"target density {args.target!r} has a zero denominator") from None
     found = grids.pattern_search(kind, args.max_period, target, seed=args.seed)
     if found is None:
         return RunReport("not found", NEGATIVE)

@@ -21,6 +21,7 @@ from .graph import (
     build_path,
     kary_depth_blocks,
 )
+from .trees import tree_lower_bound
 from .verify import DetectorSet
 
 # Largest k-ary tree worth materializing; the deepest table rows reach ~3*10^8 vertices.
@@ -58,7 +59,7 @@ def redld_path(n: int) -> FamilyValue:
     """Optimum ceil((2n+2)/3) on the n-vertex path, with witness."""
     if n < 2:
         raise ValueError("path needs n >= 2")
-    opt = -(-(2 * n + 2) // 3)
+    opt = tree_lower_bound(n)
     g = build_path(n)
     members = {i - 1 for i in range(1, n + 1) if i % 3 != 0}
     members.update({n - 2, n - 1})

@@ -73,6 +73,8 @@ def parse_pattern(text: str) -> PeriodicPattern:
     Row r of the block is the y = r line of the domain.
     """
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#!")]
+    if not lines:
+        raise ValueError("empty pattern: no header line")
     head = lines[0].split()
     if len(head) != 3:
         raise ValueError(f"malformed header: {lines[0]!r}")

@@ -9,12 +9,12 @@ the current prefix still exists.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 from . import _kernels as K
 from .graph import Graph
+from .trees import tree_lower_bound
 from .verify import DetectorSet, find_twins
 
 
@@ -88,16 +88,11 @@ class _BudgetClock:
             self.remaining -= nodes
 
 
-def _tree_bound(g: Graph) -> int:
-    # paths/trees cannot do better than ceil((2n+2)/3)
-    return -(-(2 * g.n + 2) // 3)
-
-
 def _component_lower_bound(g: Graph, mode: int) -> int:
     if mode == K.MODE_REDLD:
         lb = -(-2 * g.n // (g.max_degree() + 1))
         if g.is_tree():
-            lb = max(lb, _tree_bound(g))
+            lb = max(lb, tree_lower_bound(g.n))
         return lb
     return 0
 
@@ -154,26 +149,24 @@ def min_ld(g: Graph, budget: SolveBudget | None = None) -> SolveResult:
     return _solve_mode(g, K.MODE_LD, budget)
 
 
-def brute_force_min_redld(g: Graph) -> SolveResult:
-    """Reference solver: subsets by cardinality then lex order, removal definition."""
+def _brute_force(g: Graph, mode: int) -> SolveResult:
     if g.n > 24:
         raise ValueError("brute force is capped at 24 vertices")
-    if not redld_exists(g):
+    if mode != K.MODE_LD and not redld_exists(g):
         return SolveResult(None, None, True, 0)
-    ctx = g.kernel_ctx()
-    size, mask = K.brute_force_min(ctx, K.MODE_REDLD_DEF)
+    size, mask = K.brute_force_min(g.kernel_ctx(), mode)
     assert size >= 0
     return SolveResult(size, DetectorSet(_mask_to_vertices(mask)), False, 0)
+
+
+def brute_force_min_redld(g: Graph) -> SolveResult:
+    """Reference solver: subsets by cardinality then lex order, removal definition."""
+    return _brute_force(g, K.MODE_REDLD_DEF)
 
 
 def brute_force_min_ld(g: Graph) -> SolveResult:
     """Reference LD solver, same enumeration order."""
-    if g.n > 24:
-        raise ValueError("brute force is capped at 24 vertices")
-    ctx = g.kernel_ctx()
-    size, mask = K.brute_force_min(ctx, K.MODE_LD)
-    assert size >= 0
-    return SolveResult(size, DetectorSet(_mask_to_vertices(mask)), False, 0)
+    return _brute_force(g, K.MODE_LD)
 
 
 def upper_bound_redld(g: Graph, budget: SolveBudget) -> tuple[int | None, DetectorSet | None, int]:

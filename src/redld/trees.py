@@ -214,19 +214,13 @@ def strip_exterior_p2(g: Graph, q: int) -> StripResult:
     return StripResult(tuple(pairs), tuple(nondets), residual)
 
 
-def _extremal_cls2(adj: dict[int, set[int]]) -> set[int]:
+def _extremal_small(adj: dict[int, set[int]], residual: int) -> set[int]:
+    # the candidate set of a tree on 3k + 2 (3k) vertices: the strip must
+    # leave a residual of 2 (3) vertices, all of them detectors, next to the
+    # stripped pairs
     pairs, _nds, rest = _strip(adj, 0, _deg_snapshot(adj))
-    s1 = {x for p in pairs for x in p}
-    if len(rest) == 2:
-        return set(rest) | s1
-    return set()
-
-
-def _extremal_cls0(adj: dict[int, set[int]]) -> set[int]:
-    pairs, _nds, rest = _strip(adj, 0, _deg_snapshot(adj))
-    s1 = {x for p in pairs for x in p}
-    if len(rest) == 3:
-        return set(rest) | s1
+    if len(rest) == residual:
+        return set(rest) | {x for p in pairs for x in p}
     return set()
 
 
@@ -287,7 +281,7 @@ def _deg3_splits(rest: dict[int, set[int]], s1: set[int]) -> list[set[int]]:
         union: set[int] = set()
         for comp in comps:
             sub = {t: rest[t] & comp for t in comp}
-            inner = _extremal_cls2(sub)
+            inner = _extremal_small(sub, 2)
             if not inner:
                 break
             union |= inner
@@ -324,7 +318,7 @@ def _extremal_cls1(adj: dict[int, set[int]]) -> list[set[int]]:
             remainder = {v: set(nbrs) for v, nbrs in rest.items()}
             for x in b1 | b2 | {w1, w2}:
                 _drop(remainder, x)
-            inner = _extremal_cls2(remainder)
+            inner = _extremal_small(remainder, 2)
             if inner:
                 candidates.append(b1 | b2 | inner | s1)
     candidates.extend(_deg3_splits(rest, s1))
@@ -350,7 +344,7 @@ def classify_tmin(g: Graph) -> TminClass:
     if residue == 1:
         candidates = _extremal_cls1(_adj_dict(g))
     else:
-        single = {2: _extremal_cls2, 0: _extremal_cls0}[residue](_adj_dict(g))
+        single = _extremal_small(_adj_dict(g), 2 if residue == 2 else 3)
         candidates = [single] if single else []
     bound = tree_lower_bound(g.n)
     for candidate in candidates:
@@ -379,31 +373,21 @@ def is_2dom_redld_on_tree(g: Graph, s: Iterable[int]) -> bool:
 # of any optimal set.
 
 
-def _join2(g1: Graph, s1: frozenset[int], g2: Graph, s2: frozenset[int],
-           w1: int, w2: int) -> tuple[Graph, frozenset[int]]:
-    off = g1.n
-    v = g1.n + g2.n
-    edges = list(g1.edges())
-    edges.extend((a + off, b + off) for a, b in g2.edges())
-    edges.extend([(w1, v), (w2 + off, v)])
-    return Graph(v + 1, edges), s1 | {x + off for x in s2}
-
-
-def _join3(parts: Sequence[tuple[Graph, frozenset[int]]],
-           attach: Sequence[int]) -> tuple[Graph, frozenset[int]]:
-    offs = []
-    total = 0
-    for g, _s in parts:
-        offs.append(total)
-        total += g.n
-    w = total
+def _join(parts: Sequence[tuple[Graph, frozenset[int]]],
+          attach: Sequence[int]) -> tuple[Graph, frozenset[int]]:
+    # the disjoint union of the parts plus one new vertex joined to vertex
+    # attach[i] of part i; the sets are kept
     edges: list[tuple[int, int]] = []
-    members: set[int] = set()
-    for (g, s), off, x in zip(parts, offs, attach):
-        edges.extend((a + off, b + off) for a, b in g.edges())
-        members.update(m + off for m in s)
-        edges.append((x + off, w))
-    return Graph(total + 1, edges), frozenset(members)
+    members: frozenset[int] = frozenset()
+    ends = []
+    off = 0
+    for (g, s), x in zip(parts, attach):
+        edges += [(u + off, v + off) for u in range(g.n) for v in g.adj[u] if u < v]
+        members |= {m + off for m in s}
+        ends.append(x + off)
+        off += g.n
+    edges.extend((x, off) for x in ends)
+    return Graph(off + 1, edges), members
 
 
 @lru_cache(maxsize=None)
@@ -426,6 +410,11 @@ def _tmin_pairs(n_max: int) -> dict[int, dict[int, dict[str, tuple[Graph, frozen
     def at(cls: int, order: int):
         return list(pairs[cls].get(order, {}).values())
 
+    def join_at_detectors(cls: int, cls1: int, n1: int, cls2: int, n2: int) -> None:
+        for parts in product(at(cls1, n1), at(cls2, n2)):
+            for attach in product(*(sorted(s) for _g, s in parts)):
+                add(cls, *_join(parts, attach))
+
     for m in range(5, n_max + 1):
         cls = m % 3
         if cls == 2:
@@ -433,32 +422,24 @@ def _tmin_pairs(n_max: int) -> dict[int, dict[int, dict[str, tuple[Graph, frozen
                 n2 = m - 1 - n1
                 if n2 < n1 or n2 % 3 != 2:
                     continue
-                for (g1, s1), (g2, s2) in product(at(2, n1), at(2, n2)):
-                    for w1, w2 in product(sorted(s1), sorted(s2)):
-                        add(2, *_join2(g1, s1, g2, s2, w1, w2))
+                join_at_detectors(2, 2, n1, 2, n2)
         elif cls == 0:
             for n1 in range(3, m, 3):
                 n2 = m - 1 - n1
                 if n2 < 2 or n2 % 3 != 2:
                     continue
-                for (g1, s1), (g2, s2) in product(at(0, n1), at(2, n2)):
-                    for w1, w2 in product(sorted(s1), sorted(s2)):
-                        add(0, *_join2(g1, s1, g2, s2, w1, w2))
+                join_at_detectors(0, 0, n1, 2, n2)
         else:
             for n1 in range(3, m, 3):
                 n2 = m - 1 - n1
                 if n2 < n1 or n2 % 3 != 0:
                     continue
-                for (g1, s1), (g2, s2) in product(at(0, n1), at(0, n2)):
-                    for w1, w2 in product(sorted(s1), sorted(s2)):
-                        add(1, *_join2(g1, s1, g2, s2, w1, w2))
+                join_at_detectors(1, 0, n1, 0, n2)
             for n1 in range(4, m, 3):
                 n2 = m - 1 - n1
                 if n2 < 2 or n2 % 3 != 2:
                     continue
-                for (g1, s1), (g2, s2) in product(at(1, n1), at(2, n2)):
-                    for w1, w2 in product(sorted(s1), sorted(s2)):
-                        add(1, *_join2(g1, s1, g2, s2, w1, w2))
+                join_at_detectors(1, 1, n1, 2, n2)
             for n1 in range(2, m, 3):
                 for n2 in range(n1, m, 3):
                     n3 = m - 1 - n1 - n2
@@ -470,7 +451,7 @@ def _tmin_pairs(n_max: int) -> dict[int, dict[int, dict[str, tuple[Graph, frozen
                         for attach in product(*vs):
                             inside = sum(x in sets[i] for i, x in enumerate(attach))
                             if inside >= 2:
-                                add(1, *_join3(parts, attach))
+                                add(1, *_join(parts, attach))
     return pairs
 
 

@@ -225,6 +225,18 @@ def test_grid_search(capsys):
     assert out == "not found\n"
 
 
+def test_grid_input_errors_exit_2(tmp_path, capsys):
+    pat = tmp_path / "empty.pattern"
+    for text in ("", "\n  \n", "#! a comment only\n"):
+        pat.write_text(text)
+        code, out, err = run(capsys, ["grid", "verify", str(pat)])
+        assert (code, out) == (2, "")
+        assert "error: empty pattern" in err
+    code, out, err = run(capsys, ["grid", "search", "sq", "3", "1/0"])
+    assert (code, out) == (2, "")
+    assert "error: target density '1/0'" in err
+
+
 def test_reruns_are_byte_identical(tmp_path, capsys):
     path = graph_file(tmp_path, build_petersen())
     outs = set()

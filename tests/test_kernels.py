@@ -111,11 +111,11 @@ def test_pair_checks_agree():
     assert py.pairs_scan(cp, us, vs, masks) == ck.pairs_scan(cc, us, vs, masks)
 
 
-@needs_c
-def test_bnb_agrees_on_reduction_graphs():
-    # the searches of decide_via_redld on 6- and 7-variable formulas (102 to
-    # 147 vertices, two or three words per vertex set): sparse graphs whose
-    # vertex pairs are mostly at distance 3 or more
+def reductions():
+    """The reductions of one unsatisfiable 6-variable formula and of three
+    random 6- and 7-variable ones: 102 to 147 vertices, two or three words
+    per vertex set, sparse graphs whose vertex pairs are mostly at distance 3
+    or more."""
     rng = random.Random(9)
     unsat = [(a * 1, b * 2, c * 3) for a, b, c in product((1, -1), repeat=3)]
     formulas = [SatInstance(6, tuple(unsat) + ((4, -5, 6), (-4, 5, -6)))]
@@ -125,9 +125,26 @@ def test_bnb_agrees_on_reduction_graphs():
             clauses.append(tuple(v * rng.choice((1, -1))
                                  for v in rng.sample(range(1, n_vars + 1), 3)))
         formulas.append(SatInstance(n_vars, tuple(clauses)))
+    return [build_reduction(phi) for phi in formulas]
+
+
+def long_graphs(n):
+    """The path, the cycle and the square of the cycle on n vertices."""
+    path = [[w for w in (v - 1, v + 1) if 0 <= w < n] for v in range(n)]
+    cycle = [sorted({(v - 1) % n, (v + 1) % n}) for v in range(n)]
+    square = [sorted({(v + d) % n for d in (-2, -1, 1, 2)}) for v in range(n)]
+    return path, cycle, square
+
+
+# vertex counts on both sides of the word boundaries at 64 and 128
+LONG_SIZES = (63, 64, 65, 127, 128, 130)
+
+
+@needs_c
+def test_bnb_agrees_on_reduction_graphs():
+    # the searches of decide_via_redld
     statuses = set()
-    for phi in formulas:
-        art = build_reduction(phi)
+    for art in reductions():
         adj = [list(nbrs) for nbrs in art.graph.adj]
         args = (K.MODE_REDLD, art.forced.mask(), 0, art.k, art.k, 0, 0.0)
         got_py = py.bnb(py.make_ctx(adj), *args)
@@ -144,11 +161,8 @@ def test_bnb_agrees_on_long_paths_and_cycles():
     # once every vertex is 2-dominated.
     rng = random.Random(10)
     statuses = []
-    for n in (63, 64, 65, 127, 128, 130):
-        path = [[w for w in (v - 1, v + 1) if 0 <= w < n] for v in range(n)]
-        cycle = [sorted({(v - 1) % n, (v + 1) % n}) for v in range(n)]
-        square = [sorted({(v + d) % n for d in (-2, -1, 1, 2)}) for v in range(n)]
-        for adj in (path, cycle, square):
+    for n in LONG_SIZES:
+        for adj in long_graphs(n):
             cp, cc = py.make_ctx(adj), ck.make_ctx(adj)
             for mode in (K.MODE_LD, K.MODE_REDLD):
                 # forced sets taken from a valid set of the path or cycle (all
@@ -175,6 +189,42 @@ def test_bnb_agrees_on_long_paths_and_cycles():
                     assert got_py == ck.bnb(cc, *args)
                     statuses.append(got_py[0])
     assert min(statuses.count(status) for status in (0, 1, 2)) >= 10
+
+
+@needs_c
+def test_predicates_agree_past_one_word():
+    # Masks near valid sets: a minimal valid set of each mode, a valid
+    # superset of it, and both with one or two bits flipped.  All-pairs
+    # pairs_ok is RED:LD by the characterization, so it must equal is_redld.
+    rng = random.Random(11)
+    graphs = [adj for n in LONG_SIZES for adj in long_graphs(n)]
+    graphs += [[list(nbrs) for nbrs in art.graph.adj] for art in reductions()]
+    seen = {name: set() for name in ("is_ld", "is_redld", "is_redld_def")}
+    pair_failures = 0  # 2-dominated masks that fail a pair condition
+    for adj in graphs:
+        n = len(adj)
+        cp, cc = py.make_ctx(adj), ck.make_ctx(adj)
+        us, vs = zip(*combinations(range(n), 2))
+        masks = []
+        for valid in (ck.is_ld, ck.is_redld):
+            s = (1 << n) - 1
+            for v in rng.sample(range(n), n):
+                if valid(cc, s & ~(1 << v)):
+                    s &= ~(1 << v)
+            for base in (s, s | rng.getrandbits(n)):
+                masks.append(base)
+                for k in (1, 1, 1, 2, 2, 2):
+                    masks.append(base ^ sum(1 << v for v in rng.sample(range(n), k)))
+        for m in masks:
+            for name in seen:
+                got = getattr(py, name)(cp, m)
+                assert got == getattr(ck, name)(cc, m), (n, name, m)
+                seen[name].add(got)
+            assert py.pairs_ok(cp, m, us, vs) == ck.pairs_ok(cc, m, us, vs) == \
+                py.is_redld(cp, m)
+            pair_failures += py._two_dominated(cp, m) and not py.is_redld(cp, m)
+    assert all(verdicts == {False, True} for verdicts in seen.values())
+    assert pair_failures >= 10
 
 
 # the densities that grid searches probe: published patterns and open gaps
@@ -242,6 +292,10 @@ def test_backends_reject_the_same_bad_input(kern):
     for mode in (-1, 3):
         with pytest.raises(ValueError, match="unknown mode"):
             kern.brute_force_min(ctx, mode)
+    # bnb searches by the characterization only: no removal-definition mode
+    for mode in (-1, K.MODE_REDLD_DEF, 7):
+        with pytest.raises(ValueError, match="unknown mode"):
+            kern.bnb(ctx, mode, 0, 0, 3, 0, 0, 0.0)
     with pytest.raises(ValueError, match="differ in length"):
         kern.pairs_ok(ctx, 0b111, [0, 1], [2])
     with pytest.raises(ValueError, match="differ in length"):
