@@ -18,7 +18,10 @@ from itertools import combinations, product
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .graph import Graph, build_path
-from .verify import DetectorSet, is_redld_set
+from .verify import DetectorSet, _check_vertices, is_redld_set
+
+# A tree's adjacency as Graph.adj holds it: sorted neighbor tuples.
+Adjacency = tuple[tuple[int, ...], ...]
 
 
 def tree_lower_bound(n: int) -> int:
@@ -44,6 +47,15 @@ def is_tmax(g: Graph) -> bool:
     return all(v in leaves or any(w in leaves for w in g.adj[v]) for v in range(g.n))
 
 
+def _attach_points(adj: Adjacency) -> list[int]:
+    # a new leaf may go on a support vertex, or on a leaf whose own support
+    # has at least two leaf neighbors
+    leaf = [len(nbrs) == 1 for nbrs in adj]
+    return [u for u, nbrs in enumerate(adj)
+            if any(leaf[w] for w in nbrs)
+            or (leaf[u] and sum(leaf[w] for w in adj[nbrs[0]]) >= 2)]
+
+
 def tmax_extensions(g: Graph) -> list[tuple[int, Graph]]:
     """All (attach vertex, extended tree) pairs staying in the family.
 
@@ -52,16 +64,7 @@ def tmax_extensions(g: Graph) -> list[tuple[int, Graph]]:
     """
     if not is_tmax(g):
         raise ValueError("tree is not in the all-detector family")
-    leaves = {v for v in range(g.n) if g.degree(v) == 1}
-    out = []
-    for u in range(g.n):
-        ok = any(w in leaves for w in g.adj[u])
-        if not ok and u in leaves:
-            support = g.adj[u][0]
-            ok = sum(1 for w in g.adj[support] if w in leaves) >= 2
-        if ok:
-            out.append((u, Graph(g.n + 1, list(g.edges()) + [(u, g.n)])))
-    return out
+    return [(u, Graph(g.n + 1, g.edges() + [(u, g.n)])) for u in _attach_points(g.adj)]
 
 
 def tmax_removals(g: Graph) -> list[int]:
@@ -81,47 +84,64 @@ def tmax_removals(g: Graph) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _tmax_level(n: int) -> dict[str, Adjacency]:
+    # {code: adjacency} of the family members on n vertices, each grown by
+    # one leaf from a member on n - 1
+    if n == 2:
+        return {_code(_P2): _P2}
+    grown: dict[str, Adjacency] = {}
+    for adj in _tmax_level(n - 1).values():
+        for u in _attach_points(adj):
+            adj2 = adj[:u] + (adj[u] + (n - 1,),) + adj[u + 1:] + ((u,),)
+            grown.setdefault(_code(adj2), adj2)
+    return grown
+
+
 def enumerate_tmax(n: int) -> list[str]:
     """Canonical codes of all family members on n vertices, grown from P_2."""
     if n < 2:
         raise ValueError("family starts at n = 2")
-    reps: dict[str, Graph] = {}
-    p2 = build_path(2)
-    reps[canonical_code(p2)] = p2
-    for _ in range(3, n + 1):
-        grown: dict[str, Graph] = {}
-        for t in reps.values():
-            for _u, t2 in tmax_extensions(t):
-                code = canonical_code(t2)
-                if code not in grown:
-                    grown[code] = t2
-        reps = grown
-    return sorted(reps)
+    return sorted(_tmax_level(n))
 
 
 # ---------------------------------------------------------------------------
 # Canonical forms.
 
 
-def _centers(g: Graph) -> list[int]:
-    if g.n <= 2:
-        return list(range(g.n))
-    deg = [g.degree(v) for v in range(g.n)]
-    removed = [False] * g.n
-    alive = g.n
-    layer = [v for v in range(g.n) if deg[v] == 1]
+def _code(adj: Adjacency, colored: Optional[frozenset[int]] = None) -> str:
+    """Canonical string of the tree with adjacency adj, which is not checked.
+
+    Leaves are peeled layer by layer down to the one or two centers; a
+    vertex's rooted code is built when it is peeled, from its neighbors
+    peeled before it (its children).
+    """
+    n = len(adj)
+    deg = [len(nbrs) for nbrs in adj]
+    peeled = [False] * n
+    codes = [""] * n
+
+    def rooted(v: int) -> str:
+        kids = sorted(codes[w] for w in adj[v] if peeled[w])
+        tag = "*" if colored is not None and v in colored else ""
+        return tag + "(" + "".join(kids) + ")"
+
+    alive = n
+    layer = [v for v in range(n) if deg[v] == 1]
     while alive > 2:
         nxt = []
         for v in layer:
-            removed[v] = True
-            for w in g.adj[v]:
-                if not removed[w]:
+            codes[v] = rooted(v)
+            peeled[v] = True
+            for w in adj[v]:
+                if not peeled[w]:
                     deg[w] -= 1
                     if deg[w] == 1:
                         nxt.append(w)
         alive -= len(layer)
         layer = nxt
-    return sorted(v for v in range(g.n) if not removed[v])
+    # the one or two centers; two are joined in sorted order
+    return "|".join(sorted(rooted(c) for c in range(n) if not peeled[c]))
 
 
 def canonical_code(g: Graph, detectors: Optional[Iterable[int]] = None) -> str:
@@ -130,17 +150,9 @@ def canonical_code(g: Graph, detectors: Optional[Iterable[int]] = None) -> str:
     if g.n != 1:
         _require_tree(g)
     colored = frozenset(detectors) if detectors is not None else None
-
-    def rooted(v: int, parent: int) -> str:
-        kids = sorted(rooted(w, v) for w in g.adj[v] if w != parent)
-        tag = "*" if colored is not None and v in colored else ""
-        return tag + "(" + "".join(kids) + ")"
-
-    centers = _centers(g)
-    if len(centers) == 1:
-        return rooted(centers[0], -1)
-    a, b = centers
-    return "|".join(sorted([rooted(a, b), rooted(b, a)]))
+    if colored is not None:
+        _check_vertices(g, colored)
+    return _code(g.adj, colored)
 
 
 # ---------------------------------------------------------------------------
@@ -373,100 +385,96 @@ def is_2dom_redld_on_tree(g: Graph, s: Iterable[int]) -> bool:
 # of any optimal set.
 
 
-def _join(parts: Sequence[tuple[Graph, frozenset[int]]],
-          attach: Sequence[int]) -> tuple[Graph, frozenset[int]]:
+def _join(parts: Sequence[tuple[Adjacency, frozenset[int]]],
+          attach: Sequence[int]) -> tuple[Adjacency, frozenset[int]]:
     # the disjoint union of the parts plus one new vertex joined to vertex
     # attach[i] of part i; the sets are kept
-    edges: list[tuple[int, int]] = []
-    members: frozenset[int] = frozenset()
+    new = sum(len(adj) for adj, _s in parts)
+    rows: list[tuple[int, ...]] = []
+    members: set[int] = set()
     ends = []
-    off = 0
-    for (g, s), x in zip(parts, attach):
-        edges += [(u + off, v + off) for u in range(g.n) for v in g.adj[u] if u < v]
-        members |= {m + off for m in s}
+    for (adj, s), x in zip(parts, attach):
+        off = len(rows)
+        rows.extend(tuple(w + off for w in nbrs) for nbrs in adj)
+        rows[x + off] += (new,)
+        members.update(m + off for m in s)
         ends.append(x + off)
-        off += g.n
-    edges.extend((x, off) for x in ends)
-    return Graph(off + 1, edges), members
+    rows.append(tuple(ends))
+    return tuple(rows), frozenset(members)
+
+
+# the four base pairs: P_2, P_3, P_4 and the star K_{1,3}, all detectors
+_P2: Adjacency = ((1,), (0,))
+_TMIN_BASE: dict[int, tuple[tuple[Adjacency, frozenset[int]], ...]] = {
+    2: ((_P2, frozenset({0, 1})),),
+    3: ((((1,), (0, 2), (1,)), frozenset({0, 1, 2})),),
+    4: ((((1,), (0, 2), (1, 3), (2,)), frozenset(range(4))),
+        (((1, 2, 3), (0,), (0,), (0,)), frozenset(range(4)))),
+}
 
 
 @lru_cache(maxsize=None)
-def _tmin_pairs(n_max: int) -> dict[int, dict[int, dict[str, tuple[Graph, frozenset[int]]]]]:
-    pairs: dict[int, dict[int, dict[str, tuple[Graph, frozenset[int]]]]] = {
-        0: {},
-        1: {},
-        2: {},
-    }
+def _tmin_level(m: int) -> dict[str, tuple[Adjacency, frozenset[int]]]:
+    # {colored code: (adjacency, optimal set)} of the pairs on m vertices,
+    # built from the lower orders that the rules for m mod 3 combine
+    level: dict[str, tuple[Adjacency, frozenset[int]]] = {}
 
-    def add(cls: int, g: Graph, s: frozenset[int]) -> None:
-        code = canonical_code(g, s)
-        pairs[cls].setdefault(g.n, {}).setdefault(code, (g, s))
+    def add(adj: Adjacency, s: frozenset[int]) -> None:
+        level.setdefault(_code(adj, s), (adj, s))
 
-    add(2, build_path(2), frozenset({0, 1}))
-    add(0, build_path(3), frozenset({0, 1, 2}))
-    add(1, build_path(4), frozenset(range(4)))
-    add(1, Graph(4, [(0, 1), (0, 2), (0, 3)]), frozenset(range(4)))
+    def join_at_detectors(n1: int, n2: int) -> None:
+        for parts in product(_tmin_level(n1).values(), _tmin_level(n2).values()):
+            for attach in product(*(sorted(s) for _adj, s in parts)):
+                add(*_join(parts, attach))
 
-    def at(cls: int, order: int):
-        return list(pairs[cls].get(order, {}).values())
-
-    def join_at_detectors(cls: int, cls1: int, n1: int, cls2: int, n2: int) -> None:
-        for parts in product(at(cls1, n1), at(cls2, n2)):
-            for attach in product(*(sorted(s) for _g, s in parts)):
-                add(cls, *_join(parts, attach))
-
-    for m in range(5, n_max + 1):
-        cls = m % 3
-        if cls == 2:
-            for n1 in range(2, m - 1, 3):
-                n2 = m - 1 - n1
-                if n2 < n1 or n2 % 3 != 2:
+    for adj, s in _TMIN_BASE.get(m, ()):
+        add(adj, s)
+    cls = m % 3
+    if cls == 2:
+        for n1 in range(2, m - 1, 3):
+            n2 = m - 1 - n1
+            if n2 >= n1 and n2 % 3 == 2:
+                join_at_detectors(n1, n2)
+    elif cls == 0:
+        for n1 in range(3, m, 3):
+            n2 = m - 1 - n1
+            if n2 >= 2 and n2 % 3 == 2:
+                join_at_detectors(n1, n2)
+    else:
+        for n1 in range(3, m, 3):
+            n2 = m - 1 - n1
+            if n2 >= n1 and n2 % 3 == 0:
+                join_at_detectors(n1, n2)
+        for n1 in range(4, m, 3):
+            n2 = m - 1 - n1
+            if n2 >= 2 and n2 % 3 == 2:
+                join_at_detectors(n1, n2)
+        for n1 in range(2, m, 3):
+            for n2 in range(n1, m, 3):
+                n3 = m - 1 - n1 - n2
+                if n3 < n2 or n3 % 3 != 2:
                     continue
-                join_at_detectors(2, 2, n1, 2, n2)
-        elif cls == 0:
-            for n1 in range(3, m, 3):
-                n2 = m - 1 - n1
-                if n2 < 2 or n2 % 3 != 2:
-                    continue
-                join_at_detectors(0, 0, n1, 2, n2)
-        else:
-            for n1 in range(3, m, 3):
-                n2 = m - 1 - n1
-                if n2 < n1 or n2 % 3 != 0:
-                    continue
-                join_at_detectors(1, 0, n1, 0, n2)
-            for n1 in range(4, m, 3):
-                n2 = m - 1 - n1
-                if n2 < 2 or n2 % 3 != 2:
-                    continue
-                join_at_detectors(1, 1, n1, 2, n2)
-            for n1 in range(2, m, 3):
-                for n2 in range(n1, m, 3):
-                    n3 = m - 1 - n1 - n2
-                    if n3 < n2 or n3 % 3 != 2:
-                        continue
-                    for parts in product(at(2, n1), at(2, n2), at(2, n3)):
-                        sets = [p[1] for p in parts]
-                        vs = [range(p[0].n) for p in parts]
-                        for attach in product(*vs):
-                            inside = sum(x in sets[i] for i, x in enumerate(attach))
-                            if inside >= 2:
-                                add(1, *_join(parts, attach))
-    return pairs
+                for parts in product(_tmin_level(n1).values(), _tmin_level(n2).values(),
+                                     _tmin_level(n3).values()):
+                    for attach in product(*(range(len(adj)) for adj, _s in parts)):
+                        inside = sum(x in s for (_adj, s), x in zip(parts, attach))
+                        if inside >= 2:
+                            add(*_join(parts, attach))
+    return level
 
 
 def enumerate_tmin(n: int) -> list[str]:
     """Canonical codes of all minimum-family trees on n vertices."""
     if n < 2:
         raise ValueError("family starts at n = 2")
-    found = _tmin_pairs(n)[n % 3].get(n, {})
-    return sorted({canonical_code(g) for g, _s in found.values()})
+    return sorted({_code(adj) for adj, _s in _tmin_level(n).values()})
 
 
 def tmin_representatives(n: int) -> list[tuple[Graph, DetectorSet]]:
     """One (tree, optimal set) pair per colored isomorphism class."""
-    found = _tmin_pairs(n)[n % 3].get(n, {})
-    return [(g, DetectorSet(s)) for g, s in found.values()]
+    return [(Graph(len(adj), [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v]),
+             DetectorSet(s))
+            for adj, s in _tmin_level(n).values()]
 
 
 # ---------------------------------------------------------------------------

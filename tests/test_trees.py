@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from redld import trees
 from redld.graph import Graph, build_path
 from redld.solver import min_redld
 from redld.trees import (
@@ -25,8 +27,11 @@ from redld.trees import (
 )
 from redld.verify import is_redld_set
 
-TMIN_COUNTS = {2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 6, 8: 2, 9: 6, 10: 24}
-TMAX_COUNTS = {2: 1, 3: 1, 4: 2, 5: 2, 6: 4, 7: 5, 8: 10, 9: 14, 10: 27}
+# Family sizes by order, from filtering all trees by their brute-force optimum.
+TMIN_COUNTS = {2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 6, 8: 2, 9: 6, 10: 24,
+               11: 5, 12: 22, 13: 104, 14: 15}
+TMAX_COUNTS = {2: 1, 3: 1, 4: 2, 5: 2, 6: 4, 7: 5, 8: 10, 9: 14, 10: 27,
+               11: 43, 12: 82, 13: 140, 14: 269}
 
 
 def all_trees(n):
@@ -100,6 +105,36 @@ def test_enumerations_match_filtered_search():
         assert set(enumerate_tmax(n)) == want_max
 
 
+def test_enumeration_outputs_are_pinned():
+    # sha256 prefixes of every code and every (tree, set) pair for n = 2..15,
+    # in the order the functions return them
+    tmin, tmax, reps = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    for n in range(2, 16):
+        tmin.update(("\n".join(enumerate_tmin(n)) + "\n").encode())
+        tmax.update(("\n".join(enumerate_tmax(n)) + "\n").encode())
+        for g, s in tmin_representatives(n):
+            reps.update(f"{g.n} {g.edges()} {sorted(s)}\n".encode())
+    assert tmin.hexdigest()[:16] == "e5e2e196d9ac43c3"
+    assert tmax.hexdigest()[:16] == "2c56c9027a8022c5"
+    assert reps.hexdigest()[:16] == "7f5b369ba9398cb4"
+
+
+def test_an_order_builds_only_the_orders_it_reads():
+    # order 14 joins two class-2 orders summing to 13: 2 + 11 and 5 + 8,
+    # and those in turn read only class-2 orders
+    trees._tmin_level.cache_clear()
+    enumerate_tmin(14)
+    assert trees._tmin_level.cache_info().currsize == 5
+    for m in (2, 5, 8, 11, 14):
+        trees._tmin_level(m)
+    assert trees._tmin_level.cache_info().misses == 5
+    trees._tmax_level.cache_clear()
+    enumerate_tmax(9)
+    misses = trees._tmax_level.cache_info().misses
+    enumerate_tmax(10)
+    assert trees._tmax_level.cache_info().misses == misses + 1
+
+
 def test_tmin_representatives():
     for n in (7, 9, 10):
         reps = tmin_representatives(n)
@@ -153,6 +188,13 @@ def test_canonical_code_separates():
     assert canonical_code(p4) != canonical_code(star)
     assert canonical_code(p4, [0, 1]) != canonical_code(p4, [1, 2])
     assert canonical_code(p4, [0, 1]) == canonical_code(p4, [2, 3])
+
+
+def test_canonical_code_rejects_detectors_out_of_range():
+    p4 = build_path(4)
+    for detectors in ([0, 9], [-1], [4]):
+        with pytest.raises(ValueError, match="out of range for n=4"):
+            canonical_code(p4, detectors)
 
 
 def test_canonical_code_exhaustive_on_p5_relabelings():
