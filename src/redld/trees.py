@@ -114,7 +114,8 @@ def _code(adj: Adjacency, colored: Optional[frozenset[int]] = None) -> str:
 
     Leaves are peeled layer by layer down to the one or two centers; a
     vertex's rooted code is built when it is peeled, from its neighbors
-    peeled before it (its children).
+    peeled before it (its children). No two leaves of a tree on more than
+    two vertices are adjacent, so no layer holds a vertex and its parent.
     """
     n = len(adj)
     deg = [len(nbrs) for nbrs in adj]

@@ -190,6 +190,13 @@ def test_canonical_code_separates():
     assert canonical_code(p4, [0, 1]) == canonical_code(p4, [2, 3])
 
 
+def test_canonical_code_of_long_paths():
+    # deeper than the interpreter's recursion limit
+    half = "(" * 1500 + ")" * 1500
+    assert canonical_code(build_path(3000)) == half + "|" + half
+    assert canonical_code(build_path(3001)) == "(" + half + half + ")"
+
+
 def test_canonical_code_rejects_detectors_out_of_range():
     p4 = build_path(4)
     for detectors in ([0, 9], [-1], [4]):
