@@ -14,6 +14,15 @@
  * predicates as in dfs, because once the domination test has passed a pair at
  * distance 3 or more cannot fail (the argument is above pairs_fail).
  *
+ * The other difference in the work is in the branch and bound.  pybits.bnb
+ * recomputes every count at every node and stays the check; dfs re-checks
+ * only what the branch into a node changed, on three invariants (argued above
+ * dfs): the IN child keeps its parent's pool, so its domination test can
+ * change nothing; the OUT child of b changes the counts on N[b] only; and the
+ * settled vertices of a node, kept in its `done` row, only grow along a path.
+ * The pairs a node tests are likewise those with an end that the branch or
+ * its propagation touched.
+ *
  * Vertex sets are arrays of W = ceil(n / 64) little-endian 64-bit words.  At
  * the interface they are byte strings of 8 * W bytes, least significant byte
  * first (Python's int.to_bytes(8 * W, "little")).
@@ -185,30 +194,47 @@ static inline int pair_fails(const rlk_ctx *c, const u64 *pool, int need, int u,
  * N(v) & pool.  An out/out pair at distance >= 3 thus sees at least 2 pool
  * vertices, enough in both modes, and an in/out pair (v in, u out) keeps
  * N(u) & pool, which does not contain v, after v is dropped.  Skipping such
- * pairs changes no verdict; pybits, which tests all pairs, is the check. */
-static int pairs_fail(const rlk_ctx *c, int mode, const u64 *in, const u64 *out,
-                      const u64 *pool)
+ * pairs changes no verdict; pybits, which tests all pairs, is the check.
+ *
+ * With `touched` NULL every such pair is tested.  Otherwise only the pairs
+ * with an end in `touched` are, for a caller that knows every other pair
+ * passes (see dfs).  Inlined, so that the predicates get a copy without the
+ * tests on `touched`. */
+static inline __attribute__((always_inline)) int
+pairs_fail(const rlk_ctx *c, int mode, const u64 *in, const u64 *out, const u64 *pool,
+           const u64 *touched)
 {
     int W = c->W, need = mode == MODE_REDLD ? 2 : 1;
+    /* from each out end: its out/out pairs, each tested once, and in RED:LD
+     * mode its in/out pairs, found from the out side because near the optima
+     * of reduction graphs most vertices are in and few are out */
     for (int wu = 0; wu < W; wu++)
-        for (u64 mu = out[wu]; mu; mu &= mu - 1) {
+        for (u64 mu = touched ? out[wu] & touched[wu] : out[wu]; mu; mu &= mu - 1) {
             int u = wu << 6 | __builtin_ctzll(mu);
-            for (int wv = wu; wv < W; wv++) {
-                u64 mv = NEAR(c, u)[wv] & out[wv];
-                if (wv == wu)
-                    mv &= (~(u64)1) << (u & 63); /* only v above u */
-                for (; mv; mv &= mv - 1)
+            for (int wv = touched ? 0 : wu; wv < W; wv++) {
+                /* v at most u, and itself an end tested here: seen from v */
+                u64 seen = wv < wu ? ~(u64)0 : wv == wu ? ((u64)2 << (u & 63)) - 1 : 0;
+                if (touched)
+                    seen &= touched[wv];
+                for (u64 mv = NEAR(c, u)[wv] & out[wv] & ~seen; mv; mv &= mv - 1)
                     if (pair_fails(c, pool, need, u, wv << 6 | __builtin_ctzll(mv)))
                         return 1;
             }
+            if (mode != MODE_REDLD)
+                continue;
+            for (int wv = 0; wv < W; wv++)
+                for (u64 mv = NEAR(c, u)[wv] & in[wv]; mv; mv &= mv - 1)
+                    if (pair_fails(c, pool, 1, u, wv << 6 | __builtin_ctzll(mv)))
+                        return 1;
         }
-    if (mode != MODE_REDLD)
+    if (mode != MODE_REDLD || !touched)
         return 0;
+    /* the in/out pairs whose in end alone is touched */
     for (int wv = 0; wv < W; wv++)
-        for (u64 mv = in[wv]; mv; mv &= mv - 1) {
+        for (u64 mv = in[wv] & touched[wv]; mv; mv &= mv - 1) {
             int v = wv << 6 | __builtin_ctzll(mv);
             for (int wu = 0; wu < W; wu++)
-                for (u64 mu = NEAR(c, v)[wu] & out[wu]; mu; mu &= mu - 1)
+                for (u64 mu = NEAR(c, v)[wu] & out[wu] & ~touched[wu]; mu; mu &= mu - 1)
                     if (pair_fails(c, pool, 1, wu << 6 | __builtin_ctzll(mu), v))
                         return 1;
         }
@@ -231,7 +257,7 @@ static int characterized(const rlk_ctx *c, int mode, const u64 *s, u64 *scratch)
     if (!dominated(c, s, mode == MODE_REDLD ? 2 : 1))
         return 0;
     complement(c, scratch, s);
-    return !pairs_fail(c, mode, s, scratch, s);
+    return !pairs_fail(c, mode, s, scratch, s, NULL);
 }
 
 /* LD, and still LD after removing any one detector */
@@ -488,6 +514,10 @@ void rlk_free(void *p)
 
 /* ---- branch and bound --------------------------------------------------- */
 
+/* The branch that made a node: none at the root, else the IN or the OUT
+ * child of a branch vertex b. */
+enum { BRANCH_ROOT, BRANCH_IN, BRANCH_OUT };
+
 typedef struct {
     const rlk_ctx *c;
     int mode, cap, stop_at, best, cover;
@@ -495,15 +525,59 @@ typedef struct {
     long long node_budget, nodes;
     double deadline;
     u64 *best_mask;
-    u64 *frames; /* per depth: in_m, pool, child (W words each) */
+    u64 *frames; /* per depth FRAME_ROWS rows of W words: in_m, pool, child, done */
     u64 *scratch; /* predicate scratch */
 } bnb_state;
 
-static void dfs(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m)
+#define FRAME_ROWS 4
+
+/* On x86-64 under glibc, dfs is compiled twice, with and without the popcnt
+ * instruction, and the loader picks the version the CPU can run.  The library
+ * may run on another CPU than the one that built it, so a bare -mpopcnt would
+ * not be safe.  Elsewhere dfs is built once, for the compiler's default
+ * target. */
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define POPCNT_DISPATCH __attribute__((target_clones("popcnt", "default")))
+#endif
+#endif
+#ifndef POPCNT_DISPATCH
+#define POPCNT_DISPATCH
+#endif
+
+/* One node, reached by `branch` on vertex b.  pybits.bnb recomputes every
+ * count at every node and stays the check; dfs makes the same decisions but
+ * re-checks only what the branch changed, by three invariants:
+ *
+ *  - The IN child keeps its parent's pool (the vertices not out).  Its parent
+ *    passed the domination test on that pool and put in every vertex the test
+ *    forces, so the IN child skips the test.
+ *  - The OUT child of b drops b from the pool, which changes the counts of
+ *    the vertices of N[b] only.  It tests those, in LD mode those of them that
+ *    are out.  The root tests every vertex, so isolated vertices and leaves
+ *    are caught there.
+ *  - `done` only grows along a path, because in_m and out_m only grow.  It
+ *    holds the settled vertices: in RED:LD mode those 2-dominated by in_m, in
+ *    LD mode the out vertices with a neighbour in in_m.  They add nothing to
+ *    the deficit.  Nor can they fail or force anything in the domination
+ *    test, since in_m lies in the pool, so the test skips them too.
+ *
+ * A child is made only by a node that passed the pair test, on in_m after its
+ * propagation, so a pair keeps that verdict unless the branch changed what
+ * the verdict depends on.  The IN child of b adds the in/out pairs of b and
+ * nothing else.  The OUT child drops b from the pool, which matters only to
+ * the pairs with an end in N(b), adds the pairs of b, and adds the pairs of
+ * the vertices its propagation put in.  The pair test is run on the pairs
+ * with an end in that touched set only; in LD mode, where no in/out pair is
+ * tested, the IN child tests none.
+ */
+POPCNT_DISPATCH
+static void dfs(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m, int branch, int b)
 {
     const rlk_ctx *c = st->c;
-    int n = c->n, W = c->W;
-    u64 *in_m = st->frames + (size_t)depth * 3 * W, *pool = in_m + W, *child = pool + W;
+    int W = c->W, redld = st->mode == MODE_REDLD, need = redld ? 2 : 1;
+    u64 *in_m = st->frames + (size_t)depth * FRAME_ROWS * W, *pool = in_m + W,
+        *child = pool + W, *done = child + W;
 
     st->nodes++;
     if (st->node_budget && st->nodes > st->node_budget) {
@@ -516,62 +590,83 @@ static void dfs(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m)
     }
     memcpy(in_m, in_m0, W * sizeof(u64));
     complement(c, pool, out_m);
+    if (branch == BRANCH_ROOT)
+        memset(done, 0, W * sizeof(u64));
+    else
+        memcpy(done, done - FRAME_ROWS * W, W * sizeof(u64));
 
-    /* domination feasibility and unit propagation */
-    if (st->mode == MODE_REDLD) {
-        for (int v = 0; v < n; v++) {
-            int pc = 0;
+    /* domination feasibility and unit propagation, on the vertices whose
+     * counts the branch changed, gathered in child */
+    if (branch != BRANCH_IN) {
+        if (branch == BRANCH_ROOT)
+            complement(c, child, done); /* every vertex: nothing is done yet */
+        else
             for (int w = 0; w < W; w++)
-                pc += popc(CLOSED(c, v)[w] & pool[w]);
-            if (pc < 2)
-                return;
-            if (pc == 2)
-                for (int w = 0; w < W; w++)
-                    in_m[w] |= CLOSED(c, v)[w] & pool[w];
-        }
-    } else {
-        for (int v = 0; v < n; v++) {
-            if (!get(out_m, v))
-                continue;
-            int pc = 0;
-            for (int w = 0; w < W; w++)
-                pc += popc(OPEN(c, v)[w] & pool[w]);
-            if (pc == 0)
-                return;
-            if (pc == 1)
-                for (int w = 0; w < W; w++)
-                    in_m[w] |= OPEN(c, v)[w] & pool[w];
-        }
+                child[w] = CLOSED(c, b)[w] & ~done[w];
+        for (int w = 0; w < W; w++)
+            for (u64 m = redld ? child[w] : child[w] & out_m[w]; m; m &= m - 1) {
+                int v = w << 6 | __builtin_ctzll(m);
+                const u64 *nb = redld ? CLOSED(c, v) : OPEN(c, v);
+                int pc = 0;
+                for (int x = 0; x < W; x++)
+                    pc += popc(nb[x] & pool[x]);
+                if (pc < need)
+                    return;
+                if (pc == need)
+                    for (int x = 0; x < W; x++)
+                        in_m[x] |= nb[x] & pool[x];
+            }
     }
     int in_ct = popcount(in_m, W);
     if (in_ct > st->cap || in_ct >= st->best)
         return;
 
     /* pair feasibility: prune once no undecided vertex can fix a pair */
-    if (pairs_fail(c, st->mode, in_m, out_m, pool))
-        return;
-
-    /* admissible bound: each detector covers at most `cover` units of deficit */
-    int deficit = 0;
-    if (st->mode == MODE_REDLD) {
-        for (int v = 0; v < n; v++) {
-            int have = 0;
-            for (int w = 0; w < W && have < 2; w++)
-                have += popc(CLOSED(c, v)[w] & in_m[w]);
-            if (have < 2)
-                deficit += 2 - have;
-        }
-    } else {
-        for (int u = 0; u < n; u++) {
-            if (!get(out_m, u))
-                continue;
-            u64 acc = 0;
+    if (branch == BRANCH_ROOT) {
+        if (pairs_fail(c, st->mode, in_m, out_m, pool, NULL))
+            return;
+    } else if (redld || branch == BRANCH_OUT) {
+        if (branch == BRANCH_IN) {
+            memset(child, 0, W * sizeof(u64));
+            set(child, b);
+        } else {
             for (int w = 0; w < W; w++)
-                acc |= OPEN(c, u)[w] & in_m[w];
-            if (!acc)
-                deficit++;
+                child[w] = CLOSED(c, b)[w] | (in_m[w] & ~in_m0[w]);
         }
+        if (pairs_fail(c, st->mode, in_m, out_m, pool, child))
+            return;
     }
+
+    /* admissible bound: each detector covers at most `cover` units of deficit.
+     * Only the vertices not yet done can add to it; those that are settled
+     * now join done. */
+    int deficit = 0;
+    if (redld)
+        complement(c, child, done);
+    else
+        for (int w = 0; w < W; w++)
+            child[w] = out_m[w] & ~done[w];
+    for (int w = 0; w < W; w++)
+        for (u64 m = child[w]; m; m &= m - 1) {
+            int v = w << 6 | __builtin_ctzll(m);
+            if (redld) {
+                int have = 0;
+                for (int x = 0; x < W && have < 2; x++)
+                    have += popc(CLOSED(c, v)[x] & in_m[x]);
+                if (have < 2)
+                    deficit += 2 - have;
+                else
+                    set(done, v);
+            } else {
+                u64 acc = 0;
+                for (int x = 0; x < W; x++)
+                    acc |= OPEN(c, v)[x] & in_m[x];
+                if (acc)
+                    set(done, v);
+                else
+                    deficit++;
+            }
+        }
     int limit = st->best < st->cap + 1 ? st->best : st->cap + 1;
     if (in_ct + (deficit + st->cover - 1) / st->cover >= limit)
         return;
@@ -584,22 +679,25 @@ static void dfs(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m)
     }
 
     /* branch: highest degree among undecided, smallest index on ties */
-    int b = -1, bd = -1;
-    for (int v = 0; v < n; v++)
-        if (get(pool, v) && !get(in_m, v) && DEG(c)[v] > bd) {
-            bd = DEG(c)[v];
-            b = v;
+    int next = -1, bd = -1;
+    for (int w = 0; w < W; w++)
+        for (u64 m = pool[w] & ~in_m[w]; m; m &= m - 1) {
+            int v = w << 6 | __builtin_ctzll(m);
+            if (DEG(c)[v] > bd) {
+                bd = DEG(c)[v];
+                next = v;
+            }
         }
-    if (b < 0)
+    if (next < 0)
         return;
     memcpy(child, in_m, W * sizeof(u64));
-    set(child, b);
-    dfs(st, depth + 1, child, out_m);
+    set(child, next);
+    dfs(st, depth + 1, child, out_m, BRANCH_IN, next);
     if (st->stop)
         return;
     memcpy(child, out_m, W * sizeof(u64));
-    set(child, b);
-    dfs(st, depth + 1, in_m, child);
+    set(child, next);
+    dfs(st, depth + 1, in_m, child, BRANCH_OUT, next);
 }
 
 /* Branch and bound over sets S with forced_in <= S <= ~forced_out, with the
@@ -625,7 +723,7 @@ int rlk_bnb(const rlk_ctx *c, int mode, const unsigned char *forced_in,
         st.deadline = monotime() + timeout;
     u64 *masks = malloc((size_t)W * 3 * sizeof(u64));
     /* depth <= n: every level decides one more vertex */
-    st.frames = malloc(((size_t)c->n + 1) * 3 * W * sizeof(u64));
+    st.frames = malloc(((size_t)c->n + 1) * FRAME_ROWS * W * sizeof(u64));
     st.scratch = scratch_new(c);
     if (!masks || !st.frames || !st.scratch) {
         free(masks);
@@ -637,7 +735,7 @@ int rlk_bnb(const rlk_ctx *c, int mode, const unsigned char *forced_in,
     st.best_mask = masks + 2 * W;
     load(in_m, forced_in, W);
     load(out_m, forced_out, W);
-    dfs(&st, 0, in_m, out_m);
+    dfs(&st, 0, in_m, out_m, BRANCH_ROOT, -1);
     if (st.best <= cap) {
         *value = st.best;
         store(witness, st.best_mask, W);

@@ -18,7 +18,8 @@ import time
 from array import array
 
 from . import _build
-from .pybits import MODE_LD, MODE_REDLD, MODE_REDLD_DEF, _check_mode, _check_walk
+from .pybits import (MODE_LD, MODE_REDLD, MODE_REDLD_DEF, _check_forced, _check_mode,
+                     _check_walk)
 
 BACKEND = "c"
 
@@ -154,6 +155,7 @@ def bnb(ctx: Ctx, mode: int, forced_in: int, forced_out: int, cap: int,
         stop_at: int, node_budget: int, deadline: float) -> tuple[int, int, int, int]:
     """Same contract as pybits.bnb."""
     _check_mode(mode, (MODE_LD, MODE_REDLD))
+    _check_forced(ctx.n, forced_in, forced_out)
     value, nodes = ctypes.c_int(), ctypes.c_longlong()
     witness = ctypes.create_string_buffer(ctx.nbytes)
     # C keeps its own clock: pass the time left rather than a monotonic-clock

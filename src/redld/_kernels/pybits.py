@@ -105,6 +105,12 @@ def _check_mode(mode: int, modes: tuple[int, ...]) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
+def _check_forced(n: int, forced_in: int, forced_out: int) -> None:
+    """The check of bnb's forced sets that both backends share."""
+    if forced_in < 0 or forced_out < 0 or (forced_in | forced_out) >> n:
+        raise IndexError("forced set names a vertex out of range")
+
+
 def brute_force_min(ctx: Ctx, mode: int) -> tuple[int, int]:
     """Minimum valid set by cardinality then lexicographic order.
 
@@ -231,6 +237,7 @@ def bnb(ctx: Ctx, mode: int, forced_in: int, forced_out: int, cap: int,
     the IN branch is explored first.
     """
     _check_mode(mode, (MODE_LD, MODE_REDLD))
+    _check_forced(ctx.n, forced_in, forced_out)
     n = ctx.n
     full = ctx.full
     open_ = ctx.open_

@@ -162,8 +162,8 @@ def cmd_tree(args) -> RunReport:
 
 def cmd_reduce(args) -> RunReport:
     phi = satreduce.parse_dimacs_cnf(Path(args.cnf).read_text())
-    art = satreduce.build_reduction(phi)
     if not args.solve:
+        art = satreduce.build_reduction(phi)
         text = (
             f"# K={art.k}\n"
             + render_edge_list(art.graph)

@@ -473,6 +473,8 @@ def enumerate_tmin(n: int) -> list[str]:
 
 def tmin_representatives(n: int) -> list[tuple[Graph, DetectorSet]]:
     """One (tree, optimal set) pair per colored isomorphism class."""
+    if n < 2:
+        raise ValueError("family starts at n = 2")
     return [(Graph(len(adj), [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v]),
              DetectorSet(s))
             for adj, s in _tmin_level(n).values()]

@@ -1,4 +1,4 @@
-from redld import grids
+from redld import grids, satreduce
 from redld.cli import main
 from redld.graph import build_path, build_petersen, render_edge_list
 
@@ -192,6 +192,21 @@ def test_reduce_solve(tmp_path, capsys):
     code, out, _ = run(capsys, ["reduce", "--solve", str(cnf)])
     assert code == 1
     assert out == "UNSAT\n"
+
+
+def test_reduce_solve_builds_the_reduction_once(tmp_path, capsys, monkeypatch):
+    built = []
+    real = satreduce.build_reduction
+
+    def counted(phi):
+        built.append(phi)
+        return real(phi)
+
+    monkeypatch.setattr(satreduce, "build_reduction", counted)
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text(P7_CNF)
+    code, out, _ = run(capsys, ["reduce", "--solve", str(cnf)])
+    assert (code, out.splitlines()[0], len(built)) == (0, "SAT", 1)
 
 
 def test_reduce_bad_cnf(tmp_path, capsys):

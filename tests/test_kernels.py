@@ -4,6 +4,7 @@ agree bit for bit (verdicts, optima, witnesses, and search node counts)."""
 import importlib
 import random
 import sys
+import sysconfig
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -296,6 +297,9 @@ def test_backends_reject_the_same_bad_input(kern):
     for mode in (-1, K.MODE_REDLD_DEF, 7):
         with pytest.raises(ValueError, match="unknown mode"):
             kern.bnb(ctx, mode, 0, 0, 3, 0, 0, 0.0)
+    for forced_in, forced_out in ((1 << 3, 0), (0, 1 << 5), (-1, 0), (0, -2)):
+        with pytest.raises(IndexError, match="out of range"):
+            kern.bnb(ctx, K.MODE_REDLD, forced_in, forced_out, 3, 0, 0, 0.0)
     with pytest.raises(ValueError, match="differ in length"):
         kern.pairs_ok(ctx, 0b111, [0, 1], [2])
     with pytest.raises(ValueError, match="differ in length"):
@@ -369,3 +373,139 @@ def test_failed_build_falls_back_to_python(tmp_path, monkeypatch):
     monkeypatch.setenv("REDLD_BACKEND", "c")
     with pytest.raises(RuntimeError, match="REDLD_BACKEND=c"):
         importlib.import_module("redld._kernels")
+
+
+# The C search re-checks at each node only what the branch into it changed
+# (see dfs in _ckern.c); pybits.bnb recomputes everything and is the oracle.
+# Equal return tuples, node counts included, mean equal decisions at every
+# node.
+
+def random_tree_adj(n, extra, rng):
+    """A random tree on n vertices plus `extra` random chords."""
+    adj = [set() for _ in range(n)]
+    for v in range(1, n):
+        u = rng.randrange(v)
+        adj[u].add(v)
+        adj[v].add(u)
+    for _ in range(extra):
+        u, v = rng.sample(range(n), 2)
+        adj[u].add(v)
+        adj[v].add(u)
+    return [sorted(a) for a in adj]
+
+
+@needs_c
+def test_bnb_agrees_at_every_node_budget():
+    # a search cut after any node must agree, incumbent and witness included
+    for mode, n, seed in ((K.MODE_REDLD, 14, 2), (K.MODE_LD, 10, 0)):
+        adj = random_adj(n, 0.3, random.Random(seed))
+        cp, cc = py.make_ctx(adj), ck.make_ctx(adj)
+        full = py.bnb(cp, mode, 0, 0, n, 0, 0, 0.0)
+        assert full[0] == 0 and full[3] > 100
+        values = set()
+        for budget in range(1, full[3] + 1):
+            got_py = py.bnb(cp, mode, 0, 0, n, 0, budget, 0.0)
+            assert got_py == ck.bnb(cc, mode, 0, 0, n, 0, budget, 0.0), budget
+            values.add(got_py[1])
+        assert got_py == full
+        assert len(values) >= 3  # cuts before, between and after incumbents
+
+
+@needs_c
+def test_bnb_agrees_on_leaves_and_isolated_vertices():
+    # leaves force their neighbourhoods at the root; an isolated vertex is
+    # infeasible for RED:LD and must be in for LD
+    rng = random.Random(12)
+    for _ in range(30):
+        n = rng.randint(5, 12)
+        adj = random_tree_adj(n, rng.randint(0, 2), rng)
+        if rng.random() < 0.5:
+            adj.append([])
+        n = len(adj)
+        cp, cc = py.make_ctx(adj), ck.make_ctx(adj)
+        for mode in (K.MODE_LD, K.MODE_REDLD):
+            forced_in = sum(1 << v for v in range(n) if rng.random() < 0.2)
+            args = (mode, forced_in, 0, n, 0, 0, 0.0)
+            assert py.bnb(cp, *args) == ck.bnb(cc, *args)
+
+
+@needs_c
+def test_bnb_agrees_with_a_leaf_neighbour_forced_out():
+    rng = random.Random(13)
+    statuses = set()
+    for _ in range(30):
+        n = rng.randint(6, 12)
+        adj = random_tree_adj(n, rng.randint(0, 3), rng)
+        cp, cc = py.make_ctx(adj), ck.make_ctx(adj)
+        leaves = [v for v in range(n) if len(adj[v]) == 1]
+        if not leaves:
+            continue
+        for mode in (K.MODE_LD, K.MODE_REDLD):
+            leaf = rng.choice(leaves)
+            forced_out = 1 << adj[leaf][0]
+            forced_out |= sum(1 << v for v in range(n) if rng.random() < 0.15)
+            forced_in = sum(1 << v for v in range(n)
+                            if not forced_out >> v & 1 and rng.random() < 0.2)
+            args = (mode, forced_in, forced_out, n, 0, 0, 0.0)
+            got_py = py.bnb(cp, *args)
+            assert got_py == ck.bnb(cc, *args)
+            statuses.add(got_py[0])
+    assert statuses == {0, 1}
+
+
+@needs_c
+def test_bnb_agrees_where_propagation_breaks_a_pair():
+    # In these RED:LD searches an OUT branch forces a vertex in, and that
+    # vertex, outside N[b], makes an in/out pair fail: a search that does
+    # not re-check the pairs of newly forced vertices counts more nodes.
+    cases = (
+        ([[3, 4, 6], [2, 3, 4, 7], [1, 6, 7], [0, 1, 4, 5], [0, 1, 3, 7], [3, 6],
+          [0, 2, 5], [1, 2, 4]], 0),
+        ([[1, 2], [0, 3, 4], [0, 4, 5, 7], [1, 6], [1, 2], [2, 6, 7], [3, 5], [2, 5]], 2),
+    )
+    for adj, forced_in in cases:
+        n = len(adj)
+        for mode in (K.MODE_LD, K.MODE_REDLD):
+            args = (mode, forced_in, 0, n, 0, 0, 0.0)
+            assert py.bnb(py.make_ctx(adj), *args) == ck.bnb(ck.make_ctx(adj), *args)
+
+
+@needs_c
+def test_bnb_agrees_across_words():
+    # 65 and 130 vertices: the settled vertices and the vertices a branch
+    # re-checks span two and three words
+    rng = random.Random(14)
+    statuses = []
+    for n in (65, 130):
+        for _ in range(3):
+            adj = random_tree_adj(n, n // 4, rng)
+            cp, cc = py.make_ctx(adj), ck.make_ctx(adj)
+            for mode in (K.MODE_LD, K.MODE_REDLD):
+                for p_in, p_out in ((0.0, 0.0), (0.5, 0.05), (0.7, 0.1)):
+                    forced_in = sum(1 << v for v in range(n) if rng.random() < p_in)
+                    forced_out = sum(1 << v for v in range(n)
+                                     if not forced_in >> v & 1 and rng.random() < p_out)
+                    args = (mode, forced_in, forced_out, n, 0, 400, 0.0)
+                    got_py = py.bnb(cp, *args)
+                    assert got_py == ck.bnb(cc, *args)
+                    statuses.append(got_py[0])
+    assert {0, 1, 2} <= set(statuses)
+
+
+@needs_c
+def test_kernel_built_without_popcount_dispatch(tmp_path, monkeypatch):
+    # where dfs has a popcnt clone, undefining __ELF__ turns its #if guard
+    # off: that plain build must compile and search the same way
+    real_build = _build.build
+    cc = f"{sysconfig.get_config_var('CC') or 'cc'} -U__ELF__"
+    monkeypatch.setattr(_build, "build", lambda: real_build(cc=cc, directory=tmp_path))
+    monkeypatch.setattr(K, "_ckern", ck)
+    monkeypatch.delitem(sys.modules, "redld._kernels._ckern")
+    plain = importlib.import_module("redld._kernels._ckern")
+    assert plain is not ck
+    rng = random.Random(15)
+    for n in (12, 70):
+        adj = random_tree_adj(n, n // 3, rng)
+        for mode in (K.MODE_LD, K.MODE_REDLD):
+            args = (mode, 0, 0, n, 0, 300, 0.0)
+            assert plain.bnb(plain.make_ctx(adj), *args) == py.bnb(py.make_ctx(adj), *args)

@@ -144,6 +144,13 @@ def test_tmin_representatives():
             assert is_redld_set(g, s).ok
 
 
+def test_family_functions_reject_orders_below_two():
+    for n in (0, 1):
+        for fn in (tmin_representatives, enumerate_tmin, enumerate_tmax):
+            with pytest.raises(ValueError, match="family starts at n = 2"):
+                fn(n)
+
+
 def test_tmax_extensions_and_removals():
     rng = random.Random(3)
     g = build_path(2)
