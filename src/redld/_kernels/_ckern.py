@@ -7,8 +7,13 @@ cannot be built or loaded, importing this module raises ImportError and
 backend selection falls back to the pure-Python kernel.
 
 Vertex sets cross into C as little-endian byte strings of 8 * ceil(n / 64)
-bytes.  ctypes releases the GIL during each call, and the C side allocates
-its scratch per call, so one context can serve several threads at once.
+bytes.  Every mask is range-checked first (`pybits._check_mask`), so a mask
+always fits its byte string.  A predicate call (`is_ld`, `is_redld`,
+`is_redld_def`) is one range check, one `int.to_bytes` and one call of
+`rlk_check` without ctypes argument conversion; its return code goes
+through `_ok` only when it is negative.  ctypes releases the GIL during each
+call, and the C side allocates its scratch per call, so one context can
+serve several threads at once.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ import time
 from array import array
 
 from . import _build
-from .pybits import (MODE_LD, MODE_REDLD, MODE_REDLD_DEF, _check_forced, _check_mode,
-                     _check_walk)
+from .pybits import (MODE_LD, MODE_REDLD, MODE_REDLD_DEF, _check_forced, _check_mask,
+                     _check_mode, _check_pairs, _check_walk)
 
 BACKEND = "c"
 
@@ -36,7 +41,11 @@ def _load() -> ctypes.CDLL:
     for name, restype, argtypes in (
         ("rlk_ctx_size", ctypes.c_size_t, [i32]),
         ("rlk_ctx_init", i32, [ptr, i32, ptr, ptr]),
-        ("rlk_check", i32, [ptr, i32, ptr]),
+        # No argtypes: converting them doubles the cost of a predicate call.
+        # The one caller, _predicate, passes only a Ctx's c_char array, a
+        # MODE_* int and the bytes of a range-checked mask, which ctypes
+        # passes as (pointer, int, pointer) on its own.
+        ("rlk_check", i32, None),
         ("rlk_brute_force_min", i32, [ptr, i32, ptr]),
         ("rlk_pairs_scan", ctypes.c_long, [ptr, i32, ptr, ptr, ctypes.c_long, ptr]),
         ("rlk_dom_candidates", i32, [i32, i32, ptr, ptr, ptr, i32, i64,
@@ -52,6 +61,7 @@ def _load() -> ctypes.CDLL:
 
 
 _lib = _load()
+_check = _lib.rlk_check
 
 
 def _ok(code: int) -> int:
@@ -84,19 +94,26 @@ def make_ctx(adj) -> Ctx:
 
 
 def _bytes(ctx: Ctx, mask: int) -> bytes:
+    _check_mask(ctx.n, mask)
     return mask.to_bytes(ctx.nbytes, "little")
 
 
+def _predicate(ctx: Ctx, mode: int, s: int) -> bool:
+    _check_mask(ctx.n, s)
+    code = _check(ctx.buf, mode, s.to_bytes(ctx.nbytes, "little"))
+    return code == 1 if code >= 0 else _ok(code) == 1
+
+
 def is_ld(ctx: Ctx, s: int) -> bool:
-    return _ok(_lib.rlk_check(ctx.buf, MODE_LD, _bytes(ctx, s))) == 1
+    return _predicate(ctx, MODE_LD, s)
 
 
 def is_redld(ctx: Ctx, s: int) -> bool:
-    return _ok(_lib.rlk_check(ctx.buf, MODE_REDLD, _bytes(ctx, s))) == 1
+    return _predicate(ctx, MODE_REDLD, s)
 
 
 def is_redld_def(ctx: Ctx, s: int) -> bool:
-    return _ok(_lib.rlk_check(ctx.buf, MODE_REDLD_DEF, _bytes(ctx, s))) == 1
+    return _predicate(ctx, MODE_REDLD_DEF, s)
 
 
 def brute_force_min(ctx: Ctx, mode: int) -> tuple[int, int]:
@@ -110,21 +127,21 @@ def brute_force_min(ctx: Ctx, mode: int) -> tuple[int, int]:
     return (size, int.from_bytes(out.raw, "little")) if size >= 0 else (-1, 0)
 
 
-def _scan(ctx: Ctx, us, vs, masks: bytes) -> int:
-    if len(us) != len(vs):
-        raise ValueError("us and vs differ in length")
+def _scan(ctx: Ctx, us, vs, candidates) -> int:
+    _check_pairs(us, vs)
+    masks = b"".join(_bytes(ctx, m) for m in candidates)
     return _ok(_lib.rlk_pairs_scan(ctx.buf, len(us), array("i", us).tobytes(),
                                    array("i", vs).tobytes(), len(masks) // ctx.nbytes, masks))
 
 
 def pairs_ok(ctx: Ctx, s: int, us: list[int], vs: list[int]) -> bool:
     """2-domination of every vertex plus the pair conditions on (us[i], vs[i])."""
-    return _scan(ctx, us, vs, _bytes(ctx, s)) == 0
+    return _scan(ctx, us, vs, (s,)) == 0
 
 
 def pairs_scan(ctx: Ctx, us: list[int], vs: list[int], candidates) -> int:
     """Index of the first candidate mask passing pairs_ok, or -1."""
-    return _scan(ctx, us, vs, b"".join(_bytes(ctx, m) for m in candidates))
+    return _scan(ctx, us, vs, candidates)
 
 
 def dom_candidates(n_cells: int, touch, count: int,

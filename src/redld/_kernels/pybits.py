@@ -48,6 +48,7 @@ def _bit_list(m: int) -> list[int]:
 
 
 def is_ld(ctx: Ctx, s: int) -> bool:
+    _check_mask(ctx.n, s)
     open_ = ctx.open_
     seen = set()
     m = ctx.full & ~s
@@ -83,12 +84,14 @@ def _pairs_fail(ctx: Ctx, pool: int, need: int, out_pairs, in_pairs) -> bool:
 
 
 def is_redld(ctx: Ctx, s: int) -> bool:
+    _check_mask(ctx.n, s)
     outs = _bit_list(ctx.full & ~s)
     return _two_dominated(ctx, s) and not _pairs_fail(
         ctx, s, 2, combinations(outs, 2), product(outs, _bit_list(s)))
 
 
 def is_redld_def(ctx: Ctx, s: int) -> bool:
+    _check_mask(ctx.n, s)
     if not is_ld(ctx, s):
         return False
     m = s
@@ -109,6 +112,13 @@ def _check_forced(n: int, forced_in: int, forced_out: int) -> None:
     """The check of bnb's forced sets that both backends share."""
     if forced_in < 0 or forced_out < 0 or (forced_in | forced_out) >> n:
         raise IndexError("forced set names a vertex out of range")
+
+
+def _check_mask(n: int, s: int) -> None:
+    """The check of a predicate's mask that both backends share: one test
+    catches both a negative mask and a bit at vertex n or above."""
+    if s >> n:
+        raise IndexError("mask names a vertex out of range")
 
 
 def brute_force_min(ctx: Ctx, mode: int) -> tuple[int, int]:
@@ -137,6 +147,7 @@ def _check_pairs(us, vs) -> None:
 def pairs_ok(ctx: Ctx, s: int, us: list[int], vs: list[int]) -> bool:
     """2-domination of every vertex plus the pair conditions on (us[i], vs[i])."""
     _check_pairs(us, vs)
+    _check_mask(ctx.n, s)
     out_pairs, in_pairs = [], []
     for u, v in zip(us, vs):
         if s >> u & 1:
@@ -147,8 +158,15 @@ def pairs_ok(ctx: Ctx, s: int, us: list[int], vs: list[int]) -> bool:
 
 
 def pairs_scan(ctx: Ctx, us: list[int], vs: list[int], candidates) -> int:
-    """Index of the first candidate mask passing pairs_ok, or -1."""
+    """Index of the first candidate mask passing pairs_ok, or -1.
+
+    Every candidate is range-checked before the scan starts, as the
+    compiled backend packs them all before it scans.
+    """
     _check_pairs(us, vs)
+    candidates = list(candidates)
+    for mask in candidates:
+        _check_mask(ctx.n, mask)
     for i, mask in enumerate(candidates):
         if pairs_ok(ctx, mask, us, vs):
             return i

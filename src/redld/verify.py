@@ -116,10 +116,8 @@ def _as_set(s: Iterable[int]) -> frozenset[int]:
     return s._set if isinstance(s, DetectorSet) else frozenset(s)
 
 
-def _check_vertices(g: Graph, s: frozenset[int]) -> None:
-    for v in s:
-        if not (0 <= v < g.n):
-            raise ValueError(f"detector {v} out of range for n={g.n}")
+def _check_vertices(g: Graph, s: Iterable[int]) -> None:
+    _mask(g, s)
 
 
 def domination_count(g: Graph, s: Iterable[int], v: int) -> int:
@@ -142,35 +140,42 @@ def _trace(g: Graph, s: frozenset[int], v: int) -> frozenset[int]:
     return frozenset(w for w in g.adj[v] if w in s)
 
 
-def _mask(s: frozenset[int]) -> int:
+def _mask(g: Graph, s: Iterable[int]) -> int:
+    """The bitmask of s, in one pass that range-checks each detector before
+    its shift; s is read once, so an iterator works."""
+    n = g.n
     m = 0
     for v in s:
+        if not 0 <= v < n:
+            raise ValueError(f"detector {v} out of range for n={n}")
         m |= 1 << v
     return m
 
 
+def _members(mask: int) -> frozenset[int]:
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 def is_ld_set(g: Graph, s: Iterable[int]) -> VerificationReport:
     """LD check: domination of non-detectors plus pairwise distinct traces."""
-    ss = _as_set(s)
-    _check_vertices(g, ss)
-    ok = K.is_ld(g.kernel_ctx(), _mask(ss))
-    return VerificationReport("ld", ok, lambda: _ld_violations(g, ss))
+    mask = _mask(g, s)
+    ok = K.is_ld(g.kernel_ctx(), mask)
+    return VerificationReport("ld", ok, lambda: _ld_violations(g, _members(mask)))
 
 
 def is_redld_set(g: Graph, s: Iterable[int]) -> VerificationReport:
     """RED:LD check through the three-condition characterization."""
-    ss = _as_set(s)
-    _check_vertices(g, ss)
-    ok = K.is_redld(g.kernel_ctx(), _mask(ss))
-    return VerificationReport("redld", ok, lambda: _redld_violations(g, ss))
+    mask = _mask(g, s)
+    ok = K.is_redld(g.kernel_ctx(), mask)
+    return VerificationReport("redld", ok, lambda: _redld_violations(g, _members(mask)))
 
 
 def is_redld_by_definition(g: Graph, s: Iterable[int]) -> VerificationReport:
     """RED:LD check straight from the definition: S and every S − {v} are LD."""
-    ss = _as_set(s)
-    _check_vertices(g, ss)
-    ok = K.is_redld_def(g.kernel_ctx(), _mask(ss))
-    return VerificationReport("redld-def", ok, lambda: _redld_def_violations(g, ss))
+    mask = _mask(g, s)
+    ok = K.is_redld_def(g.kernel_ctx(), mask)
+    return VerificationReport("redld-def", ok,
+                              lambda: _redld_def_violations(g, _members(mask)))
 
 
 # The set-based listers below name every violation of a failed check.  They

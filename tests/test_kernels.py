@@ -304,6 +304,19 @@ def test_backends_reject_the_same_bad_input(kern):
         kern.pairs_ok(ctx, 0b111, [0, 1], [2])
     with pytest.raises(ValueError, match="differ in length"):
         kern.pairs_scan(ctx, [0], [], [])
+    # a negative mask, or one with a bit at n or above, names no vertex; every
+    # scan candidate is checked, even one after a mask that passes
+    for mask in (-1, 1 << 3, 1 << 70, 0b111 | 1 << 64):
+        for check in (
+            lambda: kern.is_ld(ctx, mask),
+            lambda: kern.is_redld(ctx, mask),
+            lambda: kern.is_redld_def(ctx, mask),
+            lambda: kern.pairs_ok(ctx, mask, [0], [1]),
+            lambda: kern.pairs_scan(ctx, [0], [1], [mask]),
+            lambda: kern.pairs_scan(ctx, [0], [1], [0b111, mask]),
+        ):
+            with pytest.raises(IndexError, match="mask names a vertex out of range"):
+                check()
 
 
 def test_pairs_ok_checks_domination_too():

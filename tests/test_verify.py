@@ -190,10 +190,25 @@ def test_out_of_range_detector_raises_before_kernel(monkeypatch):
         monkeypatch.setattr(K, name, _must_not_run)
     g = build_path(4)
     for check in (is_ld_set, is_redld_set, is_redld_by_definition):
-        with pytest.raises(ValueError):
-            check(g, [0, 4])
-        with pytest.raises(ValueError):
-            check(g, [-1])
+        # [-1] must fail the range check, not the shift that builds the mask
+        for s in ([0, 4], [-1], [0, 9, -1], DetectorSet([1, 7])):
+            with pytest.raises(ValueError, match="out of range for n=4"):
+                check(g, s)
+
+
+@pytest.mark.parametrize("check", (is_ld_set, is_redld_set, is_redld_by_definition))
+def test_any_iterable_gives_the_list_result(check):
+    """Generators, duplicates and DetectorSets give the verdict and the
+    violations of the plain list; a generator is read only once."""
+    g = build_path(5)
+    for s in ([0, 4], [1, 2, 3], [0, 1, 3, 4]):
+        want = check(g, s)
+        gen = (v for v in s)
+        for got in (check(g, gen), check(g, s + s[::-1]), check(g, DetectorSet(s))):
+            assert got.ok == want.ok
+            assert got.violations == want.violations
+        assert next(gen, None) is None
+    assert not check(g, iter([0, 4])).ok
 
 
 def _lister_cases(kern, g, subsets):
