@@ -40,6 +40,24 @@ class Graph:
         self.labels: tuple[str, ...] | None = labels
         self._ctx = None
 
+    @classmethod
+    def _from_adj(cls, adj: tuple[tuple[int, ...], ...],
+                  labels: tuple[str, ...] | None = None) -> "Graph":
+        """The graph with these adjacency rows, taken as they are.
+
+        No check is made: the caller guarantees that `adj` is a tuple with
+        one row per vertex, each row a sorted tuple of neighbours in range,
+        with no loop and no repeat, that u is in adj[v] exactly when v is in
+        adj[u], and that `labels` is None or a tuple of len(adj) strings.
+        Input from outside goes through `Graph(n, edges)`, which checks it.
+        """
+        g = cls.__new__(cls)
+        g.n = len(adj)
+        g.adj = adj
+        g.labels = labels
+        g._ctx = None
+        return g
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 

@@ -109,27 +109,27 @@ def render_pattern(pattern: PeriodicPattern) -> str:
 
 def build_torus(pattern: PeriodicPattern, c_w: int, c_h: int) -> tuple[Graph, DetectorSet]:
     """Tile the domain c_w x c_h times with wraparound adjacency."""
-    big_w, big_h = pattern.w * c_w, pattern.h * c_h
+    w, h, kind = pattern.w, pattern.h, pattern.kind
+    big_w, big_h = w * c_w, h * c_h
     if big_w < 8 or big_h < 8:
         raise ValueError("torus extents below 8 cells would wrap distance-4 balls")
-    if pattern.kind is LatticeKind.HEX and (big_w % 2 or big_h % 2):
+    if kind is LatticeKind.HEX and (big_w % 2 or big_h % 2):
         raise ValueError("hexagonal torus extents must be even")
-    idx = lambda x, y: y * big_w + x
-    edges = set()
-    for y in range(big_h):
-        for x in range(big_w):
-            for dx, dy in _neighbors(pattern.kind, x, y):
-                nx, ny = (x + dx) % big_w, (y + dy) % big_h
-                a, b = idx(x, y), idx(nx, ny)
-                edges.add((min(a, b), max(a, b)))
-    g = Graph(big_w * big_h, sorted(edges))
-    members = [
-        idx(x, y)
+    # The rows go to Graph._from_adj unchecked, and they are valid: with
+    # both extents at least 8, no two steps of a cell reach the same cell
+    # and no step comes back to it; every step set is closed under
+    # negation, so adjacency is symmetric; for HEX the even extents keep
+    # the parity of x+y across the wrap, so the vertical step of the cell
+    # reached points back.
+    adj = tuple(
+        tuple(sorted((y + dy) % big_h * big_w + (x + dx) % big_w
+                     for dx, dy in _neighbors(kind, x, y)))
         for y in range(big_h)
         for x in range(big_w)
-        if (x % pattern.w, y % pattern.h) in pattern.detectors
-    ]
-    return g, DetectorSet(members)
+    )
+    members = [(y + j * h) * big_w + x + i * w
+               for x, y in pattern.detectors for j in range(c_h) for i in range(c_w)]
+    return Graph._from_adj(adj), DetectorSet(members)
 
 
 def _tile_counts(pattern: PeriodicPattern, extent: int) -> tuple[int, int]:
@@ -160,15 +160,17 @@ def share_histogram(pattern: PeriodicPattern) -> dict[Fraction, int]:
     return hist
 
 
-# The pair scan tests the pair conditions only on vertices within distance
-# 2, which is enough: pairs_ok first requires every vertex to be 2-dominated,
-# and two vertices u, v at distance 3 or more have disjoint open
-# neighbourhoods and are not adjacent.  If neither is a detector, each of
-# N(u) & S and N(v) & S has at least 2 detectors (u, v are not in S), so
-# their symmetric difference has at least 4.  If v is a detector and u is
-# not, the difference minus v still holds N(u) & S, which does not contain v
-# and has at least 2.  Two detectors face no pair condition.  So no pair
-# farther apart can fail, and the verdict equals the full check.
+# The vertex pairs within distance 2, the pairs the kernel's pairs_ok and
+# pairs_scan take.  (pattern_search scans with is_redld, whose compiled form
+# tests the same pairs.)  Testing the pair conditions only on these pairs is
+# enough: pairs_ok first requires every vertex to be 2-dominated, and two
+# vertices u, v at distance 3 or more have disjoint open neighbourhoods and
+# are not adjacent.  If neither is a detector, each of N(u) & S and N(v) & S
+# has at least 2 detectors (u, v are not in S), so their symmetric
+# difference has at least 4.  If v is a detector and u is not, the
+# difference minus v still holds N(u) & S, which does not contain v and has
+# at least 2.  Two detectors face no pair condition.  So no pair farther
+# apart can fail, and the verdict equals the full check.
 def _near_pairs(g: Graph) -> tuple[list[int], list[int]]:
     us, vs = [], []
     for u in range(g.n):
@@ -213,43 +215,43 @@ def _fold_constraints(kind: LatticeKind, w: int, h: int):
 
 def _dominating_candidates(
     kind: LatticeKind, w: int, h: int, count: int, node_budget: int
-) -> tuple[list[frozenset[tuple[int, int]]], bool]:
+) -> tuple[list[int], bool]:
     """Exactly-count subsets of the domain, cell (0,0) pinned, such that
     every grid vertex keeps at least 2 detectors in its closed
-    neighborhood.  Depth-first with folded domination pruning, in the
-    kernel; returns (candidates, True) when the walk exhausted the domain,
-    (prefix, False) when it ran out of node budget.
+    neighborhood, as masks with bit y*w + x for cell (x, y).  Depth-first
+    with folded domination pruning, in the kernel; returns (candidates,
+    True) when the walk exhausted the domain, (prefix, False) when it ran
+    out of node budget.
     """
     _n_vertices, touch = _fold_constraints(kind, w, h)
-    masks, exhausted = kern.dom_candidates(w * h, touch, count, node_budget)
-    cells = [(c % w, c // w) for c in range(w * h)]
-    candidates = [frozenset(xy for c, xy in enumerate(cells) if mask >> c & 1) for mask in masks]
-    return candidates, exhausted
+    return kern.dom_candidates(w * h, touch, count, node_budget)
 
 
 def _random_descents(
     kind: LatticeKind, w: int, h: int, count: int,
     rng: random.Random, attempts: int,
-    skip: set[frozenset[tuple[int, int]]],
-) -> list[frozenset[tuple[int, int]]]:
+    skip: set[int],
+) -> list[int]:
     """Randomized restarts through the same pruned space: each descent
     walks the cells once with random choices that respect the domination
-    and cardinality bounds, aborting on a dead end."""
+    and cardinality bounds, aborting on a dead end.  Returns the masks
+    found, in the order found, leaving out those in `skip` and repeats."""
     n = w * h
     n_vertices, touch = _fold_constraints(kind, w, h)
     base_open = [0] * n_vertices
     for items in touch:
         for v, m in items:
             base_open[v] += m
-    out: list[frozenset[tuple[int, int]]] = []
+    out: list[int] = []
     seen = set(skip)
     for _ in range(attempts):
         cnt = [0] * n_vertices
         open_ = list(base_open)
-        chosen: list[int] = []
+        chosen = 0
+        picked = 0
         alive = True
         for i in range(n):
-            need = count - len(chosen)
+            need = count - picked
             rest = n - i
             options = []
             for val in (0, 1):
@@ -275,12 +277,11 @@ def _random_descents(
                 if val:
                     cnt[v] += m
             if val:
-                chosen.append(i)
-        if alive and len(chosen) == count:
-            cand = frozenset((c % w, c // w) for c in chosen)
-            if cand not in seen:
-                seen.add(cand)
-                out.append(cand)
+                chosen |= 1 << i
+                picked += 1
+        if alive and picked == count and chosen not in seen:
+            seen.add(chosen)
+            out.append(chosen)
     return out
 
 
@@ -299,6 +300,8 @@ def pattern_search(
     whose every vertex can still end up 2-dominated; domains whose walk
     exceeds the node budget fall back to seeded random descents through
     the same pruned space, so a miss there is not a proof of absence.
+    Each candidate, tiled over the verification torus, is checked with the
+    kernel's RED:LD predicate; the first that passes is returned.
     """
     target = Fraction(target_density)
     rng = random.Random(seed)
@@ -313,45 +316,47 @@ def pattern_search(
         count = (w * h * target.numerator) // target.denominator
         if count < 1:
             continue
-        candidates, exhausted = _dominating_candidates(
-            kind, w, h, count, _DFS_NODE_BUDGET
-        )
+        masks, exhausted = _dominating_candidates(kind, w, h, count, _DFS_NODE_BUDGET)
         if not exhausted:
-            candidates.extend(
-                _random_descents(kind, w, h, count, rng, _DESCENT_COUNT,
-                                 skip=set(candidates))
-            )
-        if not candidates:
+            masks.extend(_random_descents(kind, w, h, count, rng, _DESCENT_COUNT,
+                                          skip=set(masks)))
+        if not masks:
             continue
-        probe = PeriodicPattern(kind, w, h, frozenset([(0, 0)]))
-        g, _ = build_torus(probe, *_tile_counts(probe, 8))
-        ctx = g.kernel_ctx()
-        us, vs = _near_pairs(g)
-        masks = [_tiled_mask(kind, w, h, cand) for cand in candidates]
-        hit = _scan(ctx, us, vs, masks)
-        if hit >= 0:
-            return PeriodicPattern(kind, w, h, candidates[hit])
+        probe = PeriodicPattern(kind, w, h)
+        c_w, c_h = _tile_counts(probe, 8)
+        ctx = build_torus(probe, c_w, c_h)[0].kernel_ctx()
+        tile = _tiler(w, h, c_w, c_h)
+        for mask in masks:
+            if kern.is_redld(ctx, tile(mask)):
+                cells = frozenset((c % w, c // w) for c in range(w * h) if mask >> c & 1)
+                return PeriodicPattern(kind, w, h, cells)
     return None
 
 
-def _tiled_mask(kind: LatticeKind, w: int, h: int, cells) -> int:
-    """The torus mask of the pattern tiled over the verification torus."""
-    probe = PeriodicPattern(kind, w, h, frozenset([(0, 0)]))
-    c_w, c_h = _tile_counts(probe, 8)
+def _tiler(w: int, h: int, c_w: int, c_h: int):
+    """The map from a domain mask (bit y*w + x for cell (x, y)) to the mask
+    of its tiling c_w x c_h times over the torus."""
     big_w = w * c_w
-    domain = 0
-    for x, y in cells:
-        domain |= 1 << (y * w + x)
+    row_bits = (1 << w) - 1
     # Multiplying a w-bit row by a sum of disjoint shifts ORs shifted copies
     # of it: here c_w copies side by side, a full torus row.  Stacking the h
     # rows gives one band, repeated the same way c_h times down the torus.
     row_rep = sum(1 << (k * w) for k in range(c_w))
-    band = 0
-    for y in range(h):
-        band |= ((domain >> (y * w)) & ((1 << w) - 1)) * row_rep << (y * big_w)
-    return band * sum(1 << (k * h * big_w) for k in range(c_h))
+    band_rep = sum(1 << (k * h * big_w) for k in range(c_h))
+    shifts = [(y * w, y * big_w) for y in range(h)]
+
+    def tile(domain: int) -> int:
+        band = 0
+        for src, dst in shifts:
+            band |= (domain >> src & row_bits) * row_rep << dst
+        return band * band_rep
+
+    return tile
 
 
-def _scan(ctx, us, vs, masks: list[int]) -> int:
-    # its own function so that the benchmark's tracer can time the scan
-    return kern.pairs_scan(ctx, us, vs, masks)
+def _tiled_mask(kind: LatticeKind, w: int, h: int, cells) -> int:
+    """The torus mask of the pattern tiled over the verification torus."""
+    domain = 0
+    for x, y in cells:
+        domain |= 1 << (y * w + x)
+    return _tiler(w, h, *_tile_counts(PeriodicPattern(kind, w, h), 8))(domain)

@@ -35,6 +35,11 @@ _GADGET_EDGES = [
     (8, 9),
 ]
 _GADGET_NAMES = ["a", "a'", "b", "b'", "c", "c'", "d", "d'", "x", "xbar", "y", "z"]
+# The sorted neighbour offsets of each gadget vertex.
+_GADGET_ROWS = tuple(
+    tuple(sorted([v for u, v in _GADGET_EDGES if u == a] + [u for u, v in _GADGET_EDGES if v == a]))
+    for a in range(12)
+)
 
 OFF_X, OFF_XBAR, OFF_Y, OFF_Z = 8, 9, 10, 11
 
@@ -113,7 +118,7 @@ def _literal_vertex(lit: int) -> int:
 def build_reduction(phi: SatInstance) -> ReductionArtifact:
     """Build the reduction graph: 12N+3M vertices, 13N+5M edges, K=9N+2M."""
     n, m = phi.n_vars, len(phi.clauses)
-    edges: list[tuple[int, int]] = []
+    rows: list[list[int]] = []
     labels: list[str] = []
     roles: dict[int, str] = {}
     forced: list[int] = []
@@ -121,7 +126,7 @@ def build_reduction(phi: SatInstance) -> ReductionArtifact:
     var_false: dict[int, int] = {}
     for i in range(n):
         base = 12 * i
-        edges.extend((base + u, base + v) for u, v in _GADGET_EDGES)
+        rows.extend([base + off for off in row] for row in _GADGET_ROWS)
         labels.extend(f"{name}_{i + 1}" for name in _GADGET_NAMES)
         forced.extend(range(base, base + 8))
         for off in range(8):
@@ -137,14 +142,19 @@ def build_reduction(phi: SatInstance) -> ReductionArtifact:
         base = 12 * n + 3 * j
         d1, d2, cj = base, base + 1, base + 2
         labels.extend([f"d1_{j + 1}", f"d2_{j + 1}", f"c_{j + 1}"])
-        edges.extend([(d1, d2), (d2, cj)])
-        edges.extend((cj, _literal_vertex(lit)) for lit in clause)
+        # The literals are of distinct variables and below every clause
+        # vertex, and clauses come in vertex order: appending c_j keeps each
+        # literal's row sorted, and d2 ends c_j's row.
+        lits = sorted(_literal_vertex(lit) for lit in clause)
+        for v in lits:
+            rows[v].append(cj)
+        rows.extend([[d2], [d1, cj], [*lits, d2]])
         forced.extend([d1, d2])
         roles[d1] = "H-internal-detector"
         roles[d2] = "H-internal-detector"
         roles[cj] = f"c_{j + 1}"
         clause_vertex[j + 1] = cj
-    g = Graph(12 * n + 3 * m, edges, labels=labels)
+    g = Graph._from_adj(tuple(map(tuple, rows)), tuple(labels))
     assert g.edge_count() == 13 * n + 5 * m
     return ReductionArtifact(
         phi, g, 9 * n + 2 * m, roles, DetectorSet(forced), var_true, var_false, clause_vertex

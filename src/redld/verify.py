@@ -237,7 +237,7 @@ def share(g: Graph, s: Iterable[int], x: int) -> Fraction:
     _check_vertices(g, ss)
     total = Fraction(0)
     for w in g.closed_neighborhood(x):
-        d = domination_count(g, ss, w)
+        d = (w in ss) + sum(u in ss for u in g.adj[w])
         if d == 0:
             raise ValueError(f"share undefined: vertex {w} is undominated")
         total += Fraction(1, d)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -9,8 +10,10 @@ from redld.grids import (
     PeriodicPattern,
     _dominating_candidates,
     _near_pairs,
+    _random_descents,
     _tile_counts,
     _tiled_mask,
+    _tiler,
     build_torus,
     density,
     parse_pattern,
@@ -19,6 +22,7 @@ from redld.grids import (
     share_histogram,
     verify_periodic,
 )
+from redld.graph import Graph
 from redld.verify import DOM2
 
 HEX_HALF = "HEX 2 1\n#.\n"
@@ -122,6 +126,11 @@ def test_share_histogram_all_detectors():
     assert hist == {Fraction(1): 1}
 
 
+def test_share_histogram_sq_7_16():
+    hist = share_histogram(parse_pattern(SQ_7_16))
+    assert hist == {Fraction(25, 12): 4, Fraction(9, 4): 4, Fraction(7, 3): 2, Fraction(5, 2): 4}
+
+
 def test_share_duality():
     # average share over one domain's detectors is exactly 1/density
     for text, dens in BEST.items():
@@ -173,25 +182,76 @@ def test_near_pairs_within_distance_2():
 
 def test_near_pair_scan_equals_full_check():
     # pairs_ok on the distance-2 pairs gives the verdict of the full
-    # characterization on every candidate, passing and failing alike: the
-    # counts of the searched densities and, for SQ, some denser ones
+    # characterization on every candidate mask, passing and failing alike:
+    # the counts of the searched densities and, for SQ, some denser ones
     verdicts = set()
     for kind, w, h, counts in ((LatticeKind.SQ, 5, 5, (10, 11, 12)),
                                (LatticeKind.KING, 5, 5, (6, 7)),
                                (LatticeKind.HEX, 6, 5, (12, 13, 14, 15))):
         probe = PeriodicPattern(kind, w, h, frozenset([(0, 0)]))
-        g, _ = build_torus(probe, *_tile_counts(probe, 8))
+        c_w, c_h = _tile_counts(probe, 8)
+        g, _ = build_torus(probe, c_w, c_h)
         ctx = kern.make_ctx([list(nbrs) for nbrs in g.adj])
         us, vs = _near_pairs(g)
+        tile = _tiler(w, h, c_w, c_h)
         for count in counts:
-            candidates, exhausted = _dominating_candidates(kind, w, h, count, 10**7)
+            masks, exhausted = _dominating_candidates(kind, w, h, count, 10**7)
             assert exhausted
-            for cand in candidates:
-                mask = _tiled_mask(kind, w, h, cand)
+            for domain in masks:
+                mask = tile(domain)
                 verdict = kern.pairs_ok(ctx, mask, us, vs)
                 assert verdict == kern.is_redld(ctx, mask)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_torus_adjacency_matches_checked_build():
+    # the unchecked adjacency rows of build_torus equal what the checked
+    # constructor makes of the same edges
+    for kind in LatticeKind:
+        shapes = [(w, h, *_tile_counts(PeriodicPattern(kind, w, h), 8))
+                  for w in range(1, 7) for h in range(1, 7)
+                  if kind is not LatticeKind.HEX or w % 2 == 0]
+        shapes += [(2, 3, 5, 4), (4, 1, 3, 10), (3, 5, 3, 2)]
+        for w, h, c_w, c_h in shapes:
+            if kind is LatticeKind.HEX and (w % 2 or (h * c_h) % 2):
+                continue
+            g, _ = build_torus(PeriodicPattern(kind, w, h), c_w, c_h)
+            assert g.adj == Graph(g.n, g.edges()).adj
+
+
+def test_torus_detectors_tile_the_domain():
+    for text in BEST:
+        p = parse_pattern(text)
+        for c_w, c_h in (_tile_counts(p, 8), _tile_counts(p, 12)):
+            _, s = build_torus(p, c_w, c_h)
+            assert len(s) == c_w * c_h * len(p.detectors)
+            assert s.mask() == _tiler(p.w, p.h, c_w, c_h)(
+                sum(1 << (y * p.w + x) for x, y in p.detectors))
+
+
+# The benchmark's grid searches, as (kind, max period, target).
+GRID_SEARCHES = (
+    ("hex", 2, "1/2"), ("tri", 3, "1/3"), ("king", 4, "5/16"), ("sq", 5, "2/5"),
+    ("king", 5, "3/11"), ("sq", 5, "7/16"), ("king", 5, "2/7"), ("hex", 6, "2/5"),
+)
+
+
+def test_pattern_search_outputs_are_pinned():
+    # the rendered results of the searches, then the masks of 300 seeded
+    # random descents on SQ 4x4 at 1/2 that skip every third walk candidate
+    parts = []
+    for kind, period, target in GRID_SEARCHES:
+        p = pattern_search(LatticeKind(kind.upper()), period, Fraction(target))
+        parts.append("None\n" if p is None else render_pattern(p))
+    walk, exhausted = _dominating_candidates(LatticeKind.SQ, 4, 4, 8, 10**6)
+    assert exhausted and len(walk) == 310
+    found = _random_descents(LatticeKind.SQ, 4, 4, 8, random.Random(5), 300,
+                             skip=set(walk[::3]))
+    assert len(found) == 34
+    parts += ["".join("#" if m >> c & 1 else "." for c in range(16)) + "\n" for m in found]
+    digest = hashlib.sha256("".join(parts).encode()).hexdigest()
+    assert digest[:16] == "8dc27db7ec87ec2c"
 
 
 def test_tiled_mask_matches_per_cell_tiling():

@@ -1,8 +1,9 @@
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
+from redld.graph import Graph
 from redld.satreduce import (
     SatInstance,
     assignment_to_detectors,
@@ -158,3 +159,29 @@ def test_decide_budget_reads_like_the_solver():
         with pytest.raises(BudgetExceededError):
             min_redld(build_reduction(phi).graph, budget)
     assert decide_via_redld(phi, SolveBudget(max_seconds=30)) == decide_via_redld(phi)
+
+
+def test_reduction_adjacency_matches_checked_build():
+    # the unchecked adjacency rows equal what the checked constructor makes
+    # of the same edges: the acceptance formulas, then 8-variable formulas
+    # at 4.3 clauses per variable, where literals recur across clauses
+    signs = [(s1, 2 * s2, 3 * s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
+    formulas = [SatInstance(3, tuple(chosen))
+                for m in range(4) for chosen in combinations_with_replacement(signs, m)]
+    rng = random.Random(20240817)
+
+    def random_formula(nv, m):
+        clauses = []
+        for _ in range(m):
+            vs = rng.sample(range(1, nv + 1), 3)
+            clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
+        return SatInstance(nv, tuple(clauses))
+
+    for _ in range(50):
+        nv = rng.randint(3, 5)
+        formulas.append(random_formula(nv, rng.randint(1, 6)))
+    formulas += [random_formula(8, 34) for _ in range(8)]
+    for phi in formulas:
+        g = build_reduction(phi).graph
+        checked = Graph(g.n, g.edges(), g.labels)
+        assert g.adj == checked.adj and g.labels == checked.labels

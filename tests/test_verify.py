@@ -277,8 +277,10 @@ def test_share_values():
     s = range(4)
     assert share(p, s, 0) == Fraction(1, 2) + Fraction(1, 3)
     assert share(p, s, 1) == Fraction(1, 2) + Fraction(1, 3) + Fraction(1, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vertex 2 is undominated"):
         share(build_path(3), [0], 2)
+    with pytest.raises(ValueError, match="detector 9 out of range"):
+        share(p, [0, 9], 0)
 
 
 def test_share_accounting():
