@@ -1,10 +1,10 @@
 """Build script: compiles the C kernel at install time when it can.
 
 The package works without it (the pure-Python backend is selected at import
-time), and an installed package with its C source but no library builds the
-library on first import instead, so a failed compile here only warns.  The
-compile command lives in `src/redld/_kernels/_build.py`, loaded from its file
-so that the build does not import redld.
+time), and an installed package with its C source but no built extension
+module builds it on first import instead, so a failed compile here only
+warns.  The compile command lives in `src/redld/_kernels/_build.py`, loaded
+from its file so that the build does not import redld.
 """
 
 import importlib.util

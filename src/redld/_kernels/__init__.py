@@ -1,7 +1,7 @@
 """Kernel backend selection: compiled extension when available, else pure Python.
 
-Set REDLD_BACKEND=py or REDLD_BACKEND=c to force a backend; forcing "c" raises
-if the extension was not built.
+Set REDLD_BACKEND=py or REDLD_BACKEND=c to force a backend; forcing "c" raises,
+naming the cause, if the extension cannot be built or loaded.
 """
 
 import os
@@ -18,9 +18,10 @@ if _choice == "py":
 else:
     try:
         from . import _ckern as _impl  # type: ignore[attr-defined]
-    except ImportError:
+    except ImportError as exc:
         if _choice == "c":
-            raise RuntimeError("REDLD_BACKEND=c but the compiled kernel is not built")
+            raise RuntimeError(f"REDLD_BACKEND=c but the compiled kernel is not available: "
+                               f"{exc}") from exc
         _impl = _py
 
 BACKEND = _impl.BACKEND

@@ -277,7 +277,7 @@ def bnb(ctx: Ctx, mode: int, forced_in: int, forced_out: int, cap: int,
         if node_budget and nodes > node_budget:
             stop = 2
             return
-        if deadline and nodes % 1024 == 0 and time.monotonic() > deadline:
+        if deadline and time.monotonic() >= deadline:
             stop = 2
             return
         pool = full & ~out_m

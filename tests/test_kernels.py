@@ -305,8 +305,11 @@ def test_backends_reject_the_same_bad_input(kern):
     with pytest.raises(ValueError, match="differ in length"):
         kern.pairs_scan(ctx, [0], [], [])
     # a negative mask, or one with a bit at n or above, names no vertex; every
-    # scan candidate is checked, even one after a mask that passes
-    for mask in (-1, 1 << 3, 1 << 70, 0b111 | 1 << 64):
+    # scan candidate is checked, even one after a mask that passes; a mask
+    # that is not an int is a TypeError
+    for mask, error, match in [(m, IndexError, "mask names a vertex out of range")
+                               for m in (-1, -(1 << 70), 1 << 3, 1 << 70, 0b111 | 1 << 64)] + \
+            [(m, TypeError, None) for m in (1.0, None, "1")]:
         for check in (
             lambda: kern.is_ld(ctx, mask),
             lambda: kern.is_redld(ctx, mask),
@@ -315,8 +318,11 @@ def test_backends_reject_the_same_bad_input(kern):
             lambda: kern.pairs_scan(ctx, [0], [1], [mask]),
             lambda: kern.pairs_scan(ctx, [0], [1], [0b111, mask]),
         ):
-            with pytest.raises(IndexError, match="mask names a vertex out of range"):
+            with pytest.raises(error, match=match):
                 check()
+        for forced_in, forced_out in ((mask, 0), (0, mask)):
+            with pytest.raises(error):
+                kern.bnb(ctx, K.MODE_REDLD, forced_in, forced_out, 3, 0, 0, 0.0)
 
 
 def test_pairs_ok_checks_domination_too():
@@ -349,28 +355,70 @@ def test_backends_agree_beyond_512_vertices():
         assert got_py[0] == 2
 
 
+# what the build tests compile: they test naming and clean-up, not the kernel
+TINY_SOURCE = "#include <Python.h>\nint rlk_tiny(void) { return 0; }\n"
+
+
 @needs_c
 def test_build_deletes_libraries_of_other_sources(tmp_path):
     source = tmp_path / "_ckern.c"
-    source.write_bytes(_build.SOURCE.read_bytes())
-    stale = tmp_path / "_ckern-0123abcd.so"
+    source.write_text(TINY_SOURCE)
+    stale = tmp_path / f"_ckern-0123abcd{_build.SUFFIX}"
     stale.write_bytes(b"old")
+    # another interpreter's build of this or another source is not stale
+    foreign = [tmp_path / "_ckern-0123abcd.cpython-399-x86_64-linux-gnu.so",
+               tmp_path / "_ckern-0123abcd.so"]
+    for path in foreign:
+        path.write_bytes(b"other interpreter")
     other = tmp_path / "other.so"
     other.write_bytes(b"kept")
     target = _build.build(source)
+    assert target.name.endswith(_build.SUFFIX)
     assert sorted(p.name for p in tmp_path.iterdir()) == \
-        sorted([source.name, target.name, other.name])
-    # no compile, no deletion: a library present for another source survives
+        sorted([source.name, target.name, other.name] + [p.name for p in foreign])
+    # no compile, no deletion: a module present for another source survives
     stale.write_bytes(b"old")
     assert _build.build(source) == target
     assert stale.exists()
+
+
+@needs_c
+def test_builds_for_two_interpreters_coexist(tmp_path, monkeypatch):
+    # two interpreter versions running from one checkout: each builds and
+    # keeps its own module, and a rebuild for one leaves the other's alone
+    source = tmp_path / "_ckern.c"
+    source.write_text(TINY_SOURCE)
+    suffix = _build.SUFFIX
+    mine = _build.build(source)
+    monkeypatch.setattr(_build, "SUFFIX", ".cpython-399-x86_64-linux-gnu.so")
+    theirs = _build.build(source)
+    assert theirs.name == mine.name.removesuffix(suffix) + _build.SUFFIX
+    assert mine.is_file() and theirs.is_file()
+    source.write_text(TINY_SOURCE + "\n")  # a new source
+    theirs_new = _build.build(source)
+    assert not theirs.exists() and mine.is_file() and theirs_new.is_file()
+    monkeypatch.undo()
+    mine_new = _build.build(source)
+    assert not mine.exists() and theirs_new.is_file() and mine_new.is_file()
+
+
+def test_build_names_a_missing_python_header(tmp_path, monkeypatch):
+    import sysconfig
+
+    paths = {**sysconfig.get_paths(), "include": str(tmp_path), "platinclude": str(tmp_path)}
+    monkeypatch.setattr(sysconfig, "get_paths", lambda: paths)
+    source = tmp_path / "_ckern.c"
+    source.write_bytes(_build.SOURCE.read_bytes())
+    with pytest.raises(ImportError, match="Python.h is missing"):
+        _build.build(source)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [source.name]
 
 
 def test_failed_build_falls_back_to_python(tmp_path, monkeypatch):
     missing_cc = str(tmp_path / "no-such-cc")
     with pytest.raises(ImportError):
         _build.build(cc=missing_cc, directory=tmp_path)
-    assert list(tmp_path.iterdir()) == []  # no partly written library is left
+    assert list(tmp_path.iterdir()) == []  # no partly written module is left
 
     # re-run backend selection with every build failing that way
     real_build = _build.build
@@ -384,8 +432,9 @@ def test_failed_build_falls_back_to_python(tmp_path, monkeypatch):
     del sys.modules["redld._kernels"]
     sys.modules.pop("redld._kernels._ckern", None)
     monkeypatch.setenv("REDLD_BACKEND", "c")
-    with pytest.raises(RuntimeError, match="REDLD_BACKEND=c"):
+    with pytest.raises(RuntimeError, match="REDLD_BACKEND=c.*no-such-cc") as raised:
         importlib.import_module("redld._kernels")
+    assert isinstance(raised.value.__cause__, ImportError)
 
 
 # The C search re-checks at each node only what the branch into it changed
