@@ -30,9 +30,10 @@ def build(source: Path = SOURCE, directory: Path | None = None, cc: str | None =
     The compiler writes a temporary file in the target directory, which is
     then renamed into place, so concurrent builds never expose a partly
     written module.  After a compile, the modules of other sources with the
-    same suffix in that directory are deleted; those of other interpreters
-    are left alone.  Any failure to build, a missing `Python.h` included,
-    raises ImportError.
+    same suffix in that directory are deleted, and so are the untagged
+    `_ckern-<sha256>.so` libraries that earlier versions loaded through
+    ctypes; the modules of other interpreters are left alone.  Any failure
+    to build, a missing `Python.h` included, raises ImportError.
     """
     try:
         digest = hashlib.sha256(source.read_bytes()).hexdigest()
@@ -45,14 +46,18 @@ def build(source: Path = SOURCE, directory: Path | None = None, cc: str | None =
     return target
 
 
+# the ctypes libraries of earlier versions: no interpreter tag in the name
+UNTAGGED = "_ckern-" + "[0-9a-f]" * 64 + ".so"
+
+
 def _remove_stale(target: Path) -> None:
     # a process that still has an old module loaded keeps its mapping
-    for old in target.parent.glob(f"_ckern-*{SUFFIX}"):
-        if old != target:
-            try:
-                old.unlink()
-            except OSError:
-                pass  # best effort: a stale module costs only disk space
+    stale = {*target.parent.glob(f"_ckern-*{SUFFIX}"), *target.parent.glob(UNTAGGED)}
+    for old in stale - {target}:
+        try:
+            old.unlink()
+        except OSError:
+            pass  # best effort: a stale module costs only disk space
 
 
 def _compile(source: Path, target: Path, cc: str | None) -> None:

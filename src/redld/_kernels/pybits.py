@@ -235,7 +235,10 @@ def dom_candidates(n_cells: int, touch, count: int,
                 if val:
                     cnt[v] -= m
 
-    dfs(0, 0, 0)
+    try:
+        dfs(0, 0, 0)
+    finally:
+        del dfs  # it closes over itself: break that cycle, so its cells go now
     return out, exhausted
 
 
@@ -346,7 +349,10 @@ def bnb(ctx: Ctx, mode: int, forced_in: int, forced_out: int, cap: int,
             return
         dfs(in_m, out_m | (1 << b))
 
-    dfs(forced_in, forced_out)
+    try:
+        dfs(forced_in, forced_out)
+    finally:
+        del dfs  # as in dom_candidates
     if stop == 2:
         return 2, (best if best <= cap else -1), best_mask, nodes
     if best <= cap:

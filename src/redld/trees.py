@@ -92,7 +92,12 @@ def _tmax_level(n: int) -> dict[str, Adjacency]:
         return {_code(_P2): _P2}
     grown: dict[str, Adjacency] = {}
     for adj in _tmax_level(n - 1).values():
+        # attach points an automorphism swaps grow the same tree; the least
+        # of each orbit comes first, so only it is grown
+        orbit = _orbits(adj)
         for u in _attach_points(adj):
+            if orbit[u] != u:
+                continue
             adj2 = adj[:u] + (adj[u] + (n - 1,),) + adj[u + 1:] + ((u,),)
             grown.setdefault(_code(adj2), adj2)
     return grown
@@ -109,18 +114,23 @@ def enumerate_tmax(n: int) -> list[str]:
 # Canonical forms.
 
 
-def _code(adj: Adjacency, colored: Optional[frozenset[int]] = None) -> str:
-    """Canonical string of the tree with adjacency adj, which is not checked.
+def _peel(adj: Adjacency, colored: Optional[frozenset[int]] = None
+          ) -> tuple[list[str], list[int], list[int]]:
+    """Rooted codes of a tree's vertices, its peeled vertices in peel order,
+    and its one or two centers.
 
-    Leaves are peeled layer by layer down to the one or two centers; a
-    vertex's rooted code is built when it is peeled, from its neighbors
-    peeled before it (its children). No two leaves of a tree on more than
-    two vertices are adjacent, so no layer holds a vertex and its parent.
+    Leaves are peeled layer by layer down to the centers; a vertex's rooted
+    code is built when it is peeled, from its neighbors peeled before it
+    (its children). No two leaves of a tree on more than two vertices are
+    adjacent, so no layer holds a vertex and its parent, the one neighbor
+    peeled after it or left as a center. A center's code covers its own
+    half, as the other center is not its child.
     """
     n = len(adj)
     deg = [len(nbrs) for nbrs in adj]
     peeled = [False] * n
     codes = [""] * n
+    order: list[int] = []
 
     def rooted(v: int) -> str:
         kids = sorted(codes[w] for w in adj[v] if peeled[w])
@@ -139,10 +149,46 @@ def _code(adj: Adjacency, colored: Optional[frozenset[int]] = None) -> str:
                     deg[w] -= 1
                     if deg[w] == 1:
                         nxt.append(w)
+        order += layer
         alive -= len(layer)
         layer = nxt
-    # the one or two centers; two are joined in sorted order
-    return "|".join(sorted(rooted(c) for c in range(n) if not peeled[c]))
+    centers = [c for c in range(n) if not peeled[c]]
+    for c in centers:
+        codes[c] = rooted(c)
+    return codes, order, centers
+
+
+def _code(adj: Adjacency, colored: Optional[frozenset[int]] = None) -> str:
+    """Canonical string of the tree with adjacency adj, which is not checked:
+    the rooted codes of its centers, two joined in sorted order."""
+    codes, _order, centers = _peel(adj, colored)
+    return "|".join(sorted(codes[c] for c in centers))
+
+
+def _orbits(adj: Adjacency, colored: Optional[frozenset[int]] = None) -> list[int]:
+    """The least vertex of each vertex's orbit under the automorphisms of the
+    tree (those keeping colored, when given).
+
+    Every automorphism fixes the center, or keeps or swaps the two centers,
+    so two vertices share an orbit exactly when the rooted codes along their
+    paths to a center are equal; two centers share one exactly when their
+    halves have equal codes. A vertex's path is numbered by its own code and
+    its parent's path number, centers first.
+    """
+    codes, order, centers = _peel(adj, colored)
+    n = len(adj)
+    path = [-1] * n
+    ids: dict[tuple[int, str], int] = {}
+    for c in centers:
+        path[c] = ids.setdefault((-1, codes[c]), len(ids))
+    # parents are peeled after their children, so this numbers each vertex
+    # before its children, which are its neighbors not numbered yet
+    for v in centers + order[::-1]:
+        for w in adj[v]:
+            if path[w] < 0:
+                path[w] = ids.setdefault((path[v], codes[w]), len(ids))
+    least: dict[int, int] = {}
+    return [least.setdefault(path[v], v) for v in range(n)]
 
 
 def canonical_code(g: Graph, detectors: Optional[Iterable[int]] = None) -> str:
@@ -415,18 +461,39 @@ _TMIN_BASE: dict[int, tuple[tuple[Adjacency, frozenset[int]], ...]] = {
 
 
 @lru_cache(maxsize=None)
+def _tmin_parts(m: int) -> tuple[tuple[tuple[Adjacency, frozenset[int]],
+                                       tuple[int, ...], tuple[int, ...]], ...]:
+    # the pairs on m vertices in level order, each with the least vertex of
+    # every orbit of its colored automorphisms, and those of them in its set:
+    # a join at another vertex of an orbit repeats the join at its least one
+    parts = []
+    for adj, s in _tmin_level(m).values():
+        orbit = _orbits(adj, s)
+        firsts = tuple(v for v in range(m) if orbit[v] == v)
+        parts.append(((adj, s), firsts, tuple(v for v in firsts if v in s)))
+    return tuple(parts)
+
+
+@lru_cache(maxsize=None)
 def _tmin_level(m: int) -> dict[str, tuple[Adjacency, frozenset[int]]]:
     # {colored code: (adjacency, optimal set)} of the pairs on m vertices,
-    # built from the lower orders that the rules for m mod 3 combine
+    # built from the lower orders that the rules for m mod 3 combine.
+    # product() walks attach tuples in lexicographic order, so a join skipped
+    # at a vertex that is not the least of its orbit repeats the join at the
+    # least one, made before it, and setdefault would have dropped it; so
+    # does a join of parts (P_j, P_i), j > i, of one order, which repeats
+    # the earlier (P_i, P_j). The level is the same without them.
     level: dict[str, tuple[Adjacency, frozenset[int]]] = {}
 
     def add(adj: Adjacency, s: frozenset[int]) -> None:
         level.setdefault(_code(adj, s), (adj, s))
 
     def join_at_detectors(n1: int, n2: int) -> None:
-        for parts in product(_tmin_level(n1).values(), _tmin_level(n2).values()):
-            for attach in product(*(sorted(s) for _adj, s in parts)):
-                add(*_join(parts, attach))
+        second = _tmin_parts(n2)
+        for i, (p1, _f1, d1) in enumerate(_tmin_parts(n1)):
+            for p2, _f2, d2 in second[i if n1 == n2 else 0:]:
+                for attach in product(d1, d2):
+                    add(*_join((p1, p2), attach))
 
     for adj, s in _TMIN_BASE.get(m, ()):
         add(adj, s)
@@ -455,9 +522,9 @@ def _tmin_level(m: int) -> dict[str, tuple[Adjacency, frozenset[int]]]:
                 n3 = m - 1 - n1 - n2
                 if n3 < n2 or n3 % 3 != 2:
                     continue
-                for parts in product(_tmin_level(n1).values(), _tmin_level(n2).values(),
-                                     _tmin_level(n3).values()):
-                    for attach in product(*(range(len(adj)) for adj, _s in parts)):
+                for triple in product(_tmin_parts(n1), _tmin_parts(n2), _tmin_parts(n3)):
+                    parts = [pair for pair, _f, _d in triple]
+                    for attach in product(*(f for _p, f, _d in triple)):
                         inside = sum(x in s for (_adj, s), x in zip(parts, attach))
                         if inside >= 2:
                             add(*_join(parts, attach))

@@ -382,6 +382,20 @@ def test_build_deletes_libraries_of_other_sources(tmp_path):
     assert stale.exists()
 
 
+def test_stale_builds_include_untagged_ctypes_libraries(tmp_path):
+    # no compile: the clean-up after one, on files that only look like builds
+    digest = "0123456789abcdef" * 4
+    target = tmp_path / f"_ckern-{digest}{_build.SUFFIX}"
+    stale = [tmp_path / f"_ckern-{'f' * 64}{_build.SUFFIX}", tmp_path / f"_ckern-{digest}.so"]
+    kept = [tmp_path / f"_ckern-{digest}.cpython-399-x86_64-linux-gnu.so",
+            tmp_path / f"_ckern-{'A' * 64}.so", tmp_path / f"_ckern-{digest}0.so",
+            tmp_path / "_ckern-0123abcd.so", tmp_path / "_ckern.c", tmp_path / "other.so"]
+    for path in [target, *stale, *kept]:
+        path.write_bytes(b"")
+    _build._remove_stale(target)
+    assert sorted(tmp_path.iterdir()) == sorted([target, *kept])
+
+
 @needs_c
 def test_builds_for_two_interpreters_coexist(tmp_path, monkeypatch):
     # two interpreter versions running from one checkout: each builds and

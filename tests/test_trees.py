@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from redld import trees
 from redld.graph import Graph, build_path
-from redld.solver import min_redld
+from redld.solver import brute_force_min_redld, min_redld
 from redld.trees import (
     canonical_code,
     classify_tmin,
@@ -96,13 +96,13 @@ def test_enumerate_counts():
 
 
 def test_enumerations_match_filtered_search():
-    # the grown families coincide with filtering every tree through the deciders
-    for n in range(2, 10):
-        want_min = {canonical_code(g) for g in all_trees(n)
-                    if min_redld(g).optimum == tree_lower_bound(n)}
-        assert set(enumerate_tmin(n)) == want_min
-        want_max = {canonical_code(g) for g in all_trees(n) if is_tmax(g)}
-        assert set(enumerate_tmax(n)) == want_max
+    # the grown families coincide with filtering every tree by its optimum,
+    # from the brute-force solver, which knows nothing of the family rules
+    for n in range(2, 12):
+        optima = {canonical_code(g): brute_force_min_redld(g).optimum for g in all_trees(n)}
+        assert set(enumerate_tmin(n)) == {c for c, opt in optima.items()
+                                          if opt == tree_lower_bound(n)}
+        assert set(enumerate_tmax(n)) == {c for c, opt in optima.items() if opt == n}
 
 
 def test_enumeration_outputs_are_pinned():
@@ -123,6 +123,7 @@ def test_an_order_builds_only_the_orders_it_reads():
     # order 14 joins two class-2 orders summing to 13: 2 + 11 and 5 + 8,
     # and those in turn read only class-2 orders
     trees._tmin_level.cache_clear()
+    trees._tmin_parts.cache_clear()
     enumerate_tmin(14)
     assert trees._tmin_level.cache_info().currsize == 5
     for m in (2, 5, 8, 11, 14):
@@ -133,6 +134,21 @@ def test_an_order_builds_only_the_orders_it_reads():
     misses = trees._tmax_level.cache_info().misses
     enumerate_tmax(10)
     assert trees._tmax_level.cache_info().misses == misses + 1
+
+
+def test_each_orbit_is_tried_once(monkeypatch):
+    # the canonical codes made for orders 2..14: one per candidate tried and
+    # one per minimum-family pair in enumerate_tmin; 5,325 when every vertex
+    # of every part was tried
+    calls = []
+    code = trees._code
+    monkeypatch.setattr(trees, "_code", lambda *args: calls.append(1) or code(*args))
+    for cached in (trees._tmin_level, trees._tmin_parts, trees._tmax_level):
+        cached.cache_clear()
+    for n in range(2, 15):
+        enumerate_tmin(n)
+        enumerate_tmax(n)
+    assert len(calls) == 2676
 
 
 def test_tmin_representatives():
@@ -174,6 +190,34 @@ def test_tmax_helpers_reject_outsiders():
         tmax_extensions(p6)
     with pytest.raises(ValueError):
         tmax_removals(p6)
+
+
+def rooted_code(adj, root, colored=frozenset()):
+    # the code of the tree rooted at root, by plain recursion
+    def code(v, parent):
+        kids = sorted(code(w, v) for w in adj[v] if w != parent)
+        return ("*" if v in colored else "") + "(" + "".join(kids) + ")"
+    return code(root, -1)
+
+
+def assert_orbits_by_rooting(adj, colored=None):
+    # v and w share an orbit exactly when the trees rooted at them are
+    # isomorphic, as then an isomorphism between them maps v to w
+    codes = [rooted_code(adj, v, colored or frozenset()) for v in range(len(adj))]
+    least = [codes.index(c) for c in codes]
+    assert trees._orbits(adj, colored) == least
+
+
+def test_orbits_match_rooted_codes():
+    for n in range(1, 11):
+        for g in all_trees(n):
+            assert_orbits_by_rooting(g.adj)
+
+
+def test_colored_orbits_match_rooted_codes():
+    for n in range(2, 13):
+        for g, s in tmin_representatives(n):
+            assert_orbits_by_rooting(g.adj, frozenset(s))
 
 
 def test_canonical_code_isomorphism_invariance():
