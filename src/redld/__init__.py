@@ -57,7 +57,6 @@ from .solver import (
     min_ld,
     min_redld,
     redld_exists,
-    upper_bound_redld,
 )
 from .trees import (
     TminClass,

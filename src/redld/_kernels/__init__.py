@@ -31,7 +31,6 @@ is_ld = _impl.is_ld
 is_redld = _impl.is_redld
 is_redld_def = _impl.is_redld_def
 brute_force_min = _impl.brute_force_min
-pairs_ok = _impl.pairs_ok
 pairs_scan = _impl.pairs_scan
 bnb = _impl.bnb
 dom_candidates = _impl.dom_candidates

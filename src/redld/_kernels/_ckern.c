@@ -2,9 +2,10 @@
  *
  * A hand-written CPython extension module (multi-phase init, METH_FASTCALL
  * functions, no Cython); _ckern.py builds it with _build.py, loads it and
- * re-exports it.  The kernel proper (every rlk_* entry point and what it
- * calls) knows nothing of Python; the binding at the end converts arguments,
- * checks them and raises the exceptions of pybits.py.
+ * re-exports its functions, which callers reach with no Python frame between.
+ * The kernel proper (every rlk_* entry point and what it calls) knows nothing
+ * of Python; the binding at the end converts the arguments, makes every check
+ * that pybits.py makes and raises the same exceptions.
  *
  * The decision order of the branch and bound
  * (propagation, pruning, bound, branch choice, IN branch first) is transcribed
@@ -639,11 +640,11 @@ static void dfs(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m, in
 /* Branch and bound over sets S with forced_in <= S <= ~forced_out, with the
  * contract of pybits.bnb.  Returns the status (0 complete, 1 no valid set of
  * size <= cap, 2 budget exhausted) and writes the value, the witness (W
- * words) and the node count.  `timeout` is the number of seconds from now
- * after which the search stops, checked at every node; a negative timeout
- * sets no time limit. */
+ * words) and the node count.  `time_budget` is the number of seconds from
+ * now after which the search stops, checked at every node: 0 sets no time
+ * limit, and a negative budget stops the search at its first node. */
 static int rlk_bnb(const rlk_ctx *c, int mode, const u64 *forced_in, const u64 *forced_out,
-                   int cap, int stop_at, long long node_budget, double timeout, int *value,
+                   int cap, int stop_at, long long node_budget, double time_budget, int *value,
                    u64 *witness, long long *nodes)
 {
     int W = c->W;
@@ -656,8 +657,8 @@ static int rlk_bnb(const rlk_ctx *c, int mode, const u64 *forced_in, const u64 *
     bnb_state st = {.c = c, .mode = mode, .cap = cap, .stop_at = stop_at, .best = cap + 1,
                     .node_budget = node_budget};
     st.cover = mode == MODE_REDLD ? c->maxdeg + 1 : (c->maxdeg > 1 ? c->maxdeg : 1);
-    if (timeout >= 0)
-        st.deadline = monotime() + timeout;
+    if (time_budget != 0)
+        st.deadline = monotime() + time_budget;
     /* depth <= n: every level decides one more vertex */
     st.frames = malloc(((size_t)c->n + 1) * FRAME_ROWS * W * sizeof(u64));
     st.scratch = scratch_new(c);
@@ -679,12 +680,15 @@ static int rlk_bnb(const rlk_ctx *c, int mode, const u64 *forced_in, const u64 *
 /* ---- CPython binding ---------------------------------------------------- *
  *
  * Every function takes positional arguments only (METH_FASTCALL) and checks
- * each one before the kernel reads it, so that no input crashes the process:
- * a context that is not a Ctx or a mask that is not an int raises TypeError,
- * and a mask that is negative or names a vertex at n or above raises
- * IndexError, as in pybits.py.  The searches (brute_force_min, pairs_scan,
- * dom_candidates, bnb) release the GIL while the kernel runs, on buffers that
- * were filled before and belong to the call. */
+ * each one before the kernel reads it, so that no input crashes the process
+ * and bad input raises what pybits.py raises: a context that is not a Ctx or
+ * a mask that is not an int raises TypeError; a mask that is negative or
+ * names a vertex at n or above (a predicate's, a scan candidate, a forced
+ * set of bnb) raises IndexError; an unknown mode, pair lists of two lengths,
+ * a negative count or no cell for dom_candidates raise ValueError.  The
+ * searches (brute_force_min, pairs_scan, dom_candidates, bnb) release the GIL
+ * while the kernel runs, on buffers that were filled before and belong to the
+ * call. */
 
 typedef struct {
     PyObject_HEAD
@@ -1124,8 +1128,13 @@ static PyObject *py_dom_candidates(PyObject *mod, PyObject *const *args, Py_ssiz
         return NULL;
     long count;
     long long node_budget = PyLong_AsLongLong(args[2]);
-    if ((node_budget == -1 && PyErr_Occurred()) || int_arg(args[1], 0, INT_MAX, &count) < 0)
+    if ((node_budget == -1 && PyErr_Occurred()) ||
+        int_arg(args[1], LONG_MIN, INT_MAX, &count) < 0)
         return NULL;
+    if (count < 0) {
+        PyErr_SetString(PyExc_ValueError, "count must be non-negative");
+        return NULL;
+    }
     PyObject *cells = PySequence_Tuple(args[0]);
     if (!cells)
         return NULL;
@@ -1178,10 +1187,9 @@ done:
     return result;
 }
 
-PyDoc_STRVAR(bnb_doc, "bnb(ctx, mode, forced_in, forced_out, cap, stop_at, node_budget, timeout)\n"
-             "-> (status, value, witness, nodes)\n\n"
-             "pybits.bnb, with the time limit given as the seconds left (negative: none)\n"
-             "in place of a deadline.");
+PyDoc_STRVAR(bnb_doc, "bnb(ctx, mode, forced_in, forced_out, cap, stop_at, node_budget,\n"
+             "    time_budget) -> (status, value, witness, nodes)\n\n"
+             "Branch and bound with the contract of pybits.bnb.");
 
 static PyObject *py_bnb(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1199,8 +1207,8 @@ static PyObject *py_bnb(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
     long long node_budget = PyLong_AsLongLong(args[6]);
     if (node_budget == -1 && PyErr_Occurred())
         return NULL;
-    double timeout = PyFloat_AsDouble(args[7]);
-    if (timeout == -1.0 && PyErr_Occurred())
+    double time_budget = PyFloat_AsDouble(args[7]);
+    if (time_budget == -1.0 && PyErr_Occurred())
         return NULL;
     u64 *buf = PyMem_Malloc(3 * (size_t)c->W * sizeof(u64));
     if (!buf)
@@ -1213,7 +1221,7 @@ static PyObject *py_bnb(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
     long long nodes;
     Py_BEGIN_ALLOW_THREADS
     status = rlk_bnb(c, mode, forced_in, forced_out, (int)cap, (int)stop_at, node_budget,
-                     timeout, &value, witness, &nodes);
+                     time_budget, &value, witness, &nodes);
     Py_END_ALLOW_THREADS
     if (status == RLK_NOMEM) {
         PyErr_NoMemory();

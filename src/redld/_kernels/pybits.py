@@ -108,14 +108,8 @@ def _check_mode(mode: int, modes: tuple[int, ...]) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def _check_forced(n: int, forced_in: int, forced_out: int) -> None:
-    """The check of bnb's forced sets that both backends share."""
-    if forced_in < 0 or forced_out < 0 or (forced_in | forced_out) >> n:
-        raise IndexError("forced set names a vertex out of range")
-
-
 def _check_mask(n: int, s: int) -> None:
-    """The check of a predicate's mask that both backends share: one test
+    """The check of a mask argument that both backends share: one test
     catches both a negative mask and a bit at vertex n or above."""
     if s >> n:
         raise IndexError("mask names a vertex out of range")
@@ -139,65 +133,50 @@ def brute_force_min(ctx: Ctx, mode: int) -> tuple[int, int]:
     return -1, 0
 
 
-def _check_pairs(us, vs) -> None:
-    if len(us) != len(vs):
-        raise ValueError("us and vs differ in length")
-
-
-def pairs_ok(ctx: Ctx, s: int, us: list[int], vs: list[int]) -> bool:
-    """2-domination of every vertex plus the pair conditions on (us[i], vs[i])."""
-    _check_pairs(us, vs)
-    _check_mask(ctx.n, s)
-    out_pairs, in_pairs = [], []
-    for u, v in zip(us, vs):
-        if s >> u & 1:
-            u, v = v, u  # the out vertex first
-        if not s >> u & 1:  # two detectors have no condition
-            (in_pairs if s >> v & 1 else out_pairs).append((u, v))
-    return _two_dominated(ctx, s) and not _pairs_fail(ctx, s, 2, out_pairs, in_pairs)
-
-
 def pairs_scan(ctx: Ctx, us: list[int], vs: list[int], candidates) -> int:
-    """Index of the first candidate mask passing pairs_ok, or -1.
+    """Index of the first candidate mask that 2-dominates every vertex and
+    passes the pair conditions on every (us[i], vs[i]), or -1.
 
     Every candidate is range-checked before the scan starts, as the
     compiled backend packs them all before it scans.
     """
-    _check_pairs(us, vs)
+    if len(us) != len(vs):
+        raise ValueError("us and vs differ in length")
     candidates = list(candidates)
-    for mask in candidates:
-        _check_mask(ctx.n, mask)
-    for i, mask in enumerate(candidates):
-        if pairs_ok(ctx, mask, us, vs):
+    for s in candidates:
+        _check_mask(ctx.n, s)
+    for i, s in enumerate(candidates):
+        out_pairs, in_pairs = [], []
+        for u, v in zip(us, vs):
+            if s >> u & 1:
+                u, v = v, u  # the out vertex first
+            if not s >> u & 1:  # two detectors have no condition
+                (in_pairs if s >> v & 1 else out_pairs).append((u, v))
+        if _two_dominated(ctx, s) and not _pairs_fail(ctx, s, 2, out_pairs, in_pairs):
             return i
     return -1
 
 
-def _check_walk(n_cells: int, touch, count: int) -> None:
-    """The argument checks of dom_candidates that both backends share."""
-    if n_cells < 1 or len(touch) != n_cells:
-        raise ValueError("touch needs one list per cell and at least one cell")
-    if count < 0:
-        raise ValueError("count must be non-negative")
-
-
-def dom_candidates(n_cells: int, touch, count: int,
-                   node_budget: int) -> tuple[list[int], bool]:
-    """Masks of the exactly-count subsets of cells 0 .. n_cells - 1, cell 0
-    among them, that leave every constraint able to reach 2.
+def dom_candidates(touch, count: int, node_budget: int) -> tuple[list[int], bool]:
+    """Masks of the exactly-count subsets of the cells 0 .. len(touch) - 1,
+    cell 0 among them, that leave every constraint able to reach 2.
 
     Cell c adds m to constraint v for each (v, m) in touch[c]; a constraint
     fails once its chosen plus undecided total drops below 2.  The walk is
     depth first and decides cell i at depth i, IN before OUT (cell 0 only
     IN).  Returns (masks, True) when it exhausted the cells, or (the masks
     found so far, False) once it has spent node_budget nodes.  Raises
-    IndexError for a negative constraint index.
+    ValueError for a negative count or no cell, and IndexError for a
+    negative constraint index.
     """
-    _check_walk(n_cells, touch, count)
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    if not touch:
+        raise ValueError("touch needs one list per cell and at least one cell")
     ids = [v for items in touch for v, _m in items]
     if min(ids, default=0) < 0:
         raise IndexError("vertex out of range")
-    n = n_cells
+    n = len(touch)
     cnt = [0] * (max(ids, default=-1) + 1)
     open_ = list(cnt)
     for items in touch:
@@ -243,7 +222,7 @@ def dom_candidates(n_cells: int, touch, count: int,
 
 
 def bnb(ctx: Ctx, mode: int, forced_in: int, forced_out: int, cap: int,
-        stop_at: int, node_budget: int, deadline: float) -> tuple[int, int, int, int]:
+        stop_at: int, node_budget: int, time_budget: float) -> tuple[int, int, int, int]:
     """Depth-first branch and bound over sets S with forced_in <= S <= ~forced_out.
 
     Returns (status, value, witness_mask, nodes).
@@ -254,11 +233,17 @@ def bnb(ctx: Ctx, mode: int, forced_in: int, forced_out: int, cap: int,
       status 2: node or time budget exhausted; value is the best size found
                 so far (-1 if none) and is only an upper bound.
 
+    The search stops after node_budget nodes, or once time_budget seconds
+    from the call have passed (the clock is read at every node); 0 sets no
+    limit for either, and a negative time_budget stops at the first node.
+
     Branch vertex: highest degree among undecided, ties to the smallest index;
     the IN branch is explored first.
     """
     _check_mode(mode, (MODE_LD, MODE_REDLD))
-    _check_forced(ctx.n, forced_in, forced_out)
+    _check_mask(ctx.n, forced_in)
+    _check_mask(ctx.n, forced_out)
+    deadline = time.monotonic() + time_budget if time_budget else 0.0
     n = ctx.n
     full = ctx.full
     open_ = ctx.open_

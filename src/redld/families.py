@@ -126,22 +126,17 @@ def kary_order(k: int, d: int) -> int:
     return (k ** (d + 1) - 1) // (k - 1)
 
 
-def redld_kary(k: int, d: int, with_construction: Optional[bool] = None) -> FamilyValue:
+def redld_kary(k: int, d: int) -> FamilyValue:
     """Optimum for the complete k-ary tree of depth d.
 
     The witness takes every vertex whose depth is congruent to d or d-1
     mod 3; when d is a multiple of 3 the root is swapped for two of its
-    children.  With ``with_construction=None`` the graph and witness are
-    built only when the tree has at most a few thousand vertices.
+    children.  The graph and witness are built only when the tree has at
+    most a few thousand vertices.
     """
     opt = kary_value(k, d)
-    n = kary_order(k, d)
-    if with_construction is None:
-        with_construction = n <= _KARY_BUILD_CAP
-    if not with_construction:
+    if kary_order(k, d) > _KARY_BUILD_CAP:
         return FamilyValue("kary", (k, d), opt)
-    if n > _KARY_BUILD_CAP:
-        raise ValueError(f"tree on {n} vertices is past the materialization cap")
     g = build_kary_tree(k, d)
     blocks = kary_depth_blocks(k, d)
     keep = {d % 3, (d - 1) % 3}
@@ -157,11 +152,12 @@ def redld_kary(k: int, d: int, with_construction: Optional[bool] = None) -> Fami
     return FamilyValue("kary", (k, d), opt, g, s)
 
 
-def kary_table(ks=range(2, 8), ds=range(1, 11)) -> list[tuple[int, int, int, Fraction]]:
-    """(d, k, optimum, density) rows; density = optimum * (k-1) / k^(d+1)."""
+def kary_table() -> list[tuple[int, int, int, Fraction]]:
+    """(d, k, optimum, density) rows for k = 2..7 and d = 1..10;
+    density = optimum * (k-1) / k^(d+1)."""
     rows = []
-    for d in ds:
-        for k in ks:
+    for d in range(1, 11):
+        for k in range(2, 8):
             v = kary_value(k, d)
             rows.append((d, k, v, Fraction(v * (k - 1), k ** (d + 1))))
     return rows

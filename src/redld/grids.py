@@ -160,10 +160,10 @@ def share_histogram(pattern: PeriodicPattern) -> dict[Fraction, int]:
     return hist
 
 
-# The vertex pairs within distance 2, the pairs the kernel's pairs_ok and
-# pairs_scan take.  (pattern_search scans with is_redld, whose compiled form
+# The vertex pairs within distance 2, the pairs the kernel's pairs_scan
+# takes.  (pattern_search scans with is_redld, whose compiled form
 # tests the same pairs.)  Testing the pair conditions only on these pairs is
-# enough: pairs_ok first requires every vertex to be 2-dominated, and two
+# enough: pairs_scan first requires every vertex to be 2-dominated, and two
 # vertices u, v at distance 3 or more have disjoint open neighbourhoods and
 # are not adjacent.  If neither is a detector, each of N(u) & S and N(v) & S
 # has at least 2 detectors (u, v are not in S), so their symmetric
@@ -224,7 +224,7 @@ def _dominating_candidates(
     out of node budget.
     """
     _n_vertices, touch = _fold_constraints(kind, w, h)
-    return kern.dom_candidates(w * h, touch, count, node_budget)
+    return kern.dom_candidates(touch, count, node_budget)
 
 
 def _random_descents(

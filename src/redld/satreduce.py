@@ -25,8 +25,8 @@ from typing import Optional
 
 from . import _kernels as kern
 from .graph import Graph
-from .solver import BudgetExceededError, SolveBudget, _BudgetClock, _mask_to_vertices
-from .verify import DetectorSet
+from .solver import SolveBudget, _BudgetClock
+from .verify import DetectorSet, _members
 
 _GADGET_EDGES = [
     (0, 1), (2, 3), (4, 5), (6, 7),
@@ -186,17 +186,12 @@ def decide_via_redld(
 ) -> tuple[bool, Optional[dict[int, bool]]]:
     """Satisfiability via detector-set feasibility at cap K on the reduction."""
     art = build_reduction(phi)
-    clock = _BudgetClock(budget)
-    status, value, mask, nodes = kern.bnb(
-        art.graph.kernel_ctx(), kern.MODE_REDLD, art.forced.mask(), 0, art.k, art.k,
-        clock.node_arg(), clock.deadline)
-    clock.spend(nodes)
-    if status == 2:
-        raise BudgetExceededError(clock.used, None)
+    status, value, mask = _BudgetClock(budget).bnb(
+        art.graph.kernel_ctx(), kern.MODE_REDLD, art.forced.mask(), 0, art.k, art.k)
     if status == 1:
         return False, None
     assert value == art.k
-    return True, extract_assignment(art, DetectorSet(_mask_to_vertices(mask)))
+    return True, extract_assignment(art, DetectorSet(_members(mask)))
 
 
 def render_roles(art: ReductionArtifact) -> str:

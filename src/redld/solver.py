@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import _kernels as K
 from .graph import Graph
 from .trees import tree_lower_bound
-from .verify import DetectorSet, find_twins
+from .verify import DetectorSet, _members, find_twins
 
 
 @dataclass(frozen=True)
@@ -59,33 +59,33 @@ def forced_detectors(g: Graph) -> DetectorSet:
     return DetectorSet(forced)
 
 
-def _mask_to_vertices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return out
-
-
 class _BudgetClock:
+    """One solve's budget, spent across the kernel searches it makes."""
+
     def __init__(self, budget: SolveBudget | None):
         budget = budget or SolveBudget()
-        self.remaining = budget.max_nodes
+        self.nodes_left = budget.max_nodes
         self.deadline = time.monotonic() + budget.max_seconds if budget.max_seconds else 0.0
         self.used = 0
 
-    def node_arg(self) -> int:
-        if self.remaining is None:
-            return 0
-        if self.remaining <= 0:
+    def bnb(self, ctx, mode: int, forced_in: int, forced_out: int, cap: int,
+            stop_at: int) -> tuple[int, int, int]:
+        """The kernel's bnb within the nodes and seconds left; returns its
+        (status, value, witness_mask), status 0 or 1.  Raises
+        BudgetExceededError, with the nodes used so far, before the call
+        once either is spent, and after a call that the budget stopped."""
+        seconds_left = self.deadline - time.monotonic() if self.deadline else 0.0
+        if ((self.nodes_left is not None and self.nodes_left <= 0)
+                or (self.deadline and seconds_left <= 0)):  # 0 would mean no limit
             raise BudgetExceededError(self.used, None)
-        return self.remaining
-
-    def spend(self, nodes: int) -> None:
+        status, value, mask, nodes = K.bnb(ctx, mode, forced_in, forced_out, cap, stop_at,
+                                           self.nodes_left or 0, seconds_left)
         self.used += nodes
-        if self.remaining is not None:
-            self.remaining -= nodes
+        if self.nodes_left is not None:
+            self.nodes_left -= nodes
+        if status == 2:
+            raise BudgetExceededError(self.used, None)
+        return status, value, mask
 
 
 def _component_lower_bound(g: Graph, mode: int) -> int:
@@ -111,30 +111,21 @@ def _solve_mode(g: Graph, mode: int, budget: SolveBudget | None) -> SolveResult:
         if mode == K.MODE_REDLD:
             for v in forced_detectors(sub):
                 forced |= 1 << v
-        status, value, mask, nodes = K.bnb(
-            ctx, mode, forced, 0, sub.n, _component_lower_bound(sub, mode),
-            clock.node_arg(), clock.deadline)
-        clock.spend(nodes)
-        if status == 2:
-            raise BudgetExceededError(clock.used, None)
+        status, value, _ = clock.bnb(ctx, mode, forced, 0, sub.n,
+                                     _component_lower_bound(sub, mode))
         assert status == 0, "every graph admits S = V in both modes"
         opt = value
         in_m, out_m = forced, 0
         for i in range(sub.n):
             if in_m >> i & 1:
                 continue
-            status, _, _, nodes = K.bnb(
-                ctx, mode, in_m | (1 << i), out_m, opt, opt,
-                clock.node_arg(), clock.deadline)
-            clock.spend(nodes)
-            if status == 2:
-                raise BudgetExceededError(clock.used, None)
+            status, _, _ = clock.bnb(ctx, mode, in_m | (1 << i), out_m, opt, opt)
             if status == 0:
                 in_m |= 1 << i
             else:
                 out_m |= 1 << i
         assert in_m.bit_count() == opt
-        witness.extend(back[i] for i in _mask_to_vertices(in_m))
+        witness.extend(back[i] for i in _members(in_m))
         total += opt
     return SolveResult(total, DetectorSet(witness), False, clock.used)
 
@@ -156,7 +147,7 @@ def _brute_force(g: Graph, mode: int) -> SolveResult:
         return SolveResult(None, None, True, 0)
     size, mask = K.brute_force_min(g.kernel_ctx(), mode)
     assert size >= 0
-    return SolveResult(size, DetectorSet(_mask_to_vertices(mask)), False, 0)
+    return SolveResult(size, DetectorSet(_members(mask)), False, 0)
 
 
 def brute_force_min_redld(g: Graph) -> SolveResult:
@@ -168,21 +159,3 @@ def brute_force_min_ld(g: Graph) -> SolveResult:
     """Reference LD solver, same enumeration order."""
     return _brute_force(g, K.MODE_LD)
 
-
-def upper_bound_redld(g: Graph, budget: SolveBudget) -> tuple[int | None, DetectorSet | None, int]:
-    """Best RED:LD set found within the budget (no optimality claim).
-
-    Returns (size, witness, nodes); (None, None, nodes) when nothing was found.
-    """
-    if not redld_exists(g):
-        return None, None, 0
-    clock = _BudgetClock(budget)
-    ctx = g.kernel_ctx()
-    forced = sum(1 << v for v in forced_detectors(g))
-    status, value, mask, nodes = K.bnb(
-        ctx, K.MODE_REDLD, forced, 0, g.n, _component_lower_bound(g, K.MODE_REDLD),
-        clock.node_arg(), clock.deadline)
-    clock.spend(nodes)
-    if status == 0 or (status == 2 and value >= 0):
-        return value, DetectorSet(_mask_to_vertices(mask)), clock.used
-    return None, None, clock.used

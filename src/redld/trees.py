@@ -18,7 +18,7 @@ from itertools import combinations, product
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .graph import Graph, build_path
-from .verify import DetectorSet, _check_vertices, is_redld_set
+from .verify import DetectorSet, _mask, is_redld_set
 
 # A tree's adjacency as Graph.adj holds it: sorted neighbor tuples.
 Adjacency = tuple[tuple[int, ...], ...]
@@ -198,7 +198,7 @@ def canonical_code(g: Graph, detectors: Optional[Iterable[int]] = None) -> str:
         _require_tree(g)
     colored = frozenset(detectors) if detectors is not None else None
     if colored is not None:
-        _check_vertices(g, colored)
+        _mask(g, colored)
     return _code(g.adj, colored)
 
 

@@ -116,21 +116,17 @@ def _as_set(s: Iterable[int]) -> frozenset[int]:
     return s._set if isinstance(s, DetectorSet) else frozenset(s)
 
 
-def _check_vertices(g: Graph, s: Iterable[int]) -> None:
-    _mask(g, s)
-
-
 def domination_count(g: Graph, s: Iterable[int], v: int) -> int:
     """dom(v) = |N[v] ∩ S|."""
     ss = _as_set(s)
-    _check_vertices(g, ss)
+    _mask(g, ss)
     return sum(1 for w in g.closed_neighborhood(v) if w in ss)
 
 
 def distinguishing_degree(g: Graph, s: Iterable[int], u: int, v: int) -> int:
     """|((N(u) ∩ S) △ (N(v) ∩ S)) − {u, v}|: how well S tells u and v apart."""
     ss = _as_set(s)
-    _check_vertices(g, ss)
+    _mask(g, ss)
     tu = set(g.open_neighborhood(u)) & ss
     tv = set(g.open_neighborhood(v)) & ss
     return len((tu ^ tv) - {u, v})
@@ -234,7 +230,7 @@ def share(g: Graph, s: Iterable[int], x: int) -> Fraction:
     covering the whole graph, shares add up to n.
     """
     ss = _as_set(s)
-    _check_vertices(g, ss)
+    _mask(g, ss)
     total = Fraction(0)
     for w in g.closed_neighborhood(x):
         d = (w in ss) + sum(u in ss for u in g.adj[w])

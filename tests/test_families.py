@@ -124,8 +124,6 @@ def test_kary_materialization_cap():
     fv = redld_kary(7, 10)
     assert fv.optimum == 323772800
     assert fv.graph is None and fv.construction is None
-    with pytest.raises(ValueError):
-        redld_kary(7, 10, with_construction=True)
 
 
 def test_max_order_even_k():

@@ -181,7 +181,7 @@ def test_near_pairs_within_distance_2():
 
 
 def test_near_pair_scan_equals_full_check():
-    # pairs_ok on the distance-2 pairs gives the verdict of the full
+    # pairs_scan on the distance-2 pairs gives the verdict of the full
     # characterization on every candidate mask, passing and failing alike:
     # the counts of the searched densities and, for SQ, some denser ones
     verdicts = set()
@@ -199,7 +199,7 @@ def test_near_pair_scan_equals_full_check():
             assert exhausted
             for domain in masks:
                 mask = tile(domain)
-                verdict = kern.pairs_ok(ctx, mask, us, vs)
+                verdict = kern.pairs_scan(ctx, us, vs, [mask]) == 0
                 assert verdict == kern.is_redld(ctx, mask)
                 verdicts.add(verdict)
     assert verdicts == {True, False}

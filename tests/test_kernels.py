@@ -108,7 +108,7 @@ def test_pair_checks_agree():
     vs = [v for _, v in pairs]
     masks = [rng.getrandbits(12) | 1 for _ in range(300)]
     for m in masks[:50]:
-        assert py.pairs_ok(cp, m, us, vs) == ck.pairs_ok(cc, m, us, vs)
+        assert py.pairs_scan(cp, us, vs, [m]) == ck.pairs_scan(cc, us, vs, [m])
     assert py.pairs_scan(cp, us, vs, masks) == ck.pairs_scan(cc, us, vs, masks)
 
 
@@ -195,8 +195,8 @@ def test_bnb_agrees_on_long_paths_and_cycles():
 @needs_c
 def test_predicates_agree_past_one_word():
     # Masks near valid sets: a minimal valid set of each mode, a valid
-    # superset of it, and both with one or two bits flipped.  All-pairs
-    # pairs_ok is RED:LD by the characterization, so it must equal is_redld.
+    # superset of it, and both with one or two bits flipped.  An all-pairs
+    # scan is RED:LD by the characterization, so it must equal is_redld.
     rng = random.Random(11)
     graphs = [adj for n in LONG_SIZES for adj in long_graphs(n)]
     graphs += [[list(nbrs) for nbrs in art.graph.adj] for art in reductions()]
@@ -221,8 +221,8 @@ def test_predicates_agree_past_one_word():
                 got = getattr(py, name)(cp, m)
                 assert got == getattr(ck, name)(cc, m), (n, name, m)
                 seen[name].add(got)
-            assert py.pairs_ok(cp, m, us, vs) == ck.pairs_ok(cc, m, us, vs) == \
-                py.is_redld(cp, m)
+            assert py.pairs_scan(cp, us, vs, [m]) == ck.pairs_scan(cc, us, vs, [m]) == \
+                (0 if py.is_redld(cp, m) else -1)
             pair_failures += py._two_dominated(cp, m) and not py.is_redld(cp, m)
     assert all(verdicts == {False, True} for verdicts in seen.values())
     assert pair_failures >= 10
@@ -247,8 +247,8 @@ def test_dom_candidates_agree():
             for target in targets:
                 count = w * h * target.numerator // target.denominator
                 for budget in (1, 37, 10_000):
-                    got = py.dom_candidates(w * h, touch, count, budget)
-                    assert got == ck.dom_candidates(w * h, touch, count, budget)
+                    got = py.dom_candidates(touch, count, budget)
+                    assert got == ck.dom_candidates(touch, count, budget)
                     kinds["found"] += bool(got[0])
                     kinds["exhausted" if got[1] else "prefix"] += bool(got[0])
     # candidates found, walks exhausted with candidates, budget-cut prefixes
@@ -265,8 +265,8 @@ def test_dom_candidates_agree_beyond_64_cells():
     high = low = 0
     for kind, count in cases:
         _n, touch = _fold_constraints(kind, 9, 8)
-        got = py.dom_candidates(72, touch, count, 3000)
-        assert got == ck.dom_candidates(72, touch, count, 3000)
+        got = py.dom_candidates(touch, count, 3000)
+        assert got == ck.dom_candidates(touch, count, 3000)
         assert not got[1]
         high += sum(1 for m in got[0] if m >> 64)
         low += sum(1 for m in got[0] if not m >> 64)
@@ -277,13 +277,13 @@ def test_dom_candidates_agree_beyond_64_cells():
                          ids=["py", "c"])
 def test_dom_candidates_reject_bad_input(kern):
     touch = [[(0, 1), (1, 1)], [(1, 2)]]
-    assert kern.dom_candidates(2, touch, 1, 100) == ([], True)
-    with pytest.raises(ValueError, match="non-negative"):
-        kern.dom_candidates(2, touch, -1, 100)
+    assert kern.dom_candidates(touch, 1, 100) == ([], True)
+    with pytest.raises(ValueError, match="count must be non-negative"):
+        kern.dom_candidates(touch, -1, 100)
     with pytest.raises(ValueError, match="one list per cell"):
-        kern.dom_candidates(3, touch, 1, 100)
+        kern.dom_candidates([], 1, 100)
     with pytest.raises(IndexError):
-        kern.dom_candidates(2, [[(0, 1)], [(-1, 1)]], 1, 100)
+        kern.dom_candidates([[(0, 1)], [(-1, 1)]], 1, 100)
 
 
 @pytest.mark.parametrize("kern", [py, pytest.param(ck, marks=needs_c)],
@@ -301,8 +301,6 @@ def test_backends_reject_the_same_bad_input(kern):
         with pytest.raises(IndexError, match="out of range"):
             kern.bnb(ctx, K.MODE_REDLD, forced_in, forced_out, 3, 0, 0, 0.0)
     with pytest.raises(ValueError, match="differ in length"):
-        kern.pairs_ok(ctx, 0b111, [0, 1], [2])
-    with pytest.raises(ValueError, match="differ in length"):
         kern.pairs_scan(ctx, [0], [], [])
     # a negative mask, or one with a bit at n or above, names no vertex; every
     # scan candidate is checked, even one after a mask that passes; a mask
@@ -314,7 +312,6 @@ def test_backends_reject_the_same_bad_input(kern):
             lambda: kern.is_ld(ctx, mask),
             lambda: kern.is_redld(ctx, mask),
             lambda: kern.is_redld_def(ctx, mask),
-            lambda: kern.pairs_ok(ctx, mask, [0], [1]),
             lambda: kern.pairs_scan(ctx, [0], [1], [mask]),
             lambda: kern.pairs_scan(ctx, [0], [1], [0b111, mask]),
         ):
@@ -325,13 +322,13 @@ def test_backends_reject_the_same_bad_input(kern):
                 kern.bnb(ctx, K.MODE_REDLD, forced_in, forced_out, 3, 0, 0, 0.0)
 
 
-def test_pairs_ok_checks_domination_too():
+def test_pairs_scan_checks_domination_too():
     # a mask that distinguishes every pair but leaves a vertex under-dominated fails
     adj = [[1, 2], [0, 2], [0, 1, 3], [2]]
     ctx = py.make_ctx(adj)
     us, vs = [], []
-    assert not py.pairs_ok(ctx, 0b0111, us, vs)
-    assert py.pairs_ok(ctx, 0b1111, us, vs)
+    assert py.pairs_scan(ctx, us, vs, [0b0111]) == -1
+    assert py.pairs_scan(ctx, us, vs, [0b0111, 0b1111]) == 1
 
 
 @needs_c
@@ -348,7 +345,7 @@ def test_backends_agree_beyond_512_vertices():
     for m in masks:
         assert py.is_ld(cp, m) == ck.is_ld(cc, m)
         assert py.is_redld(cp, m) == ck.is_redld(cc, m)
-        assert py.pairs_ok(cp, m, us, vs) == ck.pairs_ok(cc, m, us, vs)
+        assert py.pairs_scan(cp, us, vs, [m]) == ck.pairs_scan(cc, us, vs, [m])
     for mode in (K.MODE_LD, K.MODE_REDLD):
         got_py = py.bnb(cp, mode, 0, 0, n, 0, 40, 0.0)
         assert got_py == ck.bnb(cc, mode, 0, 0, n, 0, 40, 0.0)

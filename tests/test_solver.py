@@ -1,19 +1,21 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
 
+from redld._kernels import MODE_REDLD
 from redld.graph import Graph, build_cycle, build_path, build_petersen
 from redld.solver import (
     BudgetExceededError,
     SolveBudget,
+    _BudgetClock,
     brute_force_min_ld,
     brute_force_min_redld,
     forced_detectors,
     min_ld,
     min_redld,
     redld_exists,
-    upper_bound_redld,
 )
 from redld.verify import is_ld_set, is_redld_set
 
@@ -142,17 +144,13 @@ def test_time_budget_raises():
     g = random_graph(40, 0.12, random.Random(28))
     with pytest.raises(BudgetExceededError):
         min_redld(g, SolveBudget(max_seconds=1e-4))
-
-
-def test_upper_bound_heuristic():
-    g = random_graph(14, 0.3, random.Random(29))
-    opt = min_redld(g).optimum
-    size, s, nodes = upper_bound_redld(g, SolveBudget(max_nodes=10_000_000))
-    assert size == opt and is_redld_set(g, s).ok
-    size, s, _ = upper_bound_redld(g, SolveBudget(max_nodes=1))
-    if size is not None:
-        assert size >= opt and is_redld_set(g, s).ok
-    assert upper_bound_redld(Graph(2, []), SolveBudget()) == (None, None, 0)
+    # a time budget already spent raises before the search, which would read
+    # the 0 seconds left as no limit
+    clock = _BudgetClock(SolveBudget(max_seconds=30.0))
+    clock.deadline = time.monotonic()
+    with pytest.raises(BudgetExceededError) as info:
+        clock.bnb(g.kernel_ctx(), MODE_REDLD, 0, 0, g.n, 0)
+    assert info.value.nodes == 0
 
 
 def test_brute_force_cap():
