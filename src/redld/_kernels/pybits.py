@@ -26,6 +26,9 @@ class Ctx:
 
     def __init__(self, adj):
         n = len(adj)
+        if n < 1:
+            raise ValueError("the kernel needs at least one vertex")
+        _check_vertices(n, (w for nbrs in adj for w in nbrs))
         self.n = n
         self.open_ = [sum(1 << w for w in nbrs) for nbrs in adj]
         self.closed = [self.open_[v] | (1 << v) for v in range(n)]
@@ -108,6 +111,12 @@ def _check_mode(mode: int, modes: tuple[int, ...]) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
+def _check_vertices(n: int, vertices) -> None:
+    """The check of vertex arguments that both backends share."""
+    if any(not 0 <= v < n for v in vertices):
+        raise IndexError("vertex out of range")
+
+
 def _check_mask(n: int, s: int) -> None:
     """The check of a mask argument that both backends share: one test
     catches both a negative mask and a bit at vertex n or above."""
@@ -137,14 +146,15 @@ def pairs_scan(ctx: Ctx, us: list[int], vs: list[int], candidates) -> int:
     """Index of the first candidate mask that 2-dominates every vertex and
     passes the pair conditions on every (us[i], vs[i]), or -1.
 
-    Every candidate is range-checked before the scan starts, as the
-    compiled backend packs them all before it scans.
+    Every candidate and then every pair vertex is range-checked before
+    the scan starts, as the compiled backend packs them all before it scans.
     """
     if len(us) != len(vs):
         raise ValueError("us and vs differ in length")
     candidates = list(candidates)
     for s in candidates:
         _check_mask(ctx.n, s)
+    _check_vertices(ctx.n, [*us, *vs])
     for i, s in enumerate(candidates):
         out_pairs, in_pairs = [], []
         for u, v in zip(us, vs):

@@ -103,7 +103,6 @@ class ReductionArtifact:
     instance: SatInstance
     graph: Graph
     k: int
-    roles: dict[int, str]
     forced: DetectorSet
     var_true: dict[int, int]
     var_false: dict[int, int]
@@ -120,7 +119,6 @@ def build_reduction(phi: SatInstance) -> ReductionArtifact:
     n, m = phi.n_vars, len(phi.clauses)
     rows: list[list[int]] = []
     labels: list[str] = []
-    roles: dict[int, str] = {}
     forced: list[int] = []
     var_true: dict[int, int] = {}
     var_false: dict[int, int] = {}
@@ -129,12 +127,6 @@ def build_reduction(phi: SatInstance) -> ReductionArtifact:
         rows.extend([base + off for off in row] for row in _GADGET_ROWS)
         labels.extend(f"{name}_{i + 1}" for name in _GADGET_NAMES)
         forced.extend(range(base, base + 8))
-        for off in range(8):
-            roles[base + off] = "F-internal-detector"
-        roles[base + OFF_X] = f"x_{i + 1}"
-        roles[base + OFF_XBAR] = f"xbar_{i + 1}"
-        roles[base + OFF_Y] = f"y_{i + 1}"
-        roles[base + OFF_Z] = f"z_{i + 1}"
         var_true[i + 1] = base + OFF_X
         var_false[i + 1] = base + OFF_XBAR
     clause_vertex: dict[int, int] = {}
@@ -150,14 +142,11 @@ def build_reduction(phi: SatInstance) -> ReductionArtifact:
             rows[v].append(cj)
         rows.extend([[d2], [d1, cj], [*lits, d2]])
         forced.extend([d1, d2])
-        roles[d1] = "H-internal-detector"
-        roles[d2] = "H-internal-detector"
-        roles[cj] = f"c_{j + 1}"
         clause_vertex[j + 1] = cj
     g = Graph._from_adj(tuple(map(tuple, rows)), tuple(labels))
     assert g.edge_count() == 13 * n + 5 * m
     return ReductionArtifact(
-        phi, g, 9 * n + 2 * m, roles, DetectorSet(forced), var_true, var_false, clause_vertex
+        phi, g, 9 * n + 2 * m, DetectorSet(forced), var_true, var_false, clause_vertex
     )
 
 
@@ -195,5 +184,14 @@ def decide_via_redld(
 
 
 def render_roles(art: ReductionArtifact) -> str:
-    """One "vertex role" line per vertex, the reduction's sidecar format."""
-    return "\n".join(f"{v} {art.roles[v]}" for v in range(art.graph.n)) + "\n"
+    """One "vertex role" line per vertex, the reduction's sidecar format:
+    a vertex's role is its label, except that a forced vertex is an
+    internal detector of a variable gadget (F) or of a clause (H)."""
+    gadgets = 12 * art.instance.n_vars
+
+    def role(v: int) -> str:
+        if v in art.forced:
+            return ("F" if v < gadgets else "H") + "-internal-detector"
+        return art.graph.labels[v]
+
+    return "\n".join(f"{v} {role(v)}" for v in range(art.graph.n)) + "\n"

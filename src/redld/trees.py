@@ -216,60 +216,58 @@ def _adj_dict(g: Graph) -> dict[int, set[int]]:
     return {v: set(g.adj[v]) for v in range(g.n)}
 
 
-def _drop(adj: dict[int, set[int]], x: int) -> None:
-    for nb in adj.pop(x):
-        adj[nb].discard(x)
+def _without(adj: dict[int, set[int]], gone: set[int]) -> dict[int, set[int]]:
+    # a copy of the forest adj with the vertices in gone deleted
+    return {v: nbrs - gone for v, nbrs in adj.items() if v not in gone}
 
 
-def _w_has_degree_2(adj: dict[int, set[int]], deg0: dict[int, int], w: int) -> bool:
-    return len(adj[w]) == 2 and deg0[w] == 2
-
-
-def _strip(adj: dict[int, set[int]], q: int, deg0: dict[int, int]):
+def _strip(adj: dict[int, set[int]], q: int):
     """Repeatedly remove (leaf u, its degree-2 neighbor v, v's other
-    neighbor w) triples while at least q vertices remain.
+    neighbor w) triples, least v first, while at least q vertices remain;
+    adj is left as the residual forest.
 
     w must have degree 2 both in the current forest and in the forest as
-    it was when deg0 was snapshotted: an intact degree-2 connector.  That
-    keeps the removed non-detectors pairwise non-adjacent and their
-    remaining neighbors un-strippable, so the accumulated witness stays
-    2-dominating.  (Testing only one of the two degrees makes classify_tmin
-    give wrong verdicts on some trees of order at most 12.)
+    it was on entry (deg0, returned with the pairs and non-detectors): an
+    intact degree-2 connector.  That keeps the removed non-detectors
+    pairwise non-adjacent and their remaining neighbors un-strippable, so
+    the accumulated witness stays 2-dominating.  (Testing only one of the
+    two degrees makes classify_tmin give wrong verdicts on some trees of
+    order at most 12.)
+
+    A removal lowers the degree of one vertex only, w's other neighbor x,
+    so only x and its neighbors can start or stop qualifying as v: they go
+    back on the worklist, and every popped vertex is checked again.
     """
+    deg0 = {v: len(nbrs) for v, nbrs in adj.items()}
     pairs: list[tuple[int, int]] = []
     nondets: list[int] = []
-    while len(adj) >= q:
-        found = None
-        for v in sorted(adj):
-            if len(adj[v]) != 2:
-                continue
-            a, b = sorted(adj[v])
-            for u, w in ((a, b), (b, a)):
-                if len(adj[u]) == 1 and _w_has_degree_2(adj, deg0, w):
-                    found = (u, v, w)
-                    break
-            if found:
+    work = sorted(adj)
+    while work and len(adj) >= q:
+        v = heapq.heappop(work)
+        if v not in adj or len(adj[v]) != 2:
+            continue
+        a, b = sorted(adj[v])
+        for u, w in ((a, b), (b, a)):
+            if len(adj[u]) == 1 and len(adj[w]) == 2 and deg0[w] == 2:
                 break
-        if found is None:
-            break
-        u, v, w = found
-        for x in (u, v, w):
-            _drop(adj, x)
+        else:
+            continue
+        (x,) = adj.pop(w) - {v}
+        del adj[u], adj[v]
+        adj[x].remove(w)
         pairs.append((u, v))
         nondets.append(w)
-    return pairs, nondets, adj
-
-
-def _deg_snapshot(adj: dict[int, set[int]]) -> dict[int, int]:
-    return {v: len(nbrs) for v, nbrs in adj.items()}
+        for t in (x, *adj[x]):
+            heapq.heappush(work, t)
+    return pairs, nondets, deg0
 
 
 def strip_exterior_p2(g: Graph, q: int) -> StripResult:
     """Strip exterior P_2-plus-nondetector triples while >= q vertices remain."""
     _require_tree(g)
     adj = _adj_dict(g)
-    pairs, nondets, rest = _strip(adj, q, _deg_snapshot(adj))
-    residual, _ = g.induced_subgraph(sorted(rest))
+    pairs, nondets, _deg0 = _strip(adj, q)
+    residual, _ = g.induced_subgraph(sorted(adj))
     return StripResult(tuple(pairs), tuple(nondets), residual)
 
 
@@ -277,34 +275,18 @@ def _extremal_small(adj: dict[int, set[int]], residual: int) -> set[int]:
     # the candidate set of a tree on 3k + 2 (3k) vertices: the strip must
     # leave a residual of 2 (3) vertices, all of them detectors, next to the
     # stripped pairs
-    pairs, _nds, rest = _strip(adj, 0, _deg_snapshot(adj))
-    if len(rest) == residual:
-        return set(rest) | {x for p in pairs for x in p}
+    pairs, _nds, _deg0 = _strip(adj, 0)
+    if len(adj) == residual:
+        return set(adj).union(*pairs)
     return set()
 
 
-def _t7_center(adj: dict[int, set[int]]) -> Optional[int]:
-    # spider with three legs of two vertices; its degree-3 center is the
-    # one non-detector of the optimal set
-    if len(adj) != 7:
-        return None
-    if sorted(len(nbrs) for nbrs in adj.values()) != [1, 1, 1, 2, 2, 2, 3]:
-        return None
-    c = next(v for v, nbrs in adj.items() if len(nbrs) == 3)
-    for x in adj[c]:
-        if len(adj[x]) != 2:
-            return None
-        u = next(t for t in adj[x] if t != c)
-        if len(adj[u]) != 1:
-            return None
-    return c
-
-
-def _hanging_component(adj: dict[int, set[int]], w: int, x: int) -> set[int]:
-    # component of the forest minus w that contains w's neighbor x
+def _hanging_component(adj: dict[int, set[int]], w: int, x: int, cap: int) -> set[int]:
+    # component of the forest minus w that contains w's neighbor x; the walk
+    # stops once it has found cap vertices
     seen = {x}
     stack = [x]
-    while stack:
+    while stack and len(seen) < cap:
         v = stack.pop()
         for t in adj[v]:
             if t != w and t not in seen:
@@ -318,70 +300,61 @@ def _branches(adj: dict[int, set[int]], deg0: dict[int, int]):
     # it is either a pendant path or a pendant 2-leaf star
     out = []
     for w in sorted(adj):
-        if not _w_has_degree_2(adj, deg0, w):
-            continue
-        for x in sorted(adj[w]):
-            comp = _hanging_component(adj, w, x)
-            if len(comp) == 3:
-                out.append((w, frozenset(comp)))
+        if len(adj[w]) == 2 and deg0[w] == 2:
+            for x in sorted(adj[w]):
+                comp = _hanging_component(adj, w, x, 4)
+                if len(comp) == 3:
+                    out.append((w, frozenset(comp)))
     return out
 
 
-def _deg3_splits(rest: dict[int, set[int]], s1: set[int]) -> list[set[int]]:
+def _deg3_splits(rest: dict[int, set[int]], s1: set[int]):
     # a degree-3 non-detector whose removal splits the residual into three
     # components of order 2 mod 3, each contributing its own extremal set
-    out = []
     for v in sorted(rest):
         if len(rest[v]) != 3:
             continue
-        comps = [_hanging_component(rest, v, x) for x in sorted(rest[v])]
+        comps = [_hanging_component(rest, v, x, len(rest)) for x in sorted(rest[v])]
         if any(len(c) % 3 != 2 for c in comps):
             continue
-        union: set[int] = set()
+        union = set(s1)
         for comp in comps:
-            sub = {t: rest[t] & comp for t in comp}
-            inner = _extremal_small(sub, 2)
+            inner = _extremal_small(_without(rest, rest.keys() - comp), 2)
             if not inner:
                 break
             union |= inner
         else:
-            out.append(union | s1)
-    return out
+            yield union
 
 
-def _extremal_cls1(adj: dict[int, set[int]]) -> list[set[int]]:
-    """Candidate optimal sets for a tree on 3k+1 vertices.
+def _extremal_cls1(adj: dict[int, set[int]]):
+    """Candidate optimal sets for a tree on 3k+1 vertices, yielded lazily.
 
     Several residual decompositions can qualify and the wrong pick can
-    spoil an otherwise valid witness, so every candidate is offered; the
-    caller keeps the first one that actually verifies.
+    spoil an otherwise valid witness, so every candidate is offered, in a
+    fixed order; the caller keeps the first one that actually verifies.
     """
-    deg0 = _deg_snapshot(adj)
-    pairs, _nds, rest = _strip(adj, 5, deg0)
-    s1 = {x for p in pairs for x in p}
-    r = len(rest)
-    if r <= 3:
-        return []
-    if r == 4:
-        return [set(rest) | s1]
-    candidates: list[set[int]] = []
-    center = _t7_center(rest)
-    if center is not None:
-        candidates.append((set(rest) - {center}) | s1)
-    branches = _branches(rest, deg0)
+    pairs, _nds, deg0 = _strip(adj, 5)
+    s1 = set().union(*pairs)
+    # the strip keeps the residual's order r = n = 1 (mod 3) and stops with
+    # r >= 2, so r >= 4
+    if len(adj) == 4:
+        yield set(adj) | s1
+        return
+    # A residual that is the spider with three legs of two vertices needs no
+    # case of its own. Each of its degree-2 vertices splits it 1 + 5, so it
+    # has no branch, and its one candidate is the degree-3 split at its
+    # center: the spider minus the center.
+    branches = _branches(adj, deg0)
     for (w1, b1), (w2, b2) in combinations(branches, 2):
         if w1 == w2 and not b1 & b2:
-            candidates.append(b1 | b2 | s1)
+            yield b1 | b2 | s1
     for (w1, b1), (w2, b2) in combinations(branches, 2):
         if w1 != w2 and not (b1 | {w1}) & (b2 | {w2}):
-            remainder = {v: set(nbrs) for v, nbrs in rest.items()}
-            for x in b1 | b2 | {w1, w2}:
-                _drop(remainder, x)
-            inner = _extremal_small(remainder, 2)
+            inner = _extremal_small(_without(adj, b1 | b2 | {w1, w2}), 2)
             if inner:
-                candidates.append(b1 | b2 | inner | s1)
-    candidates.extend(_deg3_splits(rest, s1))
-    return candidates
+                yield b1 | b2 | inner | s1
+    yield from _deg3_splits(adj, s1)
 
 
 @dataclass(frozen=True)
@@ -394,17 +367,18 @@ class TminClass:
 def classify_tmin(g: Graph) -> TminClass:
     """Decide membership in the minimum family, with an optimal witness.
 
-    The dispatch on n mod 3 returns candidate sets; one counts only if it
+    The dispatch on n mod 3 yields candidate sets; one counts only if it
     has the extremal cardinality and verifies, which screens out trees the
-    strip happens to reduce to a recognized residual by accident.
+    strip happens to reduce to a recognized residual by accident.  The
+    first candidate that counts is the witness.
     """
     _require_tree(g)
     residue = g.n % 3
+    adj = _adj_dict(g)
     if residue == 1:
-        candidates = _extremal_cls1(_adj_dict(g))
+        candidates = _extremal_cls1(adj)
     else:
-        single = _extremal_small(_adj_dict(g), 2 if residue == 2 else 3)
-        candidates = [single] if single else []
+        candidates = [_extremal_small(adj, 2 if residue == 2 else 3)]
     bound = tree_lower_bound(g.n)
     for candidate in candidates:
         if len(candidate) == bound and is_redld_set(g, candidate).ok:

@@ -302,6 +302,17 @@ def test_backends_reject_the_same_bad_input(kern):
             kern.bnb(ctx, K.MODE_REDLD, forced_in, forced_out, 3, 0, 0, 0.0)
     with pytest.raises(ValueError, match="differ in length"):
         kern.pairs_scan(ctx, [0], [], [])
+    # every pair vertex is checked before the scan, even when no candidate
+    # would reach the pair
+    for us, vs in (([0], [5]), ([-1], [0]), ([0], [3]), ([0, 1], [1, -2])):
+        with pytest.raises(IndexError, match="^vertex out of range$"):
+            kern.pairs_scan(ctx, us, vs, [0])
+    with pytest.raises(IndexError, match="^vertex out of range$"):
+        kern.make_ctx([[5], [0]])
+    with pytest.raises(IndexError, match="^vertex out of range$"):
+        kern.make_ctx([[1], [-1]])
+    with pytest.raises(ValueError, match="^the kernel needs at least one vertex$"):
+        kern.make_ctx([])
     # a negative mask, or one with a bit at n or above, names no vertex; every
     # scan candidate is checked, even one after a mask that passes; a mask
     # that is not an int is a TypeError

@@ -77,6 +77,8 @@ def test_roles_render():
     assert len(lines) == art.graph.n
     assert lines[8] == "8 x_1"
     assert lines[9] == "9 xbar_1"
+    cj = art.clause_vertex[1]
+    assert lines[cj - 1:cj + 1] == [f"{cj - 1} H-internal-detector", f"{cj} c_1"]
     assert text.count("F-internal-detector") == 32
     assert text.count("H-internal-detector") == 4
 
