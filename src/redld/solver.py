@@ -20,10 +20,17 @@ from .verify import DetectorSet, _members, find_twins
 
 @dataclass(frozen=True)
 class SolveBudget:
-    """Limits for one solve; None means unlimited."""
+    """Limits for one solve; None means unlimited, and 0 stops before the
+    first search."""
 
     max_nodes: int | None = None
     max_seconds: float | None = None
+
+    def __post_init__(self):
+        for name in ("max_nodes", "max_seconds"):
+            limit = getattr(self, name)
+            if limit is not None and not limit >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be a number >= 0, got {limit}")
 
 
 @dataclass
@@ -35,12 +42,11 @@ class SolveResult:
 
 
 class BudgetExceededError(RuntimeError):
-    """Search ended by budget; carries any certified upper bound found."""
+    """Search ended by budget; carries the search nodes used."""
 
-    def __init__(self, nodes: int, upper_bound: int | None):
+    def __init__(self, nodes: int):
         super().__init__(f"budget exceeded after {nodes} search nodes")
         self.nodes = nodes
-        self.upper_bound = upper_bound
 
 
 def redld_exists(g: Graph) -> bool:
@@ -65,7 +71,8 @@ class _BudgetClock:
     def __init__(self, budget: SolveBudget | None):
         budget = budget or SolveBudget()
         self.nodes_left = budget.max_nodes
-        self.deadline = time.monotonic() + budget.max_seconds if budget.max_seconds else 0.0
+        self.deadline = (None if budget.max_seconds is None
+                         else time.monotonic() + budget.max_seconds)
         self.used = 0
 
     def bnb(self, ctx, mode: int, forced_in: int, forced_out: int, cap: int,
@@ -74,17 +81,17 @@ class _BudgetClock:
         (status, value, witness_mask), status 0 or 1.  Raises
         BudgetExceededError, with the nodes used so far, before the call
         once either is spent, and after a call that the budget stopped."""
-        seconds_left = self.deadline - time.monotonic() if self.deadline else 0.0
+        seconds_left = 0.0 if self.deadline is None else self.deadline - time.monotonic()
         if ((self.nodes_left is not None and self.nodes_left <= 0)
-                or (self.deadline and seconds_left <= 0)):  # 0 would mean no limit
-            raise BudgetExceededError(self.used, None)
+                or (self.deadline is not None and seconds_left <= 0)):  # 0 would mean no limit
+            raise BudgetExceededError(self.used)
         status, value, mask, nodes = K.bnb(ctx, mode, forced_in, forced_out, cap, stop_at,
                                            self.nodes_left or 0, seconds_left)
         self.used += nodes
         if self.nodes_left is not None:
             self.nodes_left -= nodes
         if status == 2:
-            raise BudgetExceededError(self.used, None)
+            raise BudgetExceededError(self.used)
         return status, value, mask
 
 

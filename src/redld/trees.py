@@ -274,57 +274,45 @@ def strip_exterior_p2(g: Graph, q: int) -> StripResult:
 def _extremal_small(adj: dict[int, set[int]], residual: int) -> set[int]:
     # the candidate set of a tree on 3k + 2 (3k) vertices: the strip must
     # leave a residual of 2 (3) vertices, all of them detectors, next to the
-    # stripped pairs
+    # stripped pairs (of a forest of three trees on 3k + 2, 6 vertices)
     pairs, _nds, _deg0 = _strip(adj, 0)
     if len(adj) == residual:
         return set(adj).union(*pairs)
     return set()
 
 
-def _hanging_component(adj: dict[int, set[int]], w: int, x: int, cap: int) -> set[int]:
-    # component of the forest minus w that contains w's neighbor x; the walk
-    # stops once it has found cap vertices
-    seen = {x}
-    stack = [x]
-    while stack and len(seen) < cap:
-        v = stack.pop()
+def _hanging_orders(adj: dict[int, set[int]]):
+    # order(w, x): the order of the component of the tree adj minus w that
+    # contains w's neighbor x. One rooted pass gives each vertex a parent
+    # and a subtree size; that component is x's subtree when w is x's
+    # parent, and everything outside w's subtree when x is w's parent.
+    root = min(adj)
+    parent = {root: None}
+    walk = [root]
+    for v in walk:
         for t in adj[v]:
-            if t != w and t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
+            if t != parent[v]:
+                parent[t] = v
+                walk.append(t)
+    size = dict.fromkeys(adj, 1)
+    for v in reversed(walk[1:]):
+        size[parent[v]] += size[v]
+    r = len(adj)
+    return lambda w, x: size[x] if parent[x] == w else r - size[w]
 
 
-def _branches(adj: dict[int, set[int]], deg0: dict[int, int]):
+def _branches(adj: dict[int, set[int]], deg0: dict[int, int], order):
     # a branch is a 3-vertex component hanging off a parent w of degree 2;
-    # it is either a pendant path or a pendant 2-leaf star
+    # it is either a pendant path or a pendant 2-leaf star, so its vertices
+    # are x, x's other neighbors and theirs
     out = []
     for w in sorted(adj):
         if len(adj[w]) == 2 and deg0[w] == 2:
             for x in sorted(adj[w]):
-                comp = _hanging_component(adj, w, x, 4)
-                if len(comp) == 3:
-                    out.append((w, frozenset(comp)))
+                if order(w, x) == 3:
+                    nbrs = adj[x] - {w}
+                    out.append((w, frozenset({x}.union(nbrs, *(adj[t] - {x} for t in nbrs)))))
     return out
-
-
-def _deg3_splits(rest: dict[int, set[int]], s1: set[int]):
-    # a degree-3 non-detector whose removal splits the residual into three
-    # components of order 2 mod 3, each contributing its own extremal set
-    for v in sorted(rest):
-        if len(rest[v]) != 3:
-            continue
-        comps = [_hanging_component(rest, v, x, len(rest)) for x in sorted(rest[v])]
-        if any(len(c) % 3 != 2 for c in comps):
-            continue
-        union = set(s1)
-        for comp in comps:
-            inner = _extremal_small(_without(rest, rest.keys() - comp), 2)
-            if not inner:
-                break
-            union |= inner
-        else:
-            yield union
 
 
 def _extremal_cls1(adj: dict[int, set[int]]):
@@ -341,20 +329,36 @@ def _extremal_cls1(adj: dict[int, set[int]]):
     if len(adj) == 4:
         yield set(adj) | s1
         return
+    order = _hanging_orders(adj)
     # A residual that is the spider with three legs of two vertices needs no
     # case of its own. Each of its degree-2 vertices splits it 1 + 5, so it
     # has no branch, and its one candidate is the degree-3 split at its
     # center: the spider minus the center.
-    branches = _branches(adj, deg0)
-    for (w1, b1), (w2, b2) in combinations(branches, 2):
-        if w1 == w2 and not b1 & b2:
+    #
+    # Two branches at one w are w's two sides, so they are disjoint and
+    # r = 3 + 1 + 3 = 7; two at different w, disjoint with their parents,
+    # need r >= 8, so r >= 10. A residual has pairs of one kind only, and
+    # one loop tries them in the order that a loop per kind would.
+    for (w1, b1), (w2, b2) in combinations(_branches(adj, deg0, order), 2):
+        if w1 == w2:
             yield b1 | b2 | s1
-    for (w1, b1), (w2, b2) in combinations(branches, 2):
-        if w1 != w2 and not (b1 | {w1}) & (b2 | {w2}):
+        elif not (b1 | {w1}) & (b2 | {w2}):
             inner = _extremal_small(_without(adj, b1 | b2 | {w1, w2}), 2)
             if inner:
                 yield b1 | b2 | inner | s1
-    yield from _deg3_splits(adj, s1)
+    # A degree-3 non-detector v whose removal leaves three components of
+    # order 2 mod 3, each contributing its own extremal set. One strip of
+    # the forest does the three strips of its components: the worklist pops
+    # each component's vertices in the order a strip of that component alone
+    # would, and each component's entry degrees are the same in the forest.
+    # A strip removes 3 vertices at a time and always keeps w's other
+    # neighbor, so of a component of order 2 mod 3 it keeps a number that is
+    # 2 mod 3 and at least 2: keeping 6 means exactly 2 of each.
+    for v in sorted(adj):
+        if len(adj[v]) == 3 and all(order(v, x) % 3 == 2 for x in adj[v]):
+            inner = _extremal_small(_without(adj, {v}), 6)
+            if inner:
+                yield inner | s1
 
 
 @dataclass(frozen=True)

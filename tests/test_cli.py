@@ -1,3 +1,5 @@
+import pytest
+
 from redld import grids, satreduce
 from redld.cli import main
 from redld.graph import build_path, build_petersen, render_edge_list
@@ -95,6 +97,16 @@ def test_solve_with_only_a_seconds_budget(tmp_path, capsys):
     code, out, _ = run(capsys, ["solve", "--budget-seconds", "5", path])
     assert code == 0
     assert out.splitlines()[0] == "optimum: 6"
+
+
+@pytest.mark.parametrize("flag, value", [("--budget-nodes", "-5"),
+                                         ("--budget-seconds", "-1")])
+def test_solve_rejects_a_negative_budget(tmp_path, capsys, flag, value):
+    path = graph_file(tmp_path, build_petersen())
+    code, out, err = run(capsys, ["solve", path, flag, value])
+    assert code == 2
+    assert out == ""
+    assert "error: " in err and "must be a number >= 0" in err
 
 
 def test_family_path(capsys):

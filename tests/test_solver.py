@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from redld._kernels import MODE_REDLD
-from redld.graph import Graph, build_cycle, build_path, build_petersen
+from redld.graph import Graph, build_cycle, build_hypercube, build_path, build_petersen
 from redld.solver import (
     BudgetExceededError,
     SolveBudget,
@@ -151,6 +151,20 @@ def test_time_budget_raises():
     with pytest.raises(BudgetExceededError) as info:
         clock.bnb(g.kernel_ctx(), MODE_REDLD, 0, 0, g.n, 0)
     assert info.value.nodes == 0
+
+
+def test_zero_budgets_stop_before_the_first_search():
+    for budget in (SolveBudget(max_nodes=0), SolveBudget(max_seconds=0)):
+        with pytest.raises(BudgetExceededError) as info:
+            min_redld(build_hypercube(4), budget)
+        assert info.value.nodes == 0
+
+
+@pytest.mark.parametrize("budget", [{"max_nodes": -5}, {"max_seconds": -1.0},
+                                    {"max_seconds": float("nan")}])
+def test_negative_or_nan_budgets_are_rejected(budget):
+    with pytest.raises(ValueError, match="must be a number >= 0"):
+        SolveBudget(**budget)
 
 
 def test_brute_force_cap():

@@ -109,6 +109,22 @@ def test_classifier_outputs_are_pinned():
     assert digest.hexdigest()[:16] == "3ed67c6e442701eb"
 
 
+@pytest.mark.parametrize("n, edges, witness", [
+    # residual of 4: P_4 is its own residual
+    (4, [(0, 1), (1, 2), (2, 3)], range(4)),
+    # same-w branch pair: the two 3-vertex branches hanging off 6
+    (7, [(0, 1), (1, 2), (1, 6), (3, 4), (4, 5), (4, 6)], range(6)),
+    # degree-3 split: the spider S(2,2,2) minus its center 6
+    (7, [(0, 1), (0, 6), (2, 3), (2, 6), (4, 5), (4, 6)], range(6)),
+    # different-w branch pair: branches off 9 and 8; 6, 7 are the residual left
+    (10, [(0, 1), (1, 2), (1, 9), (3, 4), (4, 5), (4, 8), (6, 7), (6, 8), (6, 9)],
+     range(8)),
+])
+def test_each_candidate_kind_gives_its_witness(n, edges, witness):
+    cls = classify_tmin(Graph(n, edges))
+    assert cls.member and set(cls.witness) == set(witness)
+
+
 def test_classifier_rejects_non_trees():
     with pytest.raises(ValueError):
         classify_tmin(Graph(3, [(0, 1), (1, 2), (0, 2)]))
@@ -184,6 +200,18 @@ def test_tmin_representatives():
         for g, s in reps:
             assert len(s) == tree_lower_bound(n)
             assert is_redld_set(g, s).ok
+
+
+def test_tmin_representatives_of_order_19_classify_as_members():
+    # past the pinned digest (orders <= 16); at n = 19 each of the four
+    # candidate kinds of n = 1 mod 3 is the witness of some pair
+    rng = random.Random(1919)
+    bound = tree_lower_bound(19)
+    for g, _s in tmin_representatives(19):
+        h = relabel(g, rng)
+        cls = classify_tmin(h)
+        assert cls.member and len(cls.witness) == bound
+        assert is_redld_set(h, cls.witness).ok
 
 
 def test_family_functions_reject_orders_below_two():
