@@ -65,6 +65,8 @@ def cmd_solve(args) -> RunReport:
     result = solve(g, _budget(args))
     if result.infeasible:
         return RunReport("no valid set exists (isolated vertex)", NEGATIVE)
+    print(f"nodes: optimum {result.optimum_nodes} ({result.optimum_calls} calls), "
+          f"witness {result.witness_nodes} ({result.witness_calls} calls)", file=sys.stderr)
     lines = [f"optimum: {result.optimum}", _witness_line(g, result.witness)]
     return RunReport("\n".join(lines), OK)
 

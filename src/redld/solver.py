@@ -5,6 +5,21 @@ components once every vertex is 2-dominated), and the reported witness is the
 lexicographically smallest optimal set, obtained by fixing vertices in
 ascending order and keeping each one exactly when an optimal solution through
 the current prefix still exists.
+
+Optimum phase.  RED:LD climbs a ladder of decision calls: for c = the root
+lower bound (at least the number of forced detectors), c + 1, ..., one search
+capped at c that stops at the first set it finds, until one finds a set.  A
+top-down search (cap n, stop at the bound) can sink into a subtree whose sets
+are all too large: on Q_6 it was still at 24 after 200M nodes, while the
+ladder refutes 19 and finds 20 in about 10M.  LD stays top-down: its root
+bound is 0, and the ladder spent 27-37% more nodes on every LD graph
+measured (BENCH_solver_ladder.json).
+
+Witness phase.  `found` is the last set a search found, first the optimum
+phase's.  Every step keeps in_m <= found, found disjoint from out_m and
+|found| = opt, so when vertex i is in `found` the search for an optimal set
+through in_m + i would answer yes: i is fixed in with no search.  Otherwise a
+search decides i, and a set it finds becomes `found`.
 """
 
 from __future__ import annotations
@@ -35,10 +50,17 @@ class SolveBudget:
 
 @dataclass
 class SolveResult:
+    """`nodes` is the total over both phases; `optimum_*` and `witness_*`
+    split the search nodes and kernel calls by phase."""
+
     optimum: int | None
     witness: DetectorSet | None
     infeasible: bool
     nodes: int
+    optimum_nodes: int = 0
+    witness_nodes: int = 0
+    optimum_calls: int = 0
+    witness_calls: int = 0
 
 
 class BudgetExceededError(RuntimeError):
@@ -95,13 +117,13 @@ class _BudgetClock:
         return status, value, mask
 
 
-def _component_lower_bound(g: Graph, mode: int) -> int:
-    if mode == K.MODE_REDLD:
-        lb = -(-2 * g.n // (g.max_degree() + 1))
-        if g.is_tree():
-            lb = max(lb, tree_lower_bound(g.n))
-        return lb
-    return 0
+def _redld_lower_bound(g: Graph) -> int:
+    """Each detector 2-dominates at most maxdeg + 1 of the 2n units needed;
+    trees have the paper's bound."""
+    lb = -(-2 * g.n // (g.max_degree() + 1))
+    if g.is_tree():
+        lb = max(lb, tree_lower_bound(g.n))
+    return lb
 
 
 def _solve_mode(g: Graph, mode: int, budget: SolveBudget | None) -> SolveResult:
@@ -110,31 +132,46 @@ def _solve_mode(g: Graph, mode: int, budget: SolveBudget | None) -> SolveResult:
     clock = _BudgetClock(budget)
     witness: list[int] = []
     total = 0
+    opt_nodes = opt_calls = wit_calls = 0
     for comp in g.connected_components():
         sub, index = g.induced_subgraph(comp)
         back = {i: v for v, i in index.items()}
         ctx = sub.kernel_ctx()
         forced = 0
+        before = clock.used
         if mode == K.MODE_REDLD:
             for v in forced_detectors(sub):
                 forced |= 1 << v
-        status, value, _ = clock.bnb(ctx, mode, forced, 0, sub.n,
-                                     _component_lower_bound(sub, mode))
-        assert status == 0, "every graph admits S = V in both modes"
-        opt = value
+            opt = max(_redld_lower_bound(sub), forced.bit_count())
+            while True:
+                opt_calls += 1
+                status, _, found = clock.bnb(ctx, mode, forced, 0, opt, opt)
+                if status == 0:
+                    break
+                opt += 1
+        else:
+            opt_calls += 1
+            status, opt, found = clock.bnb(ctx, mode, 0, 0, sub.n, 0)
+            assert status == 0, "S = V is an LD set"
+        opt_nodes += clock.used - before
         in_m, out_m = forced, 0
         for i in range(sub.n):
-            if in_m >> i & 1:
+            bit = 1 << i
+            if found & bit:  # in_m <= found
+                in_m |= bit
                 continue
-            status, _, _ = clock.bnb(ctx, mode, in_m | (1 << i), out_m, opt, opt)
+            wit_calls += 1
+            status, _, mask = clock.bnb(ctx, mode, in_m | bit, out_m, opt, opt)
             if status == 0:
-                in_m |= 1 << i
+                in_m |= bit
+                found = mask
             else:
-                out_m |= 1 << i
-        assert in_m.bit_count() == opt
+                out_m |= bit
+        assert in_m == found and in_m.bit_count() == opt
         witness.extend(back[i] for i in _members(in_m))
         total += opt
-    return SolveResult(total, DetectorSet(witness), False, clock.used)
+    return SolveResult(total, DetectorSet(witness), False, clock.used,
+                       opt_nodes, clock.used - opt_nodes, opt_calls, wit_calls)
 
 
 def min_redld(g: Graph, budget: SolveBudget | None = None) -> SolveResult:

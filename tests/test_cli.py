@@ -62,14 +62,17 @@ def test_missing_file(capsys):
 
 def test_solve(tmp_path, capsys):
     path = graph_file(tmp_path, build_petersen())
-    code, out, _ = run(capsys, ["solve", path])
+    code, out, err = run(capsys, ["solve", path])
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "optimum: 6"
     assert lines[1] == "witness: 0 1 2 3 6 7"
     assert lines[2] == "labels: 0 1 2 3 6 7"
-    code, out, _ = run(capsys, ["solve", "--mode", "ld", path])
+    # the per-phase counts go to stderr, so stdout stays byte-stable
+    assert "nodes: optimum 56 (2 calls), witness 6 (4 calls)\n" in err
+    code, out, err = run(capsys, ["solve", "--mode", "ld", path])
     assert out.splitlines()[0] == "optimum: 4"
+    assert "nodes: optimum 273 (1 calls), witness 72 (6 calls)\n" in err
 
 
 def test_solve_infeasible(tmp_path, capsys):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from redld import _kernels as K
 from redld._kernels import MODE_REDLD
 from redld.graph import Graph, build_cycle, build_hypercube, build_path, build_petersen
 from redld.solver import (
@@ -57,18 +58,55 @@ def test_known_optima():
     assert min_ld(build_petersen()).optimum == 4
 
 
-def test_bnb_matches_brute_force():
+def assert_matches_brute_force(g):
     # same optimum and, because both tie-break lexicographically, same witness
+    for solve, oracle, check in ((min_redld, brute_force_min_redld, is_redld_set),
+                                 (min_ld, brute_force_min_ld, is_ld_set)):
+        fast, slow = solve(g), oracle(g)
+        assert fast.infeasible == slow.infeasible
+        assert fast.optimum == slow.optimum
+        if fast.infeasible:
+            continue
+        assert tuple(fast.witness) == tuple(slow.witness)
+        assert check(g, fast.witness).ok
+        assert fast.nodes == fast.optimum_nodes + fast.witness_nodes
+
+
+def test_bnb_matches_brute_force_on_every_small_graph():
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            assert_matches_brute_force(
+                Graph(n, [e for k, e in enumerate(pairs) if bits >> k & 1]))
+
+
+def test_bnb_matches_brute_force():
     rng = random.Random(21)
-    for _ in range(30):
-        g = random_graph(rng.randint(2, 9), rng.uniform(0.2, 0.7), rng)
-        fast, slow = min_redld(g), brute_force_min_redld(g)
-        assert fast.optimum == slow.optimum
-        assert tuple(fast.witness) == tuple(slow.witness)
-        assert is_redld_set(g, fast.witness).ok
-        fast, slow = min_ld(g), brute_force_min_ld(g)
-        assert fast.optimum == slow.optimum
-        assert tuple(fast.witness) == tuple(slow.witness)
+    for _ in range(150):
+        assert_matches_brute_force(
+            random_graph(rng.randint(6, 12), rng.uniform(0.15, 0.7), rng))
+
+
+# (graph, solver, nodes, optimum-phase nodes, optimum-phase calls,
+# witness-phase calls); both backends count the same nodes
+PINNED_COUNTS = [
+    ("petersen", min_ld, 345, 273, 1, 6),
+    ("petersen", min_redld, 62, 56, 2, 4),
+    ("q4", min_ld, 6_571, 5_999, 1, 10),
+    ("q4", min_redld, 2_314, 1_444, 2, 8),
+    ("q5", min_redld, 9_264, 7_596, 2, 20),
+]
+PINNED_GRAPHS = {"petersen": build_petersen, "q4": lambda: build_hypercube(4),
+                 "q5": lambda: build_hypercube(5)}
+
+
+@pytest.mark.parametrize("name, solve, nodes, opt_nodes, opt_calls, wit_calls",
+                         PINNED_COUNTS)
+def test_node_counts_are_pinned(name, solve, nodes, opt_nodes, opt_calls, wit_calls):
+    res = solve(PINNED_GRAPHS[name]())
+    assert (res.nodes, res.optimum_nodes, res.optimum_calls, res.witness_calls) == \
+        (nodes, opt_nodes, opt_calls, wit_calls)
+    assert res.witness_nodes == nodes - opt_nodes
 
 
 def test_witness_is_lex_min():
@@ -170,3 +208,46 @@ def test_negative_or_nan_budgets_are_rejected(budget):
 def test_brute_force_cap():
     with pytest.raises(ValueError):
         brute_force_min_redld(Graph(25, [(v, (v + 1) % 25) for v in range(25)]))
+
+
+def spy_on_bnb(monkeypatch):
+    """Record (cap, status, nodes) of every kernel bnb call."""
+    calls = []
+    real = K.bnb
+
+    def bnb(*args):
+        out = real(*args)
+        calls.append((args[4], out[0], out[3]))
+        return out
+
+    monkeypatch.setattr(K, "bnb", bnb)
+    return calls
+
+
+def test_redld_ladder_climbs_from_the_lower_bound(monkeypatch):
+    # Q_5: the bound is ceil(64/6) = 11, refuted; 12 is found
+    calls = spy_on_bnb(monkeypatch)
+    res = min_redld(build_hypercube(5))
+    assert res.optimum == 12
+    assert [(cap, status) for cap, status, _ in calls[:2]] == [(11, 1), (12, 0)]
+    assert all(cap == 12 for cap, _, _ in calls[2:])
+    assert res.nodes == sum(nodes for _, _, nodes in calls)
+    assert res.optimum_nodes == calls[0][2] + calls[1][2]
+    assert res.optimum_calls + res.witness_calls == len(calls)
+
+
+@pytest.mark.parametrize("dim, refuted, budget", [
+    # the node budget runs out halfway through Q_5's cap-11 rung (5,921
+    # nodes); a time stop cannot be placed in so short a rung on every
+    # machine, so that budget stops Q_6's cap-19 rung (2.4M nodes on C)
+    (5, 11, SolveBudget(max_nodes=2_900)),
+    (6, 19, SolveBudget(max_seconds=0.05)),
+])
+def test_budget_stop_in_a_refuting_rung_raises(monkeypatch, dim, refuted, budget):
+    # a stopped rung is "gave up", never "no": reading it as "no" would
+    # return refuted + 1 as the optimum
+    calls = spy_on_bnb(monkeypatch)
+    with pytest.raises(BudgetExceededError) as info:
+        min_redld(build_hypercube(dim), budget)
+    assert [(cap, status) for cap, status, _ in calls] == [(refuted, 2)]
+    assert info.value.nodes == calls[0][2] > 0
