@@ -344,6 +344,7 @@ typedef struct {
     int exhausted; /* cleared when the node budget runs out */
     const int *off, *cons, *mult;
     int *cnt, *open; /* per constraint: chosen and undecided multiplicity */
+    long long *cov;  /* cov[i]: the largest cover of a cell i or later; cov[n] = 0 */
     long long node_budget, nodes;
     u64 *chosen;
     u64 *out; /* n_out masks of W words, room for cap_out */
@@ -368,8 +369,12 @@ static void dom_emit(dom_state *st)
 
 /* The walk of pybits.dom_candidates, decision for decision: cell i is
  * decided at depth i, cell 0 only IN, otherwise IN before OUT; every entry
- * counts as a node, and the budget check precedes the cardinality prune. */
-static void dom_dfs(dom_state *st, int i, int picked)
+ * counts as a node, and the budget check precedes the cardinality prune,
+ * which precedes the count prune.  `deficit` is the sum of max(0, 2 - cnt)
+ * over the touched constraints; the cells still to pick lower it by at most
+ * cov[i] each, and a leaf has none left, so the count prune cuts only
+ * subtrees without a leaf. */
+static void dom_dfs(dom_state *st, int i, int picked, long long deficit)
 {
     if (!st->exhausted || st->nomem)
         return;
@@ -380,24 +385,30 @@ static void dom_dfs(dom_state *st, int i, int picked)
     }
     if (picked > st->count || picked + (st->n - i) < st->count)
         return;
+    if ((long long)(st->count - picked) * st->cov[i] < deficit)
+        return;
     if (i == st->n) {
         dom_emit(st);
         return;
     }
     for (int val = 1; val >= (i == 0 ? 1 : 0); val--) {
         int ok = 1;
+        long long left = deficit;
         for (int k = st->off[i]; k < st->off[i + 1]; k++) {
             int v = st->cons[k], m = st->mult[k];
             st->open[v] -= m;
-            if (val)
-                st->cnt[v] += m;
+            if (val) {
+                int c = st->cnt[v];
+                st->cnt[v] = c + m;
+                left += (c + m < 2 ? 2 - c - m : 0) - (c < 2 ? 2 - c : 0);
+            }
             if (st->cnt[v] + st->open[v] < 2)
                 ok = 0;
         }
         if (ok) {
             if (val)
                 set(st->chosen, i);
-            dom_dfs(st, i + 1, picked + val);
+            dom_dfs(st, i + 1, picked + val, left);
             if (val)
                 st->chosen[i >> 6] &= ~((u64)1 << (i & 63));
         }
@@ -428,16 +439,34 @@ static int rlk_dom_candidates(int n_cells, int n_cons, const int *off, const int
                     .off = off, .cons = cons, .mult = mult, .node_budget = node_budget};
     st.cnt = calloc((size_t)n_cons + 1, sizeof(int));
     st.open = calloc((size_t)n_cons + 1, sizeof(int));
+    st.cov = calloc((size_t)n_cells + 1, sizeof(long long));
     st.chosen = calloc((size_t)st.W + 1, sizeof(u64));
-    if (st.cnt && st.open && st.chosen) {
-        for (int k = 0; k < off[n_cells]; k++)
+    if (st.cnt && st.open && st.cov && st.chosen) {
+        /* cnt marks the touched constraints for the initial deficit, then
+         * goes back to 0 */
+        long long deficit = 0;
+        for (int k = 0; k < off[n_cells]; k++) {
             st.open[cons[k]] += mult[k];
-        dom_dfs(&st, 0, 0);
+            if (!st.cnt[cons[k]]) {
+                st.cnt[cons[k]] = 1;
+                deficit += 2;
+            }
+        }
+        for (int k = 0; k < off[n_cells]; k++)
+            st.cnt[cons[k]] = 0;
+        for (int i = n_cells - 1; i >= 0; i--) {
+            long long cover = 0;
+            for (int k = off[i]; k < off[i + 1]; k++)
+                cover += mult[k] < 0 ? 0 : mult[k] > 2 ? 2 : mult[k];
+            st.cov[i] = cover > st.cov[i + 1] ? cover : st.cov[i + 1];
+        }
+        dom_dfs(&st, 0, 0, deficit);
     } else {
         st.nomem = 1;
     }
     free(st.cnt);
     free(st.open);
+    free(st.cov);
     free(st.chosen);
     if (st.nomem) {
         free(st.out);

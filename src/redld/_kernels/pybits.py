@@ -174,10 +174,17 @@ def dom_candidates(touch, count: int, node_budget: int) -> tuple[list[int], bool
     Cell c adds m to constraint v for each (v, m) in touch[c]; a constraint
     fails once its chosen plus undecided total drops below 2.  The walk is
     depth first and decides cell i at depth i, IN before OUT (cell 0 only
-    IN).  Returns (masks, True) when it exhausted the cells, or (the masks
-    found so far, False) once it has spent node_budget nodes.  Raises
-    ValueError for a negative count or no cell, and IndexError for a
-    negative constraint index.
+    IN).  Each entry is a node; after the budget and cardinality checks, a
+    node is pruned when the cells still to pick cannot cover the deficit:
+    (count - picked) * cov[i] < deficit, where deficit sums max(0, 2 - cnt)
+    over the touched constraints and cov[i] is the largest cover, the sum of
+    max(0, min(m, 2)) over a cell's entries, of any cell i or later.  A
+    picked cell lowers the deficit by at most its cover and every leaf has
+    deficit 0, so the prune cuts only subtrees without a leaf: the masks and
+    their order are those of the walk without it.  Returns (masks, True)
+    when it exhausted the cells, or (the masks found so far, False) once it
+    has spent node_budget nodes.  Raises ValueError for a negative count or
+    no cell, and IndexError for a negative constraint index.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -192,11 +199,14 @@ def dom_candidates(touch, count: int, node_budget: int) -> tuple[list[int], bool
     for items in touch:
         for v, m in items:
             open_[v] += m
+    cov = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        cov[i] = max(cov[i + 1], sum(max(0, min(m, 2)) for _v, m in touch[i]))
     out: list[int] = []
     nodes = 0
     exhausted = True
 
-    def dfs(i: int, picked: int, mask: int) -> None:
+    def dfs(i: int, picked: int, mask: int, deficit: int) -> None:
         nonlocal nodes, exhausted
         if not exhausted:
             return
@@ -206,26 +216,32 @@ def dom_candidates(touch, count: int, node_budget: int) -> tuple[list[int], bool
             return
         if picked > count or picked + (n - i) < count:
             return
+        if (count - picked) * cov[i] < deficit:
+            return
         if i == n:
             out.append(mask)
             return
         for val in ((1,) if i == 0 else (1, 0)):
             ok = True
+            left = deficit
             for v, m in touch[i]:
                 open_[v] -= m
                 if val:
-                    cnt[v] += m
+                    c = cnt[v]
+                    cnt[v] = c + m
+                    if c < 2 or c + m < 2:
+                        left += max(0, 2 - c - m) - max(0, 2 - c)
                 if cnt[v] + open_[v] < 2:
                     ok = False
             if ok:
-                dfs(i + 1, picked + val, mask | val << i)
+                dfs(i + 1, picked + val, mask | val << i, left)
             for v, m in touch[i]:
                 open_[v] += m
                 if val:
                     cnt[v] -= m
 
     try:
-        dfs(0, 0, 0)
+        dfs(0, 0, 0, 2 * len(set(ids)))
     finally:
         del dfs  # it closes over itself: break that cycle, so its cells go now
     return out, exhausted

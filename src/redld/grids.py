@@ -219,9 +219,9 @@ def _dominating_candidates(
     """Exactly-count subsets of the domain, cell (0,0) pinned, such that
     every grid vertex keeps at least 2 detectors in its closed
     neighborhood, as masks with bit y*w + x for cell (x, y).  Depth-first
-    with folded domination pruning, in the kernel; returns (candidates,
-    True) when the walk exhausted the domain, (prefix, False) when it ran
-    out of node budget.
+    in the kernel, pruned by folded domination and by the detector count
+    left to place; returns (candidates, True) when the walk exhausted the
+    domain, (prefix, False) when it ran out of node budget.
     """
     _n_vertices, touch = _fold_constraints(kind, w, h)
     return kern.dom_candidates(touch, count, node_budget)
@@ -297,11 +297,14 @@ def pattern_search(
     Domains are scanned in order of area; cell (0,0) is pinned as a
     detector, which loses nothing up to translation.  Candidates come from
     a depth-first walk that keeps only exactly-floor(w*h*target) subsets
-    whose every vertex can still end up 2-dominated; domains whose walk
-    exceeds the node budget fall back to seeded random descents through
-    the same pruned space, so a miss there is not a proof of absence.
-    Each candidate, tiled over the verification torus, is checked with the
-    kernel's RED:LD predicate; the first that passes is returned.
+    whose every vertex can still end up 2-dominated; its prunes cut no
+    such subset.  Domains whose walk exceeds the node budget fall back to
+    seeded random descents through the same space.  So None proves that
+    no pattern of density at most target_density exists on any domain up
+    to max_period (adding detectors keeps a pattern valid) exactly when
+    every domain's walk exhausted.  Each candidate, tiled over the
+    verification torus, is checked with the kernel's RED:LD predicate; the
+    first that passes is returned.
     """
     target = Fraction(target_density)
     rng = random.Random(seed)

@@ -5,10 +5,14 @@ from fractions import Fraction
 import pytest
 
 from redld import _kernels as kern
+from redld import grids
+from redld._kernels import pybits
 from redld.grids import (
+    _DFS_NODE_BUDGET,
     LatticeKind,
     PeriodicPattern,
     _dominating_candidates,
+    _fold_constraints,
     _near_pairs,
     _random_descents,
     _tile_counts,
@@ -24,6 +28,11 @@ from redld.grids import (
 )
 from redld.graph import Graph
 from redld.verify import DOM2
+
+try:
+    import redld._kernels._ckern as ckern
+except ImportError:
+    ckern = None
 
 HEX_HALF = "HEX 2 1\n#.\n"
 TRI_THIRD = "TRI 2 3\n#.\n#.\n..\n"
@@ -270,3 +279,107 @@ def test_tiled_mask_matches_per_cell_tiling():
                                for y in range(h * c_h) for x in range(big_w)
                                if (x % w, y % h) in chosen)
                     assert _tiled_mask(kind, w, h, chosen) == want
+
+
+def _unpruned_walk(touch):
+    """Every subset with cell 0 that gives each touched constraint a total
+    of at least 2, of any size, in the kernels' walk order: cell i decided
+    at depth i, IN before OUT.  Nothing is pruned; each subset is walked to
+    its leaf and checked there."""
+    n = len(touch)
+    total = {v: 0 for items in touch for v, _m in items}
+    short = len(total)  # constraints with a total below 2
+    out = []
+
+    def add(i, sign):
+        nonlocal short
+        for v, m in touch[i]:
+            before = total[v] < 2
+            total[v] += sign * m
+            short += (total[v] < 2) - before
+
+    def walk(i, mask):
+        if i == n:
+            if not short:
+                out.append(mask)
+            return
+        add(i, 1)
+        walk(i + 1, mask | 1 << i)
+        add(i, -1)
+        if i > 0:
+            walk(i + 1, mask)
+
+    walk(0, 0)
+    return out
+
+
+def test_dom_candidates_match_the_unpruned_walk():
+    # the count prune cuts no leaf: both kernels give the unpruned walk's
+    # masks in its order, on every domain of at most 12 cells and every count
+    kernels = [pybits] + ([ckern] if ckern else [])
+    domains = 0
+    for kind in LatticeKind:
+        for w in range(1, 13):
+            for h in range(1, 12 // w + 1):
+                if kind is LatticeKind.HEX and w % 2:
+                    continue
+                _n, touch = _fold_constraints(kind, w, h)
+                walk = _unpruned_walk(touch)
+                for count in range(w * h + 1):
+                    want = ([m for m in walk if bin(m).count("1") == count], True)
+                    for kernel in kernels:
+                        assert kernel.dom_candidates(touch, count, 10**7) == want, \
+                            (kernel.BACKEND, kind, w, h, count)
+                domains += 1
+    assert domains == 3 * 35 + 14  # HEX keeps the even widths
+
+
+def test_sq_4x8_walk_exhausts_and_budget_cuts_are_prefixes(monkeypatch):
+    full, exhausted = _dominating_candidates(LatticeKind.SQ, 4, 8, 14, _DFS_NODE_BUDGET)
+    assert exhausted and len(full) == 21
+    found = set()
+    for budget in (1, 1000, 5000, 20000):
+        masks, exhausted = _dominating_candidates(LatticeKind.SQ, 4, 8, 14, budget)
+        assert not exhausted and masks == full[:len(masks)]
+        found.add(len(masks))
+    assert len(found) == 4  # empty, then longer and longer prefixes
+
+    def no_descents(*args, **kwargs):
+        raise AssertionError("a walk ran out of budget")
+
+    monkeypatch.setattr(grids, "_random_descents", no_descents)
+    p = pattern_search(LatticeKind.SQ, 8, Fraction(7, 16))
+    assert render_pattern(p) == SQ_7_16
+
+
+# Densities with no periodic pattern on any domain up to the period, as
+# (kind, target, period on C, period on py).  The py kernel checks smaller
+# periods where the C ones are slow on it: on a 2-vCPU Xeon, SQ up to 7 at
+# 7/16 takes 4.7 s there (0.1 s on C), KING up to 6 at 3/11 2.7 s (0.09 s).
+ABSENT = (
+    (LatticeKind.SQ, Fraction(2, 5), 7, 7),
+    (LatticeKind.SQ, Fraction(7, 16), 7, 6),
+    (LatticeKind.HEX, Fraction(2, 5), 8, 8),
+    (LatticeKind.KING, Fraction(3, 11), 6, 5),
+)
+
+
+@pytest.mark.parametrize("kind, target, c_period, py_period", ABSENT,
+                         ids=lambda v: getattr(v, "value", str(v)))
+def test_no_pattern_below_target_up_to_period(monkeypatch, kind, target, c_period, py_period):
+    # every domain's walk exhausts, so the miss is a proof of absence
+    walks = []
+
+    def walk(*args):
+        masks, exhausted = _dominating_candidates(*args)
+        walks.append(exhausted)
+        return masks, exhausted
+
+    def no_descents(*args, **kwargs):
+        raise AssertionError("a walk ran out of budget")
+
+    monkeypatch.setattr(grids, "_dominating_candidates", walk)
+    monkeypatch.setattr(grids, "_random_descents", no_descents)
+    period = c_period if kern.BACKEND == "c" else py_period
+    assert pattern_search(kind, period, target) is None
+    assert walks and all(walks)
