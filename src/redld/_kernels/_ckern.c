@@ -486,13 +486,17 @@ enum { BRANCH_ROOT, BRANCH_IN, BRANCH_OUT };
 
 typedef struct {
     const rlk_ctx *c;
-    int mode, cap, stop_at, best, cover;
+    int mode, cap, stop_at, best;
     int stop; /* 1 = early stop (best <= stop_at), 2 = budget exhausted */
     long long node_budget, nodes;
     double deadline;
     u64 *best_mask;
     u64 *frames; /* per depth FRAME_ROWS rows of W words: in_m, pool, child, done */
     u64 *scratch; /* predicate scratch */
+    /* the LD bound's X (W words) and cap histogram (maxdeg + 1 counts): used
+     * only before a node recurses, so one of each serves every depth */
+    u64 *undom;
+    int *hist;
 } bnb_state;
 
 #define FRAME_ROWS 4
@@ -511,6 +515,47 @@ typedef struct {
 #define POPCNT_DISPATCH
 #endif
 
+/* The LD bound of dfs, the bound of pybits._ld_prunes: does no LD set S
+ * with in_m <= S <= pool have fewer than `room` vertices outside in_m?
+ * st->undom holds X, the nx vertices neither in in_m nor adjacent to it.
+ * Each x in X - S has a nonempty trace inside S - in_m, and traces are
+ * distinct, so with t = |S - in_m| <= |C| (C = pool - in_m), S needs
+ * 2(|X| - min(t, |U|)) - t <= top(t), where U = X & pool and top(t) sums the
+ * t largest caps |N(d) & X|, d in C.  The right side less the left only grows
+ * with t, so the largest t allowed decides.  Each cap is at most maxdeg,
+ * which settles most nodes before the caps are counted. */
+static int ld_prunes(bnb_state *st, const u64 *in_m, const u64 *pool, int nx, int room)
+{
+    const rlk_ctx *c = st->c;
+    const u64 *x = st->undom;
+    int W = c->W, nc = 0, nu = 0;
+    for (int w = 0; w < W; w++) {
+        nc += popc(pool[w] & ~in_m[w]);
+        nu += popc(x[w] & pool[w]);
+    }
+    int t = room - 1 < nc ? room - 1 : nc;
+    int short_by = 2 * (nx - (t < nu ? t : nu)) - t; /* what top(t) must reach */
+    if (short_by <= 0)
+        return 0;
+    if (short_by > t * c->maxdeg)
+        return 1;
+    memset(st->hist, 0, ((size_t)c->maxdeg + 1) * sizeof(int));
+    for (int w = 0; w < W; w++)
+        for (u64 m = pool[w] & ~in_m[w]; m; m &= m - 1) {
+            const u64 *nb = OPEN(c, w << 6 | __builtin_ctzll(m));
+            int cap = 0;
+            for (int y = 0; y < W; y++)
+                cap += popc(nb[y] & x[y]);
+            st->hist[cap]++;
+        }
+    for (int k = c->maxdeg; k > 0 && t > 0; k--) {
+        int take = st->hist[k] < t ? st->hist[k] : t;
+        short_by -= take * k;
+        t -= take;
+    }
+    return short_by > 0;
+}
+
 /* One node, reached by `branch` on vertex b.  pybits.bnb recomputes every
  * count at every node and stays the check; dfs makes the same decisions but
  * re-checks only what the branch changed, by three invariants:
@@ -523,10 +568,13 @@ typedef struct {
  *    are out.  The root tests every vertex, so isolated vertices and leaves
  *    are caught there.
  *  - `done` only grows along a path, because in_m and out_m only grow.  It
- *    holds the settled vertices: in RED:LD mode those 2-dominated by in_m, in
- *    LD mode the out vertices with a neighbour in in_m.  They add nothing to
- *    the deficit.  Nor can they fail or force anything in the domination
- *    test, since in_m lies in the pool, so the test skips them too.
+ *    holds the settled vertices: in RED:LD mode those 2-dominated by in_m,
+ *    in LD mode those with a neighbour in in_m, N(in_m), kept by adding the
+ *    neighbourhoods of the vertices new in in_m since the parent.  In RED:LD
+ *    mode they add nothing to the deficit; in LD mode they are not in X, the
+ *    undominated vertices that the LD bound (ld_prunes) counts.  Nor can they
+ *    fail or force anything in the domination test, since in_m lies in the
+ *    pool, so the test skips them too.
  *
  * A child is made only by a node that passed the pair test, on in_m after its
  * propagation, so a pair keeps that verdict unless the branch changed what
@@ -603,19 +651,17 @@ static void dfs(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m, in
             return;
     }
 
-    /* admissible bound: each detector covers at most `cover` units of deficit.
-     * Only the vertices not yet done can add to it; those that are settled
-     * now join done. */
-    int deficit = 0;
-    if (redld)
+    /* admissible bound */
+    int limit = st->best < st->cap + 1 ? st->best : st->cap + 1, leaf;
+    if (redld) {
+        /* each detector covers at most maxdeg + 1 units of deficit.  Only the
+         * vertices not yet done can add to it; those that are settled now
+         * join done. */
+        int deficit = 0, cover = c->maxdeg + 1;
         complement(c, child, done);
-    else
         for (int w = 0; w < W; w++)
-            child[w] = out_m[w] & ~done[w];
-    for (int w = 0; w < W; w++)
-        for (u64 m = child[w]; m; m &= m - 1) {
-            int v = w << 6 | __builtin_ctzll(m);
-            if (redld) {
+            for (u64 m = child[w]; m; m &= m - 1) {
+                int v = w << 6 | __builtin_ctzll(m);
                 int have = 0;
                 for (int x = 0; x < W && have < 2; x++)
                     have += popc(CLOSED(c, v)[x] & in_m[x]);
@@ -623,20 +669,29 @@ static void dfs(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m, in
                     deficit += 2 - have;
                 else
                     set(done, v);
-            } else {
-                u64 acc = 0;
-                for (int x = 0; x < W; x++)
-                    acc |= OPEN(c, v)[x] & in_m[x];
-                if (acc)
-                    set(done, v);
-                else
-                    deficit++;
             }
-        }
-    int limit = st->best < st->cap + 1 ? st->best : st->cap + 1;
-    if (in_ct + (deficit + st->cover - 1) / st->cover >= limit)
-        return;
-    if (deficit == 0 && characterized(c, st->mode, in_m, st->scratch)) {
+        if (in_ct + (deficit + cover - 1) / cover >= limit)
+            return;
+        leaf = deficit == 0;
+    } else {
+        /* done gains the neighbours of the vertices new in in_m; X is the rest
+         * outside in_m */
+        const u64 *prev = branch == BRANCH_ROOT ? NULL : in_m - FRAME_ROWS * W;
+        for (int w = 0; w < W; w++)
+            for (u64 m = prev ? in_m[w] & ~prev[w] : in_m[w]; m; m &= m - 1) {
+                const u64 *nb = OPEN(c, w << 6 | __builtin_ctzll(m));
+                for (int x = 0; x < W; x++)
+                    done[x] |= nb[x];
+            }
+        for (int w = 0; w < W; w++)
+            child[w] = in_m[w] | done[w];
+        complement(c, st->undom, child);
+        int nx = popcount(st->undom, W);
+        if (ld_prunes(st, in_m, pool, nx, limit - in_ct))
+            return;
+        leaf = nx == 0;
+    }
+    if (leaf && characterized(c, st->mode, in_m, st->scratch)) {
         st->best = in_ct;
         memcpy(st->best_mask, in_m, W * sizeof(u64));
         if (st->best <= st->stop_at)
@@ -685,15 +740,18 @@ static int rlk_bnb(const rlk_ctx *c, int mode, const u64 *forced_in, const u64 *
             return 1;
     bnb_state st = {.c = c, .mode = mode, .cap = cap, .stop_at = stop_at, .best = cap + 1,
                     .node_budget = node_budget};
-    st.cover = mode == MODE_REDLD ? c->maxdeg + 1 : (c->maxdeg > 1 ? c->maxdeg : 1);
     if (time_budget != 0)
         st.deadline = monotime() + time_budget;
     /* depth <= n: every level decides one more vertex */
     st.frames = malloc(((size_t)c->n + 1) * FRAME_ROWS * W * sizeof(u64));
     st.scratch = scratch_new(c);
-    if (!st.frames || !st.scratch) {
+    st.undom = malloc(W * sizeof(u64));
+    st.hist = malloc(((size_t)c->maxdeg + 1) * sizeof(int));
+    if (!st.frames || !st.scratch || !st.undom || !st.hist) {
         free(st.frames);
         free(st.scratch);
+        free(st.undom);
+        free(st.hist);
         return RLK_NOMEM;
     }
     st.best_mask = witness; /* written at each improvement, so only when best <= cap */
@@ -703,6 +761,8 @@ static int rlk_bnb(const rlk_ctx *c, int mode, const u64 *forced_in, const u64 *
     *nodes = st.nodes;
     free(st.scratch);
     free(st.frames);
+    free(st.undom);
+    free(st.hist);
     return st.stop == 2 ? 2 : st.best <= cap ? 0 : 1;
 }
 

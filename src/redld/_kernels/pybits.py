@@ -247,6 +247,29 @@ def dom_candidates(touch, count: int, node_budget: int) -> tuple[list[int], bool
     return out, exhausted
 
 
+def _ld_prunes(ctx: Ctx, in_m: int, pool: int, x: int, room: int) -> bool:
+    """The LD bound of bnb: True when no LD set S with in_m <= S <= pool
+    has fewer than `room` vertices outside in_m.
+
+    x is X, the vertices neither in in_m nor adjacent to it; U = X & pool is
+    its undecided part, and a candidate d in C = pool & ~in_m has cap(d) =
+    |N(d) & X|.  Take such an S and t = |S - in_m|.  Each x in X - S has a
+    nonempty trace N(x) & S, which lies in S - in_m since x has no neighbour
+    in in_m; traces are distinct, so at most t of them are singletons, and
+    2|X - S| - t <= the sum of the traces' sizes <= top(t), the sum of the t
+    largest caps.  With |X - S| >= |X| - min(t, |U|) and t <= |C|, S needs
+    2(|X| - min(t, |U|)) <= t + top(t).  The right side less the left only
+    grows with t, so the largest t allowed, min(room - 1, |C|), decides.  At
+    the root, where every cap is at most maxdeg, this is the classic
+    ceil(2n / (maxdeg + 3)).
+    """
+    cand = pool & ~in_m
+    caps = sorted(((ctx.open_[d] & x).bit_count() for d in _bit_list(cand)), reverse=True)
+    t = min(room - 1, len(caps))
+    left = x.bit_count() - min(t, (x & pool).bit_count())
+    return 2 * left > t + sum(caps[:t])
+
+
 def bnb(ctx: Ctx, mode: int, forced_in: int, forced_out: int, cap: int,
         stop_at: int, node_budget: int, time_budget: float) -> tuple[int, int, int, int]:
     """Depth-first branch and bound over sets S with forced_in <= S <= ~forced_out.
@@ -277,9 +300,7 @@ def bnb(ctx: Ctx, mode: int, forced_in: int, forced_out: int, cap: int,
     deg = ctx.deg
     if forced_in & forced_out:
         return 1, -1, 0, 0
-    cover = ctx.maxdeg + 1 if mode == MODE_REDLD else max(ctx.maxdeg, 1)
     need = 2 if mode == MODE_REDLD else 1
-    valid = is_redld if mode == MODE_REDLD else is_ld
     best = cap + 1
     best_mask = 0
     nodes = 0
@@ -322,21 +343,28 @@ def bnb(ctx: Ctx, mode: int, forced_in: int, forced_out: int, cap: int,
         ins = _bit_list(in_m) if mode == MODE_REDLD else []
         if _pairs_fail(ctx, pool, need, combinations(outs, 2), product(outs, ins)):
             return
-        # admissible bound: each detector covers at most maxdeg+1 units of deficit
+        # admissible bound
+        limit = min(best, cap + 1)
         if mode == MODE_REDLD:
+            # each detector covers at most maxdeg+1 units of deficit
+            cover = ctx.maxdeg + 1
             deficit = 0
             for v in range(n):
                 have = (closed[v] & in_m).bit_count()
                 if have < 2:
                     deficit += 2 - have
+            if in_ct + (deficit + cover - 1) // cover >= limit:
+                return
+            leaf = deficit == 0 and is_redld(ctx, in_m)
         else:
-            deficit = 0
-            for u in outs:
-                if open_[u] & in_m == 0:
-                    deficit += 1
-        if in_ct + (deficit + cover - 1) // cover >= min(best, cap + 1):
-            return
-        if deficit == 0 and valid(ctx, in_m):
+            dom = in_m
+            for d in _bit_list(in_m):
+                dom |= open_[d]
+            x = full & ~dom
+            if _ld_prunes(ctx, in_m, pool, x, limit - in_ct):
+                return
+            leaf = x == 0 and is_ld(ctx, in_m)
+        if leaf:
             best = in_ct
             best_mask = in_m
             if best <= stop_at:

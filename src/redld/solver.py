@@ -11,9 +11,10 @@ lower bound (at least the number of forced detectors), c + 1, ..., one search
 capped at c that stops at the first set it finds, until one finds a set.  A
 top-down search (cap n, stop at the bound) can sink into a subtree whose sets
 are all too large: on Q_6 it was still at 24 after 200M nodes, while the
-ladder refutes 19 and finds 20 in about 10M.  LD stays top-down: its root
-bound is 0, and the ladder spent 27-37% more nodes on every LD graph
-measured (BENCH_solver_ladder.json).
+ladder refutes 19 and finds 20 in about 10M.  LD stays top-down, stopping
+at the first set of the classic size bound: the ladder spent 27-37% more
+nodes on every LD graph measured (BENCH_solver_ladder.json), when the
+kernel's LD bound was still 0 at the root.
 
 Witness phase.  `found` is the last set a search found, first the optimum
 phase's.  Every step keeps in_m <= found, found disjoint from out_m and
@@ -126,6 +127,13 @@ def _redld_lower_bound(g: Graph) -> int:
     return lb
 
 
+def _ld_lower_bound(g: Graph) -> int:
+    """The classic ceil(2n / (maxdeg + 3)): each of the n - k vertices out of
+    a k-set needs a distinct nonempty trace, at most k of them singletons,
+    and the traces' sizes sum to at most k * maxdeg."""
+    return -(-2 * g.n // (g.max_degree() + 3))
+
+
 def _solve_mode(g: Graph, mode: int, budget: SolveBudget | None) -> SolveResult:
     if mode == K.MODE_REDLD and not redld_exists(g):
         return SolveResult(None, None, True, 0)
@@ -151,7 +159,7 @@ def _solve_mode(g: Graph, mode: int, budget: SolveBudget | None) -> SolveResult:
                 opt += 1
         else:
             opt_calls += 1
-            status, opt, found = clock.bnb(ctx, mode, 0, 0, sub.n, 0)
+            status, opt, found = clock.bnb(ctx, mode, 0, 0, sub.n, _ld_lower_bound(sub))
             assert status == 0, "S = V is an LD set"
         opt_nodes += clock.used - before
         in_m, out_m = forced, 0

@@ -72,7 +72,7 @@ def test_solve(tmp_path, capsys):
     assert "nodes: optimum 56 (2 calls), witness 6 (4 calls)\n" in err
     code, out, err = run(capsys, ["solve", "--mode", "ld", path])
     assert out.splitlines()[0] == "optimum: 4"
-    assert "nodes: optimum 273 (1 calls), witness 72 (6 calls)\n" in err
+    assert "nodes: optimum 31 (1 calls), witness 22 (6 calls)\n" in err
 
 
 def test_solve_infeasible(tmp_path, capsys):

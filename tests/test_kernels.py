@@ -14,8 +14,10 @@ import redld
 import redld._kernels as K
 import redld._kernels.pybits as py
 from redld._kernels import _build
+from redld.graph import Graph
 from redld.grids import LatticeKind, _fold_constraints
 from redld.satreduce import SatInstance, build_reduction
+from redld.solver import _ld_lower_bound
 
 try:
     import redld._kernels._ckern as ck
@@ -481,7 +483,7 @@ def random_tree_adj(n, extra, rng):
 @needs_c
 def test_bnb_agrees_at_every_node_budget():
     # a search cut after any node must agree, incumbent and witness included
-    for mode, n, seed in ((K.MODE_REDLD, 14, 2), (K.MODE_LD, 10, 0)):
+    for mode, n, seed in ((K.MODE_REDLD, 14, 2), (K.MODE_LD, 12, 0)):
         adj = random_adj(n, 0.3, random.Random(seed))
         cp, cc = py.make_ctx(adj), ck.make_ctx(adj)
         full = py.bnb(cp, mode, 0, 0, n, 0, 0, 0.0)
@@ -574,6 +576,41 @@ def test_bnb_agrees_across_words():
                     assert got_py == ck.bnb(cc, *args)
                     statuses.append(got_py[0])
     assert {0, 1, 2} <= set(statuses)
+
+
+@pytest.mark.parametrize("kern", [py, pytest.param(ck, marks=needs_c)],
+                         ids=["py", "c"])
+def test_ld_bnb_matches_brute_force_on_every_graph_to_7_vertices(kern):
+    # every graph of the networkx atlas, all 1,253 with n <= 7 but the empty
+    # one, under seeded forced-in and forced-out masks: capped at n the
+    # search finds the minimum, capped one below it finds nothing, and the
+    # classic bound the solver stops at is never above the minimum
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(16)
+    for g in nx.graph_atlas_g()[1:]:
+        n = g.number_of_nodes()
+        adj = [sorted(g[v]) for v in range(n)]
+        cp, ctx = py.make_ctx(adj), kern.make_ctx(adj)
+        ld_sets = [s for s in range(1 << n) if py.is_ld(cp, s)]
+        forced = [(0, 0)]
+        for _ in range(3):
+            forced_in = sum(1 << v for v in range(n) if rng.random() < 0.2)
+            forced.append((forced_in, sum(1 << v for v in range(n)
+                                          if not forced_in >> v & 1 and rng.random() < 0.25)))
+        for forced_in, forced_out in forced:
+            best = min((s.bit_count() for s in ld_sets
+                        if s & forced_in == forced_in and not s & forced_out), default=None)
+            status, value, mask, _ = kern.bnb(ctx, K.MODE_LD, forced_in, forced_out, n, 0, 0, 0.0)
+            if best is None:
+                assert status == 1
+                continue
+            assert (status, value) == (0, best)
+            assert mask in ld_sets and mask & forced_in == forced_in and not mask & forced_out
+            assert kern.bnb(ctx, K.MODE_LD, forced_in, forced_out, best - 1, 0, 0, 0.0)[0] == 1
+        lb = _ld_lower_bound(Graph(n, list(g.edges)))
+        unforced = min(s.bit_count() for s in ld_sets)
+        assert lb <= unforced
+        assert kern.bnb(ctx, K.MODE_LD, 0, 0, n, lb, 0, 0.0)[:2] == (0, unforced)
 
 
 @needs_c

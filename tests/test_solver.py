@@ -90,9 +90,9 @@ def test_bnb_matches_brute_force():
 # (graph, solver, nodes, optimum-phase nodes, optimum-phase calls,
 # witness-phase calls); both backends count the same nodes
 PINNED_COUNTS = [
-    ("petersen", min_ld, 345, 273, 1, 6),
+    ("petersen", min_ld, 53, 31, 1, 6),
     ("petersen", min_redld, 62, 56, 2, 4),
-    ("q4", min_ld, 6_571, 5_999, 1, 10),
+    ("q4", min_ld, 2_717, 2_635, 1, 10),
     ("q4", min_redld, 2_314, 1_444, 2, 8),
     ("q5", min_redld, 9_264, 7_596, 2, 20),
 ]
@@ -251,3 +251,77 @@ def test_budget_stop_in_a_refuting_rung_raises(monkeypatch, dim, refuted, budget
         min_redld(build_hypercube(dim), budget)
     assert [(cap, status) for cap, status, _ in calls] == [(refuted, 2)]
     assert info.value.nodes == calls[0][2] > 0
+
+
+def test_ld_optimum_phase_stops_at_the_classic_bound(monkeypatch):
+    # Petersen: ceil(2 * 10 / (3 + 3)) = 4 is the optimum, so the optimum
+    # phase's one search stops at the first 4-set it finds
+    stops = []
+    real = K.bnb
+
+    def bnb(*args):
+        stops.append(args[5])
+        return real(*args)
+
+    monkeypatch.setattr(K, "bnb", bnb)
+    res = min_ld(build_petersen())
+    assert res.optimum == 4 and res.optimum_calls == 1
+    assert stops[0] == 4
+
+
+needs_c = pytest.mark.skipif(K.BACKEND != "c", reason="too slow on the pure-Python kernel")
+
+
+def milp_optimum(g, mode):
+    """The minimum LD or RED:LD set by a 0/1 program (scipy's HiGHS), with
+    its witness.  x_v says whether v is a detector; for each pair (u, v) at
+    distance at most 2, D = N(u) ^ N(v).  LD: sum over N[v] >= 1, and
+    sum over D + x_u + x_v >= 1.  RED:LD: sum over N[v] >= 2,
+    sum over D + 2 x_u + 2 x_v >= 2, and sum over D - {v} - x_v + x_u >= 0
+    and the same with u and v swapped."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n, nbrs = g.n, [set(g.adj[v]) for v in range(g.n)]
+    rows, lows = [], []
+
+    def row(terms, low):
+        r = [0] * n
+        for v, c in terms:
+            r[v] += c
+        rows.append(r)
+        lows.append(low)
+
+    need = 2 if mode == MODE_REDLD else 1
+    for v in range(n):
+        row([(w, 1) for w in nbrs[v] | {v}], need)
+    for u, v in combinations(range(n), 2):
+        if v not in nbrs[u] and not nbrs[u] & nbrs[v]:
+            continue
+        d = nbrs[u] ^ nbrs[v]
+        if mode == MODE_REDLD:
+            row([(w, 1) for w in d] + [(u, 2), (v, 2)], 2)
+            row([(w, 1) for w in d - {v}] + [(v, -1), (u, 1)], 0)
+            row([(w, 1) for w in d - {u}] + [(u, -1), (v, 1)], 0)
+        else:
+            row([(w, 1) for w in d] + [(u, 1), (v, 1)], 1)
+    res = milp([1] * n, constraints=LinearConstraint(rows, lows, float("inf")),
+               integrality=[1] * n, bounds=Bounds(0, 1))
+    assert res.status == 0
+    chosen = [v for v in range(n) if res.x[v] > 0.5]
+    return round(res.fun), chosen
+
+
+@needs_c
+@pytest.mark.parametrize("n", [25, 30, 35, 40])
+def test_bnb_optima_match_a_milp_past_brute_force(n):
+    # sparse G(n, 4 / n), isolated vertices joined to a neighbour: past the
+    # 24 vertices of brute force, the 0/1 program is the independent oracle.
+    # The seeds keep the four graphs near 1.5 s on C in all; other seeds of
+    # G(40, 0.1) take up to 5 s in LD branch and bound.
+    pytest.importorskip("scipy")
+    g = random_graph(n, 4 / n, random.Random(100 * n + 2))
+    for solve, mode, check in ((min_ld, K.MODE_LD, is_ld_set),
+                               (min_redld, MODE_REDLD, is_redld_set)):
+        value, chosen = milp_optimum(g, mode)
+        assert check(g, chosen).ok
+        assert solve(g).optimum == value
