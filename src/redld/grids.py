@@ -296,15 +296,15 @@ def pattern_search(
 
     Domains are scanned in order of area; cell (0,0) is pinned as a
     detector, which loses nothing up to translation.  Candidates come from
-    a depth-first walk that keeps only exactly-floor(w*h*target) subsets
-    whose every vertex can still end up 2-dominated; its prunes cut no
-    such subset.  Domains whose walk exceeds the node budget fall back to
-    seeded random descents through the same space.  So None proves that
-    no pattern of density at most target_density exists on any domain up
-    to max_period (adding detectors keeps a pattern valid) exactly when
-    every domain's walk exhausted.  Each candidate, tiled over the
-    verification torus, is checked with the kernel's RED:LD predicate; the
-    first that passes is returned.
+    a depth-first walk that keeps only the subsets of exactly
+    min(floor(w*h*target), w*h) cells whose every vertex can still end up
+    2-dominated; its prunes cut no such subset.  Domains whose walk exceeds
+    the node budget fall back to seeded random descents through the same
+    space.  So None proves that no pattern of density at most
+    target_density exists on any domain up to max_period (adding detectors
+    keeps a pattern valid) exactly when every domain's walk exhausted.
+    Each candidate, tiled over the verification torus, is checked with the
+    kernel's RED:LD predicate; the first that passes is returned.
     """
     target = Fraction(target_density)
     rng = random.Random(seed)
@@ -316,7 +316,7 @@ def pattern_search(
     ]
     domains.sort(key=lambda wh: (wh[0] * wh[1], wh[0], wh[1]))
     for w, h in domains:
-        count = (w * h * target.numerator) // target.denominator
+        count = min((w * h * target.numerator) // target.denominator, w * h)
         if count < 1:
             continue
         masks, exhausted = _dominating_candidates(kind, w, h, count, _DFS_NODE_BUDGET)

@@ -175,12 +175,11 @@ def decide_via_redld(
 ) -> tuple[bool, Optional[dict[int, bool]]]:
     """Satisfiability via detector-set feasibility at cap K on the reduction."""
     art = build_reduction(phi)
-    status, value, mask = _BudgetClock(budget).bnb(
-        art.graph.kernel_ctx(), kern.MODE_REDLD, art.forced.mask(), 0, art.k, art.k)
-    if status == 1:
+    mask = _BudgetClock(budget).find(
+        art.graph.kernel_ctx(), kern.MODE_REDLD, art.forced.mask(), 0, art.k)
+    if mask is None:
         return False, None
-    assert value == art.k
-    return True, extract_assignment(art, DetectorSet(_members(mask)))
+    return True, extract_assignment(art, _members(mask))
 
 
 def render_roles(art: ReductionArtifact) -> str:

@@ -6,15 +6,13 @@ lexicographically smallest optimal set, obtained by fixing vertices in
 ascending order and keeping each one exactly when an optimal solution through
 the current prefix still exists.
 
-Optimum phase.  RED:LD climbs a ladder of decision calls: for c = the root
-lower bound (at least the number of forced detectors), c + 1, ..., one search
-capped at c that stops at the first set it finds, until one finds a set.  A
-top-down search (cap n, stop at the bound) can sink into a subtree whose sets
-are all too large: on Q_6 it was still at 24 after 200M nodes, while the
-ladder refutes 19 and finds 20 in about 10M.  LD stays top-down, stopping
-at the first set of the classic size bound: the ladder spent 27-37% more
-nodes on every LD graph measured (BENCH_solver_ladder.json), when the
-kernel's LD bound was still 0 at the root.
+Optimum phase.  Both modes climb a ladder of decision calls: for c = the
+mode's root lower bound (for RED:LD at least the number of forced
+detectors), c + 1, ..., one search for a set of at most c vertices, which
+stops at the first set it finds, until one finds a set.  A top-down search
+(cap n, stop at the bound) can sink into a subtree whose sets are all too
+large: on Q_6 RED:LD it was still at 24 after 200M nodes, while the ladder
+refutes 19 and finds 20 in about 10M.
 
 Witness phase.  `found` is the last set a search found, first the optimum
 phase's.  Every step keeps in_m <= found, found disjoint from out_m and
@@ -97,25 +95,28 @@ class _BudgetClock:
         self.deadline = (None if budget.max_seconds is None
                          else time.monotonic() + budget.max_seconds)
         self.used = 0
+        self.calls = 0
 
-    def bnb(self, ctx, mode: int, forced_in: int, forced_out: int, cap: int,
-            stop_at: int) -> tuple[int, int, int]:
-        """The kernel's bnb within the nodes and seconds left; returns its
-        (status, value, witness_mask), status 0 or 1.  Raises
+    def find(self, ctx, mode: int, forced_in: int, forced_out: int,
+             size: int) -> int | None:
+        """The mask of a valid set of at most `size` vertices that holds
+        forced_in and avoids forced_out, found by the kernel's bnb within the
+        nodes and seconds left, or None when there is none.  Raises
         BudgetExceededError, with the nodes used so far, before the call
         once either is spent, and after a call that the budget stopped."""
         seconds_left = 0.0 if self.deadline is None else self.deadline - time.monotonic()
         if ((self.nodes_left is not None and self.nodes_left <= 0)
                 or (self.deadline is not None and seconds_left <= 0)):  # 0 would mean no limit
             raise BudgetExceededError(self.used)
-        status, value, mask, nodes = K.bnb(ctx, mode, forced_in, forced_out, cap, stop_at,
-                                           self.nodes_left or 0, seconds_left)
+        status, _, mask, nodes = K.bnb(ctx, mode, forced_in, forced_out, size, size,
+                                       self.nodes_left or 0, seconds_left)
         self.used += nodes
+        self.calls += 1
         if self.nodes_left is not None:
             self.nodes_left -= nodes
         if status == 2:
             raise BudgetExceededError(self.used)
-        return status, value, mask
+        return mask if status == 0 else None
 
 
 def _redld_lower_bound(g: Graph) -> int:
@@ -139,47 +140,38 @@ def _solve_mode(g: Graph, mode: int, budget: SolveBudget | None) -> SolveResult:
         return SolveResult(None, None, True, 0)
     clock = _BudgetClock(budget)
     witness: list[int] = []
-    total = 0
-    opt_nodes = opt_calls = wit_calls = 0
+    total = opt_nodes = opt_calls = 0
     for comp in g.connected_components():
         sub, index = g.induced_subgraph(comp)
         back = {i: v for v, i in index.items()}
         ctx = sub.kernel_ctx()
-        forced = 0
-        before = clock.used
         if mode == K.MODE_REDLD:
-            for v in forced_detectors(sub):
-                forced |= 1 << v
+            forced = forced_detectors(sub).mask()
             opt = max(_redld_lower_bound(sub), forced.bit_count())
-            while True:
-                opt_calls += 1
-                status, _, found = clock.bnb(ctx, mode, forced, 0, opt, opt)
-                if status == 0:
-                    break
-                opt += 1
         else:
-            opt_calls += 1
-            status, opt, found = clock.bnb(ctx, mode, 0, 0, sub.n, _ld_lower_bound(sub))
-            assert status == 0, "S = V is an LD set"
-        opt_nodes += clock.used - before
+            forced, opt = 0, _ld_lower_bound(sub)
+        nodes, calls = clock.used, clock.calls
+        while (found := clock.find(ctx, mode, forced, 0, opt)) is None:
+            opt += 1
+        opt_nodes += clock.used - nodes
+        opt_calls += clock.calls - calls
         in_m, out_m = forced, 0
         for i in range(sub.n):
             bit = 1 << i
             if found & bit:  # in_m <= found
                 in_m |= bit
                 continue
-            wit_calls += 1
-            status, _, mask = clock.bnb(ctx, mode, in_m | bit, out_m, opt, opt)
-            if status == 0:
+            mask = clock.find(ctx, mode, in_m | bit, out_m, opt)
+            if mask is None:
+                out_m |= bit
+            else:
                 in_m |= bit
                 found = mask
-            else:
-                out_m |= bit
         assert in_m == found and in_m.bit_count() == opt
         witness.extend(back[i] for i in _members(in_m))
         total += opt
     return SolveResult(total, DetectorSet(witness), False, clock.used,
-                       opt_nodes, clock.used - opt_nodes, opt_calls, wit_calls)
+                       opt_nodes, clock.used - opt_nodes, opt_calls, clock.calls - opt_calls)
 
 
 def min_redld(g: Graph, budget: SolveBudget | None = None) -> SolveResult:

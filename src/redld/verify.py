@@ -197,11 +197,11 @@ def _redld_violations(g: Graph, ss: frozenset[int]) -> list[Violation]:
     for v in range(g.n):
         if g.degree(v) == 0:
             violations.append((EXISTENCE, (v,)))
+    traces = {v: _trace(g, ss, v) for v in range(g.n)}
     for v in range(g.n):
-        if domination_count(g, ss, v) < 2:
+        if len(traces[v]) + (v in ss) < 2:  # |N[v] ∩ S|
             violations.append((DOM2, (v,)))
     non = [v for v in range(g.n) if v not in ss]
-    traces = {v: _trace(g, ss, v) for v in range(g.n)}
     for u, v in combinations(non, 2):
         if len(traces[u] ^ traces[v]) < 2:
             violations.append((NONDET_PAIR_2DIST, (u, v)))

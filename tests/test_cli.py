@@ -72,7 +72,7 @@ def test_solve(tmp_path, capsys):
     assert "nodes: optimum 56 (2 calls), witness 6 (4 calls)\n" in err
     code, out, err = run(capsys, ["solve", "--mode", "ld", path])
     assert out.splitlines()[0] == "optimum: 4"
-    assert "nodes: optimum 31 (1 calls), witness 22 (6 calls)\n" in err
+    assert "nodes: optimum 29 (1 calls), witness 22 (6 calls)\n" in err
 
 
 def test_solve_infeasible(tmp_path, capsys):
@@ -253,6 +253,10 @@ def test_grid_search(capsys):
     code, out, _ = run(capsys, ["grid", "search", "hex", "2", "1/3"])
     assert code == 1
     assert out == "not found\n"
+    # a target above 1 is met by the all-detector pattern, density 1
+    code, out, _ = run(capsys, ["grid", "search", "sq", "2", "2"])
+    assert code == 0
+    assert out == "SQ 1 1\n#\ndensity: 1\n"
 
 
 def test_grid_input_errors_exit_2(tmp_path, capsys):

@@ -181,6 +181,14 @@ def test_search_miss_returns_none():
     assert pattern_search(LatticeKind.HEX, 2, Fraction(1, 3)) is None
 
 
+def test_search_above_density_one_finds_the_full_pattern():
+    # floor(w*h*2) detectors fit on no domain; the count is capped at w*h,
+    # so the 1x1 all-detector pattern is found, not reported absent
+    p = pattern_search(LatticeKind.SQ, 2, Fraction(2))
+    assert p == PeriodicPattern(LatticeKind.SQ, 1, 1, frozenset([(0, 0)]))
+    assert verify_periodic(p).ok
+
+
 def test_near_pairs_within_distance_2():
     for kind, want in ((LatticeKind.SQ, 600), (LatticeKind.KING, 1200)):
         g, _ = build_torus(PeriodicPattern(kind, 5, 5), 2, 2)

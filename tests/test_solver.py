@@ -90,9 +90,9 @@ def test_bnb_matches_brute_force():
 # (graph, solver, nodes, optimum-phase nodes, optimum-phase calls,
 # witness-phase calls); both backends count the same nodes
 PINNED_COUNTS = [
-    ("petersen", min_ld, 53, 31, 1, 6),
+    ("petersen", min_ld, 51, 29, 1, 6),
     ("petersen", min_redld, 62, 56, 2, 4),
-    ("q4", min_ld, 2_717, 2_635, 1, 10),
+    ("q4", min_ld, 2_702, 2_620, 2, 10),
     ("q4", min_redld, 2_314, 1_444, 2, 8),
     ("q5", min_redld, 9_264, 7_596, 2, 20),
 ]
@@ -187,7 +187,7 @@ def test_time_budget_raises():
     clock = _BudgetClock(SolveBudget(max_seconds=30.0))
     clock.deadline = time.monotonic()
     with pytest.raises(BudgetExceededError) as info:
-        clock.bnb(g.kernel_ctx(), MODE_REDLD, 0, 0, g.n, 0)
+        clock.find(g.kernel_ctx(), MODE_REDLD, 0, 0, g.n)
     assert info.value.nodes == 0
 
 
@@ -210,12 +210,17 @@ def test_brute_force_cap():
         brute_force_min_redld(Graph(25, [(v, (v + 1) % 25) for v in range(25)]))
 
 
+needs_c = pytest.mark.skipif(K.BACKEND != "c", reason="too slow on the pure-Python kernel")
+
+
 def spy_on_bnb(monkeypatch):
-    """Record (cap, status, nodes) of every kernel bnb call."""
+    """Record (cap, status, nodes) of every kernel bnb call, each of which
+    must be a decision call: cap == stop_at."""
     calls = []
     real = K.bnb
 
     def bnb(*args):
+        assert args[4] == args[5]
         out = real(*args)
         calls.append((args[4], out[0], out[3]))
         return out
@@ -236,6 +241,26 @@ def test_redld_ladder_climbs_from_the_lower_bound(monkeypatch):
     assert res.optimum_calls + res.witness_calls == len(calls)
 
 
+@pytest.mark.parametrize("dim, rungs, first_rung_nodes", [
+    # Q_4: the classic bound ceil(32/7) = 5 is refuted; 6 is found
+    (4, [5, 6], 2_527),
+    # Q_5: ceil(64/8) = 8, then 9, are refuted; 10 is found
+    pytest.param(5, [8, 9, 10], 79_423, marks=needs_c),
+])
+def test_ld_ladder_climbs_from_the_lower_bound(monkeypatch, dim, rungs, first_rung_nodes):
+    calls = spy_on_bnb(monkeypatch)
+    res = min_ld(build_hypercube(dim))
+    opt, k = rungs[-1], len(rungs)
+    assert res.optimum == opt and res.optimum_calls == k
+    assert [(cap, status) for cap, status, _ in calls[:k]] == \
+        [(cap, 1) for cap in rungs[:-1]] + [(opt, 0)]
+    assert calls[0][2] == first_rung_nodes
+    assert all(cap == opt for cap, _, _ in calls[k:])
+    assert res.nodes == sum(nodes for _, _, nodes in calls)
+    assert res.optimum_nodes == sum(nodes for _, _, nodes in calls[:k])
+    assert res.optimum_calls + res.witness_calls == len(calls)
+
+
 @pytest.mark.parametrize("dim, refuted, budget", [
     # the node budget runs out halfway through Q_5's cap-11 rung (5,921
     # nodes); a time stop cannot be placed in so short a rung on every
@@ -253,6 +278,16 @@ def test_budget_stop_in_a_refuting_rung_raises(monkeypatch, dim, refuted, budget
     assert info.value.nodes == calls[0][2] > 0
 
 
+def test_budget_stop_in_an_ld_refuting_rung_raises(monkeypatch):
+    # Q_4 LD: the cap-5 rung takes 2,527 nodes to refute, so a budget of
+    # 1,200 stops it; reading that stop as "no" would return 6
+    calls = spy_on_bnb(monkeypatch)
+    with pytest.raises(BudgetExceededError) as info:
+        min_ld(build_hypercube(4), SolveBudget(max_nodes=1_200))
+    assert [(cap, status) for cap, status, _ in calls] == [(5, 2)]
+    assert info.value.nodes == calls[0][2] > 0
+
+
 def test_ld_optimum_phase_stops_at_the_classic_bound(monkeypatch):
     # Petersen: ceil(2 * 10 / (3 + 3)) = 4 is the optimum, so the optimum
     # phase's one search stops at the first 4-set it finds
@@ -267,9 +302,6 @@ def test_ld_optimum_phase_stops_at_the_classic_bound(monkeypatch):
     res = min_ld(build_petersen())
     assert res.optimum == 4 and res.optimum_calls == 1
     assert stops[0] == 4
-
-
-needs_c = pytest.mark.skipif(K.BACKEND != "c", reason="too slow on the pure-Python kernel")
 
 
 def milp_optimum(g, mode):
