@@ -30,10 +30,9 @@ def build(source: Path = SOURCE, directory: Path | None = None, cc: str | None =
     The compiler writes a temporary file in the target directory, which is
     then renamed into place, so concurrent builds never expose a partly
     written module.  After a compile, the modules of other sources with the
-    same suffix in that directory are deleted, and so are the untagged
-    `_ckern-<sha256>.so` libraries that earlier versions loaded through
-    ctypes; the modules of other interpreters are left alone.  Any failure
-    to build, a missing `Python.h` included, raises ImportError.
+    same suffix in that directory are deleted; the modules of other
+    interpreters are left alone.  Any failure to build, a missing `Python.h`
+    included, raises ImportError.
     """
     try:
         digest = hashlib.sha256(source.read_bytes()).hexdigest()
@@ -46,14 +45,9 @@ def build(source: Path = SOURCE, directory: Path | None = None, cc: str | None =
     return target
 
 
-# the ctypes libraries of earlier versions: no interpreter tag in the name
-UNTAGGED = "_ckern-" + "[0-9a-f]" * 64 + ".so"
-
-
 def _remove_stale(target: Path) -> None:
     # a process that still has an old module loaded keeps its mapping
-    stale = {*target.parent.glob(f"_ckern-*{SUFFIX}"), *target.parent.glob(UNTAGGED)}
-    for old in stale - {target}:
+    for old in set(target.parent.glob(f"_ckern-*{SUFFIX}")) - {target}:
         try:
             old.unlink()
         except OSError:

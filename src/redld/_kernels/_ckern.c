@@ -937,6 +937,21 @@ static PyObject *words_int(u64 *m, int W)
  * converting an item may run Python code (__index__), which must not resize
  * what the binding is reading. */
 
+/* The int obj as a vertex of an n-vertex graph in *v: -1 with an exception
+ * set when it is not an int naming a vertex. */
+static int vertex_arg(PyObject *obj, int n, int *v)
+{
+    long w = PyLong_AsLong(obj);
+    if (w == -1 && PyErr_Occurred())
+        return -1;
+    if (w < 0 || w >= n) {
+        PyErr_SetString(PyExc_IndexError, "vertex out of range");
+        return -1;
+    }
+    *v = (int)w;
+    return 0;
+}
+
 /* The n sequences of neighbours in the tuple rows into c: -1 with an
  * exception set when a neighbour is not an int naming a vertex. */
 static int ctx_fill(rlk_ctx *c, int n, PyObject *rows)
@@ -951,17 +966,12 @@ static int ctx_fill(rlk_ctx *c, int n, PyObject *rows)
             return -1;
         Py_ssize_t deg = PyTuple_GET_SIZE(row);
         for (Py_ssize_t i = 0; i < deg; i++) {
-            long w = PyLong_AsLong(PyTuple_GET_ITEM(row, i));
-            if (w == -1 && PyErr_Occurred()) {
+            int w;
+            if (vertex_arg(PyTuple_GET_ITEM(row, i), n, &w) < 0) {
                 Py_DECREF(row);
                 return -1;
             }
-            if (w < 0 || w >= n) {
-                Py_DECREF(row);
-                PyErr_SetString(PyExc_IndexError, "vertex out of range");
-                return -1;
-            }
-            set(OPEN(c, v), (int)w);
+            set(OPEN(c, v), w);
         }
         Py_DECREF(row);
         /* the length, duplicates included, as pybits counts it */
@@ -1082,22 +1092,6 @@ static PyObject *py_brute_force_min(PyObject *mod, PyObject *const *args, Py_ssi
     return result;
 }
 
-/* The ints of the tuple seq as vertices of c in out. */
-static int vertex_list(const rlk_ctx *c, PyObject *seq, int *out)
-{
-    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(seq); i++) {
-        long v = PyLong_AsLong(PyTuple_GET_ITEM(seq, i));
-        if (v == -1 && PyErr_Occurred())
-            return -1;
-        if (v < 0 || v >= c->n) {
-            PyErr_SetString(PyExc_IndexError, "vertex out of range");
-            return -1;
-        }
-        out[i] = (int)v;
-    }
-    return 0;
-}
-
 PyDoc_STRVAR(pairs_scan_doc, "pairs_scan(ctx, us, vs, candidates) -> int\n\n"
              "Index of the first candidate mask that 2-dominates every vertex and passes\n"
              "the pair conditions on every (us[i], vs[i]), or -1.  Every candidate is\n"
@@ -1137,8 +1131,9 @@ static PyObject *py_pairs_scan(PyObject *mod, PyObject *const *args, Py_ssize_t 
     for (Py_ssize_t i = 0; i < count; i++)
         if (mask_words(PyTuple_GET_ITEM(cands, i), c->n, masks + i * c->W) < 0)
             goto done;
-    if (vertex_list(c, us, ends) < 0 || vertex_list(c, vs, ends + npairs) < 0)
-        goto done;
+    for (Py_ssize_t i = 0; i < 2 * npairs; i++)  /* us, then vs */
+        if (vertex_arg(PyTuple_GET_ITEM(i < npairs ? us : vs, i % npairs), c->n, &ends[i]) < 0)
+            goto done;
     Py_ssize_t hit;
     Py_BEGIN_ALLOW_THREADS
     hit = rlk_pairs_scan(c, (int)npairs, ends, ends + npairs, count, masks);

@@ -11,6 +11,7 @@ Modes: 0 = LD, 1 = RED:LD via the three-condition characterization,
 
 from __future__ import annotations
 
+import operator
 import time
 from itertools import combinations, product
 
@@ -124,6 +125,12 @@ def _check_mask(n: int, s: int) -> None:
         raise IndexError("mask names a vertex out of range")
 
 
+def _check_node_budget(node_budget) -> None:
+    """An int (else TypeError) in C's signed 64-bit range (else OverflowError)."""
+    if not -2**63 <= operator.index(node_budget) < 2**63:
+        raise OverflowError("node_budget does not fit in a signed 64-bit int")
+
+
 def brute_force_min(ctx: Ctx, mode: int) -> tuple[int, int]:
     """Minimum valid set by cardinality then lexicographic order.
 
@@ -186,6 +193,7 @@ def dom_candidates(touch, count: int, node_budget: int) -> tuple[list[int], bool
     has spent node_budget nodes.  Raises ValueError for a negative count or
     no cell, and IndexError for a negative constraint index.
     """
+    _check_node_budget(node_budget)
     if count < 0:
         raise ValueError("count must be non-negative")
     if not touch:
@@ -290,6 +298,7 @@ def bnb(ctx: Ctx, mode: int, forced_in: int, forced_out: int, cap: int,
     the IN branch is explored first.
     """
     _check_mode(mode, (MODE_LD, MODE_REDLD))
+    _check_node_budget(node_budget)
     _check_mask(ctx.n, forced_in)
     _check_mask(ctx.n, forced_out)
     deadline = time.monotonic() + time_budget if time_budget else 0.0

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success (or property true), 1 valid run with a negative
-answer, 2 input error, 3 budget exceeded.  Results go to standard output;
-timing and diagnostics go to standard error so output stays byte-stable
-across runs.
+answer, 2 input error, 3 budget exceeded (a solve, or a grid search whose
+candidate walk gave up, so that "not found" would prove nothing).  Results
+go to standard output; timing and diagnostics go to standard error so
+output stays byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -106,17 +107,16 @@ def _kary_table_text(fmt: str) -> str:
     return "\n".join(out)
 
 
+# the families whose value one call builds, with its parameter count
+_FAMILY_VALUES = {"path": (families.redld_path, 1), "cycle": (families.redld_cycle, 1),
+                  "ladder": (families.redld_ladder, 1), "kary": (families.redld_kary, 2)}
+
+
 def cmd_family(args) -> RunReport:
     kind = args.family
-    if kind == "path":
-        return _family_report(families.redld_path(_params(args, 1)[0]))
-    if kind == "cycle":
-        return _family_report(families.redld_cycle(_params(args, 1)[0]))
-    if kind == "ladder":
-        return _family_report(families.redld_ladder(_params(args, 1)[0]))
-    if kind == "kary":
-        k, d = _params(args, 2)
-        return _family_report(families.redld_kary(k, d))
+    if kind in _FAMILY_VALUES:
+        build, want = _FAMILY_VALUES[kind]
+        return _family_report(build(*_params(args, want)))
     if kind == "kary-table":
         return RunReport(_kary_table_text(args.format), OK)
     if kind == "max-even":
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="closed-form family values")
     p.add_argument(
         "family",
-        choices=["path", "cycle", "ladder", "kary", "kary-table", "max-even", "constants"],
+        choices=[*_FAMILY_VALUES, "kary-table", "max-even", "constants"],
     )
     p.add_argument("params", type=int, nargs="*")
     p.set_defaults(fn=cmd_family)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from .graph import (
@@ -175,17 +176,7 @@ def max_order_even_k(k: int) -> FamilyValue:
     core = list(range(k))
     edges = [(u, v) for u in core for v in core if u < v]
     labels = [f"v_{i + 1}" for i in core]
-    subsets = []
-    for size in range(2, k - 1, 2):
-        stack = [(tuple(), 0)]
-        while stack:
-            chosen, nxt = stack.pop()
-            if len(chosen) == size:
-                subsets.append(chosen)
-                continue
-            for c in range(nxt, k):
-                stack.append((chosen + (c,), c + 1))
-    subsets.sort(key=lambda t: (len(t), t))
+    subsets = [sub for size in range(2, k - 1, 2) for sub in combinations(core, size)]
     for idx, sub in enumerate(subsets):
         w = k + idx
         labels.append("u{" + ",".join(str(c + 1) for c in sub) + "}")

@@ -18,7 +18,8 @@ from typing import Optional
 
 from . import _kernels as kern
 from .graph import Graph
-from .verify import DetectorSet, VerificationReport, is_redld_set, share
+from .solver import BudgetExceededError
+from .verify import DetectorSet, VerificationReport, _members, is_redld_set, share
 
 
 class LatticeKind(Enum):
@@ -127,9 +128,8 @@ def build_torus(pattern: PeriodicPattern, c_w: int, c_h: int) -> tuple[Graph, De
         for y in range(big_h)
         for x in range(big_w)
     )
-    members = [(y + j * h) * big_w + x + i * w
-               for x, y in pattern.detectors for j in range(c_h) for i in range(c_w)]
-    return Graph._from_adj(adj), DetectorSet(members)
+    domain = sum(1 << (y * w + x) for x, y in pattern.detectors)
+    return Graph._from_adj(adj), DetectorSet(_members(_tiler(w, h, c_w, c_h)(domain)))
 
 
 def _tile_counts(pattern: PeriodicPattern, extent: int) -> tuple[int, int]:
@@ -140,10 +140,10 @@ def _tile_counts(pattern: PeriodicPattern, extent: int) -> tuple[int, int]:
     return c_w, c_h
 
 
-def verify_periodic(pattern: PeriodicPattern, extent: int = 8) -> VerificationReport:
-    """Full check of the pattern on a torus of at least `extent` cells per
-    side; the verdict equals validity on the infinite grid."""
-    g, s = build_torus(pattern, *_tile_counts(pattern, extent))
+def verify_periodic(pattern: PeriodicPattern) -> VerificationReport:
+    """Full check of the pattern on a torus of at least 8 cells per side;
+    the verdict equals validity on the infinite grid."""
+    g, s = build_torus(pattern, *_tile_counts(pattern, 8))
     return is_redld_set(g, s)
 
 
@@ -300,11 +300,12 @@ def pattern_search(
     min(floor(w*h*target), w*h) cells whose every vertex can still end up
     2-dominated; its prunes cut no such subset.  Domains whose walk exceeds
     the node budget fall back to seeded random descents through the same
-    space.  So None proves that no pattern of density at most
-    target_density exists on any domain up to max_period (adding detectors
-    keeps a pattern valid) exactly when every domain's walk exhausted.
-    Each candidate, tiled over the verification torus, is checked with the
-    kernel's RED:LD predicate; the first that passes is returned.
+    space.  Each candidate, tiled over the verification torus, is checked
+    with the kernel's RED:LD predicate; the first that passes is returned.
+    None, returned only when every walk exhausted, proves that no pattern of
+    density at most target_density exists on any domain up to max_period
+    (adding detectors keeps a pattern valid).  When a walk ran out of budget
+    and no candidate passed, BudgetExceededError carries those walks' nodes.
     """
     target = Fraction(target_density)
     rng = random.Random(seed)
@@ -315,12 +316,14 @@ def pattern_search(
         if kind is not LatticeKind.HEX or w % 2 == 0
     ]
     domains.sort(key=lambda wh: (wh[0] * wh[1], wh[0], wh[1]))
+    cut = 0  # walks that ran out of budget
     for w, h in domains:
         count = min((w * h * target.numerator) // target.denominator, w * h)
         if count < 1:
             continue
         masks, exhausted = _dominating_candidates(kind, w, h, count, _DFS_NODE_BUDGET)
         if not exhausted:
+            cut += 1
             masks.extend(_random_descents(kind, w, h, count, rng, _DESCENT_COUNT,
                                           skip=set(masks)))
         if not masks:
@@ -333,6 +336,8 @@ def pattern_search(
             if kern.is_redld(ctx, tile(mask)):
                 cells = frozenset((c % w, c // w) for c in range(w * h) if mask >> c & 1)
                 return PeriodicPattern(kind, w, h, cells)
+    if cut:
+        raise BudgetExceededError(cut * _DFS_NODE_BUDGET)
     return None
 
 
@@ -359,7 +364,5 @@ def _tiler(w: int, h: int, c_w: int, c_h: int):
 
 def _tiled_mask(kind: LatticeKind, w: int, h: int, cells) -> int:
     """The torus mask of the pattern tiled over the verification torus."""
-    domain = 0
-    for x, y in cells:
-        domain |= 1 << (y * w + x)
+    domain = sum(1 << (y * w + x) for x, y in cells)
     return _tiler(w, h, *_tile_counts(PeriodicPattern(kind, w, h), 8))(domain)

@@ -41,6 +41,8 @@ class SolveBudget:
     max_seconds: float | None = None
 
     def __post_init__(self):
+        if self.max_nodes is not None and not isinstance(self.max_nodes, int):
+            raise ValueError(f"max_nodes must be an int, got {self.max_nodes!r}")
         for name in ("max_nodes", "max_seconds"):
             limit = getattr(self, name)
             if limit is not None and not limit >= 0:  # NaN fails too
@@ -108,8 +110,9 @@ class _BudgetClock:
         if ((self.nodes_left is not None and self.nodes_left <= 0)
                 or (self.deadline is not None and seconds_left <= 0)):  # 0 would mean no limit
             raise BudgetExceededError(self.used)
+        # the kernels count nodes in a signed 64-bit int
         status, _, mask, nodes = K.bnb(ctx, mode, forced_in, forced_out, size, size,
-                                       self.nodes_left or 0, seconds_left)
+                                       min(self.nodes_left or 0, 2**63 - 1), seconds_left)
         self.used += nodes
         self.calls += 1
         if self.nodes_left is not None:
@@ -142,8 +145,7 @@ def _solve_mode(g: Graph, mode: int, budget: SolveBudget | None) -> SolveResult:
     witness: list[int] = []
     total = opt_nodes = opt_calls = 0
     for comp in g.connected_components():
-        sub, index = g.induced_subgraph(comp)
-        back = {i: v for v, i in index.items()}
+        sub, _ = g.induced_subgraph(comp)  # vertex i of sub is comp[i]
         ctx = sub.kernel_ctx()
         if mode == K.MODE_REDLD:
             forced = forced_detectors(sub).mask()
@@ -168,7 +170,7 @@ def _solve_mode(g: Graph, mode: int, budget: SolveBudget | None) -> SolveResult:
                 in_m |= bit
                 found = mask
         assert in_m == found and in_m.bit_count() == opt
-        witness.extend(back[i] for i in _members(in_m))
+        witness.extend(comp[i] for i in _members(in_m))
         total += opt
     return SolveResult(total, DetectorSet(witness), False, clock.used,
                        opt_nodes, clock.used - opt_nodes, opt_calls, clock.calls - opt_calls)

@@ -436,6 +436,10 @@ _TMIN_BASE: dict[int, tuple[tuple[Adjacency, frozenset[int]], ...]] = {
     4: ((((1,), (0, 2), (1, 3), (2,)), frozenset(range(4))),
         (((1, 2, 3), (0,), (0,), (0,)), frozenset(range(4)))),
 }
+# the pair rules by m mod 3, in the order a level applies them: the residues
+# mod 3 of the orders of the first and the second pair that a new vertex
+# joins, at a detector of each, into a pair on m vertices
+_PAIR_JOINS = {2: ((2, 2),), 0: ((0, 2),), 1: ((0, 0), (1, 2))}
 
 
 @lru_cache(maxsize=None)
@@ -475,26 +479,15 @@ def _tmin_level(m: int) -> dict[str, tuple[Adjacency, frozenset[int]]]:
 
     for adj, s in _TMIN_BASE.get(m, ()):
         add(adj, s)
-    cls = m % 3
-    if cls == 2:
-        for n1 in range(2, m - 1, 3):
+    # n1 of residue r1 makes n2 = m - 1 - n1 one of residue r2, at least 2
+    # when r2 is 2; the least order of residue r is (r - 2) % 3 + 2, and two
+    # parts of one residue are joined with n1 <= n2 only
+    for r1, r2 in _PAIR_JOINS[m % 3]:
+        for n1 in range((r1 - 2) % 3 + 2, m, 3):
             n2 = m - 1 - n1
-            if n2 >= n1 and n2 % 3 == 2:
+            if r1 != r2 or n2 >= n1:
                 join_at_detectors(n1, n2)
-    elif cls == 0:
-        for n1 in range(3, m, 3):
-            n2 = m - 1 - n1
-            if n2 >= 2 and n2 % 3 == 2:
-                join_at_detectors(n1, n2)
-    else:
-        for n1 in range(3, m, 3):
-            n2 = m - 1 - n1
-            if n2 >= n1 and n2 % 3 == 0:
-                join_at_detectors(n1, n2)
-        for n1 in range(4, m, 3):
-            n2 = m - 1 - n1
-            if n2 >= 2 and n2 % 3 == 2:
-                join_at_detectors(n1, n2)
+    if m % 3 == 1:
         for n1 in range(2, m, 3):
             for n2 in range(n1, m, 3):
                 n3 = m - 1 - n1 - n2

@@ -112,6 +112,18 @@ def test_solve_rejects_a_negative_budget(tmp_path, capsys, flag, value):
     assert "error: " in err and "must be a number >= 0" in err
 
 
+def test_node_budgets_past_64_bits_mean_no_limit(tmp_path, capsys):
+    # the kernels count nodes in 64 bits; a larger budget must not crash them
+    path = graph_file(tmp_path, build_petersen())
+    huge = ["--budget-nodes", str(10**20)]
+    assert run(capsys, ["solve", path, *huge])[:2] == run(capsys, ["solve", path])[:2]
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text(P7_CNF)
+    code, out, _ = run(capsys, ["reduce", "--solve", str(cnf), *huge])
+    assert (code, out) == run(capsys, ["reduce", "--solve", str(cnf)])[:2]
+    assert out.startswith("SAT\n")
+
+
 def test_family_path(capsys):
     code, out, _ = run(capsys, ["family", "path", "9"])
     assert code == 0
@@ -257,6 +269,16 @@ def test_grid_search(capsys):
     code, out, _ = run(capsys, ["grid", "search", "sq", "2", "2"])
     assert code == 0
     assert out == "SQ 1 1\n#\ndensity: 1\n"
+
+
+def test_grid_search_that_gave_up_exits_3(capsys, monkeypatch):
+    # walks cut by their node budget leave the absence unproved: exit 3, as
+    # for a solve that ran out of budget, and nothing on stdout
+    monkeypatch.setattr(grids, "_DFS_NODE_BUDGET", 50)
+    monkeypatch.setattr(grids, "_DESCENT_COUNT", 3)
+    code, out, err = run(capsys, ["grid", "search", "sq", "5", "2/5"])
+    assert (code, out) == (3, "")
+    assert "budget exceeded after 200 nodes" in err
 
 
 def test_grid_input_errors_exit_2(tmp_path, capsys):

@@ -27,7 +27,8 @@ from redld.grids import (
     verify_periodic,
 )
 from redld.graph import Graph
-from redld.verify import DOM2
+from redld.solver import BudgetExceededError
+from redld.verify import DOM2, is_redld_set
 
 try:
     import redld._kernels._ckern as ckern
@@ -110,12 +111,16 @@ def test_frozen_patterns_verify():
 
 
 def test_wrap_independence():
-    # the verdict must not depend on which torus multiple it was checked on
+    # the verdict must not depend on which torus multiple it was checked on:
+    # verify_periodic's torus of at least 8 cells a side against one of 12
+    def on_12_cells(p):
+        return is_redld_set(*build_torus(p, *_tile_counts(p, 12))).ok
+
     for text in BEST:
         p = parse_pattern(text)
-        assert verify_periodic(p, extent=8).ok == verify_periodic(p, extent=12).ok
+        assert verify_periodic(p).ok == on_12_cells(p) is True
     bad = PeriodicPattern(LatticeKind.SQ, 2, 2, frozenset([(0, 0)]))
-    assert verify_periodic(bad, extent=8).ok == verify_periodic(bad, extent=12).ok is False
+    assert verify_periodic(bad).ok == on_12_cells(bad) is False
 
 
 def test_empty_pattern_fails_domination():
@@ -238,13 +243,16 @@ def test_torus_adjacency_matches_checked_build():
 
 
 def test_torus_detectors_tile_the_domain():
+    # cell (x, y) of copy (i, j) is torus cell (y + j*h)*W + x + i*w, W the
+    # torus width
     for text in BEST:
         p = parse_pattern(text)
         for c_w, c_h in (_tile_counts(p, 8), _tile_counts(p, 12)):
             _, s = build_torus(p, c_w, c_h)
+            big_w = p.w * c_w
+            assert s == {(y + j * p.h) * big_w + x + i * p.w for x, y in p.detectors
+                         for j in range(c_h) for i in range(c_w)}
             assert len(s) == c_w * c_h * len(p.detectors)
-            assert s.mask() == _tiler(p.w, p.h, c_w, c_h)(
-                sum(1 << (y * p.w + x) for x, y in p.detectors))
 
 
 # The benchmark's grid searches, as (kind, max period, target).
@@ -391,3 +399,16 @@ def test_no_pattern_below_target_up_to_period(monkeypatch, kind, target, c_perio
     period = c_period if kern.BACKEND == "c" else py_period
     assert pattern_search(kind, period, target) is None
     assert walks and all(walks)
+
+
+def test_a_search_whose_walks_gave_up_raises(monkeypatch):
+    # SQ up to 5 at 2/5 has no pattern; with walks cut at 50 nodes and 3
+    # descents each, four domains stay undecided, and the search says so
+    # instead of reporting an absence it did not prove
+    monkeypatch.setattr(grids, "_DFS_NODE_BUDGET", 50)
+    monkeypatch.setattr(grids, "_DESCENT_COUNT", 3)
+    with pytest.raises(BudgetExceededError) as info:
+        pattern_search(LatticeKind.SQ, 5, Fraction(2, 5))
+    assert info.value.nodes == 4 * 50
+    # a pattern found on some domain is an answer, whatever the others did
+    assert verify_periodic(pattern_search(LatticeKind.TRI, 3, Fraction(1, 3))).ok

@@ -290,6 +290,24 @@ def test_dom_candidates_reject_bad_input(kern):
 
 @pytest.mark.parametrize("kern", [py, pytest.param(ck, marks=needs_c)],
                          ids=["py", "c"])
+def test_backends_reject_the_same_node_budgets(kern):
+    # the C kernel counts nodes in a signed 64-bit int
+    ctx = kern.make_ctx([[1], [0, 2], [1]])  # P_3
+    touch = [[(0, 1), (1, 1)], [(1, 2)]]
+    for budget, error in ((1.5, TypeError), (None, TypeError), ("1", TypeError),
+                          (2**63, OverflowError), (-2**63 - 1, OverflowError)):
+        with pytest.raises(error):
+            kern.bnb(ctx, K.MODE_REDLD, 0, 0, 3, 0, budget, 0.0)
+        with pytest.raises(error):
+            kern.dom_candidates(touch, 1, budget)
+    # the ends of the range are taken: no limit, and a stop at the first node
+    assert kern.bnb(ctx, K.MODE_REDLD, 0, 0, 3, 0, 2**63 - 1, 0.0) == (0, 3, 0b111, 1)
+    assert kern.bnb(ctx, K.MODE_REDLD, 0, 0, 3, 0, -2**63, 0.0) == (2, -1, 0, 1)
+    assert kern.dom_candidates(touch, 1, 2**63 - 1) == ([], True)
+
+
+@pytest.mark.parametrize("kern", [py, pytest.param(ck, marks=needs_c)],
+                         ids=["py", "c"])
 def test_backends_reject_the_same_bad_input(kern):
     ctx = kern.make_ctx([[1], [0, 2], [1]])  # P_3
     for mode in (-1, 3):
@@ -392,14 +410,15 @@ def test_build_deletes_libraries_of_other_sources(tmp_path):
     assert stale.exists()
 
 
-def test_stale_builds_include_untagged_ctypes_libraries(tmp_path):
-    # no compile: the clean-up after one, on files that only look like builds
+def test_stale_builds_are_this_interpreters_modules_of_other_sources(tmp_path):
+    # no compile: the clean-up after one, on files that only look like builds;
+    # other interpreters' modules and libraries without a tag are not stale
     digest = "0123456789abcdef" * 4
     target = tmp_path / f"_ckern-{digest}{_build.SUFFIX}"
-    stale = [tmp_path / f"_ckern-{'f' * 64}{_build.SUFFIX}", tmp_path / f"_ckern-{digest}.so"]
+    stale = [tmp_path / f"_ckern-{'f' * 64}{_build.SUFFIX}",
+             tmp_path / f"_ckern-0123abcd{_build.SUFFIX}"]
     kept = [tmp_path / f"_ckern-{digest}.cpython-399-x86_64-linux-gnu.so",
-            tmp_path / f"_ckern-{'A' * 64}.so", tmp_path / f"_ckern-{digest}0.so",
-            tmp_path / "_ckern-0123abcd.so", tmp_path / "_ckern.c", tmp_path / "other.so"]
+            tmp_path / f"_ckern-{'f' * 64}.so", tmp_path / "_ckern.c", tmp_path / "other.so"]
     for path in [target, *stale, *kept]:
         path.write_bytes(b"")
     _build._remove_stale(target)

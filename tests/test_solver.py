@@ -205,6 +205,21 @@ def test_negative_or_nan_budgets_are_rejected(budget):
         SolveBudget(**budget)
 
 
+def test_node_budget_must_be_an_int():
+    # a float budget was a TypeError from the C kernel and a budget stop on
+    # the pure-Python one
+    with pytest.raises(ValueError, match="max_nodes must be an int"):
+        SolveBudget(max_nodes=1.5)
+
+
+def test_node_budgets_past_64_bits_mean_no_limit():
+    unlimited = min_redld(build_hypercube(4))
+    for nodes in (2**63 - 1, 2**63, 10**20):
+        got = min_redld(build_hypercube(4), SolveBudget(max_nodes=nodes))
+        assert (got.optimum, got.witness, got.nodes) == \
+            (unlimited.optimum, unlimited.witness, unlimited.nodes)
+
+
 def test_brute_force_cap():
     with pytest.raises(ValueError):
         brute_force_min_redld(Graph(25, [(v, (v + 1) % 25) for v in range(25)]))
