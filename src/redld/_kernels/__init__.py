@@ -1,5 +1,10 @@
 """Kernel backend selection: compiled extension when available, else pure Python.
 
+Both backends have the same entry points: `make_ctx` builds a graph's
+context; `mask_of` turns an iterable of vertices into a mask, range-checked;
+the predicates `is_ld`, `is_redld` and `is_redld_def` judge a mask; and
+`brute_force_min`, `pairs_scan`, `dom_candidates` and `bnb` search.
+
 Set REDLD_BACKEND=py or REDLD_BACKEND=c to force a backend; forcing "c" raises,
 naming the cause, if the extension cannot be built or loaded.
 """
@@ -27,6 +32,7 @@ else:
 BACKEND = _impl.BACKEND
 
 make_ctx = _impl.make_ctx
+mask_of = _impl.mask_of
 is_ld = _impl.is_ld
 is_redld = _impl.is_redld
 is_redld_def = _impl.is_redld_def

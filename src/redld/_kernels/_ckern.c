@@ -31,7 +31,8 @@
  *
  * Vertex sets are arrays of W = ceil(n / 64) 64-bit words, vertex v at bit
  * v & 63 of word v >> 6.  In Python they are ints, bit v for vertex v; the
- * binding converts them in mask_words and words_int.
+ * binding converts them in mask_words and words_int, and builds them from
+ * vertex lists in mask_of.
  *
  * A context is written once by ctx_fill, in make_ctx, and is only read
  * afterwards.  Every other entry point allocates its scratch per call, so
@@ -774,7 +775,8 @@ static int rlk_bnb(const rlk_ctx *c, int mode, const u64 *forced_in, const u64 *
  * a mask that is not an int raises TypeError; a mask that is negative or
  * names a vertex at n or above (a predicate's, a scan candidate, a forced
  * set of bnb) raises IndexError; an unknown mode, pair lists of two lengths,
- * a negative count or no cell for dom_candidates raise ValueError.  The
+ * a negative count or no cell for dom_candidates, and a detector of mask_of
+ * outside 0 .. n - 1 raise ValueError.  The
  * searches (brute_force_min, pairs_scan, dom_candidates, bnb) release the GIL
  * while the kernel runs, on buffers that were filled before and belong to the
  * call. */
@@ -1058,6 +1060,64 @@ static PyObject *py_is_redld_def(PyObject *mod, PyObject *const *args, Py_ssize_
     return predicate("is_redld_def", MODE_REDLD_DEF, args, nargs);
 }
 
+PyDoc_STRVAR(mask_of_doc, "mask_of(n, vertices) -> int\n\n"
+             "The mask of the vertices, read once, each an int in 0 .. n - 1.");
+
+/* Items are read with the iterator protocol, one at a time, so the first bad
+ * item raises before a later one is read, as in pybits.mask_of.  Each is
+ * range-checked as an int before its bit is set: the words grow to the
+ * highest vertex seen, never to one out of range. */
+static PyObject *py_mask_of(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)mod;
+    long n;
+    if (!nargs_ok("mask_of", nargs, 2) || int_arg(args[0], 0, INT_MAX - 63, &n) < 0)
+        return NULL;
+    PyObject *it = PyObject_GetIter(args[1]), *item, *result = NULL;
+    if (!it)
+        return NULL;
+    u64 stack[STACK_WORDS], *m = stack;
+    int W = 0, cap = STACK_WORDS;
+    while ((item = PyIter_Next(it))) {
+        PyObject *index = PyNumber_Index(item);
+        Py_DECREF(item);
+        if (!index)
+            goto done;
+        int overflow;
+        long long v = PyLong_AsLongLongAndOverflow(index, &overflow);
+        if (overflow || v < 0 || v >= n) {
+            PyErr_Format(PyExc_ValueError, "detector %S out of range for n=%ld", index, n);
+            Py_DECREF(index);
+            goto done;
+        }
+        Py_DECREF(index);
+        int w = (int)(v >> 6);
+        if (w >= cap) {
+            int grown = w + 1 > 2 * cap ? w + 1 : 2 * cap;
+            u64 *bigger = m == stack ? PyMem_Malloc((size_t)grown * sizeof(u64))
+                                     : PyMem_Realloc(m, (size_t)grown * sizeof(u64));
+            if (!bigger) {
+                PyErr_NoMemory();
+                goto done;
+            }
+            if (m == stack)
+                memcpy(bigger, stack, (size_t)W * sizeof(u64));
+            m = bigger;
+            cap = grown;
+        }
+        for (; W <= w; W++)
+            m[W] = 0;
+        m[w] |= (u64)1 << (v & 63);
+    }
+    if (!PyErr_Occurred())
+        result = W ? words_int(m, W) : PyLong_FromLong(0);
+done:
+    Py_DECREF(it);
+    if (m != stack)
+        PyMem_Free(m);
+    return result;
+}
+
 PyDoc_STRVAR(brute_force_min_doc, "brute_force_min(ctx, mode) -> (size, mask)\n\n"
              "Minimum valid set by cardinality then lexicographic order, or (-1, 0).");
 
@@ -1323,6 +1383,7 @@ done:
 
 static PyMethodDef methods[] = {
     {"make_ctx", FASTCALL(py_make_ctx), make_ctx_doc},
+    {"mask_of", FASTCALL(py_mask_of), mask_of_doc},
     {"is_ld", FASTCALL(py_is_ld), is_ld_doc},
     {"is_redld", FASTCALL(py_is_redld), is_redld_doc},
     {"is_redld_def", FASTCALL(py_is_redld_def), is_redld_def_doc},

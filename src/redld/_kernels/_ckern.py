@@ -7,9 +7,10 @@ This module builds the extension next to its source on first import (see
 its functions.  When it cannot be built or loaded, importing this module
 raises ImportError and backend selection falls back to the pure-Python kernel.
 
-Every kernel name here is the extension's own function: a call is one call
-into C, which checks its arguments there and raises the exceptions pybits.py
-raises.  The predicates keep the GIL; `brute_force_min`, `pairs_scan`,
+Every kernel name here (`make_ctx`, `mask_of`, `is_ld`, `is_redld`,
+`is_redld_def`, `brute_force_min`, `pairs_scan`, `dom_candidates`, `bnb`) is
+the extension's own function: a call is one call into C, which checks its
+arguments there and raises the exceptions pybits.py raises.  The predicates keep the GIL; `brute_force_min`, `pairs_scan`,
 `dom_candidates` and `bnb` release it while they search.  A context is
 read-only once made, so several threads can use one at once.
 """
@@ -38,6 +39,7 @@ _ext = _load()
 
 Ctx = _ext.Ctx
 make_ctx = _ext.make_ctx
+mask_of = _ext.mask_of
 is_ld = _ext.is_ld
 is_redld = _ext.is_redld
 is_redld_def = _ext.is_redld_def

@@ -21,6 +21,9 @@ MODE_LD = 0
 MODE_REDLD = 1
 MODE_REDLD_DEF = 2
 
+# INT_MAX - 63: the most vertices the compiled kernel's contexts and masks hold
+_MAX_N = 2**31 - 64
+
 
 class Ctx:
     __slots__ = ("n", "open_", "closed", "deg", "full", "maxdeg")
@@ -118,6 +121,27 @@ def _check_vertices(n: int, vertices) -> None:
         raise IndexError("vertex out of range")
 
 
+def mask_of(n: int, vertices) -> int:
+    """The mask of `vertices`, read once, so an iterator works.
+
+    Each item is converted with operator.index (TypeError for a float, str
+    or None); the first item in iteration order outside 0 .. n - 1 raises
+    ValueError, before any shift, so a huge one allocates nothing.
+    Duplicates are OR'd together.  n is an int in 0 .. _MAX_N, else
+    TypeError or OverflowError, as make_ctx takes no more vertices in C.
+    """
+    n = operator.index(n)
+    if not 0 <= n <= _MAX_N:
+        raise OverflowError(f"{n} is out of the kernel's range")
+    m = 0
+    for v in vertices:
+        v = operator.index(v)
+        if not 0 <= v < n:
+            raise ValueError(f"detector {v} out of range for n={n}")
+        m |= 1 << v
+    return m
+
+
 def _check_mask(n: int, s: int) -> None:
     """The check of a mask argument that both backends share: one test
     catches both a negative mask and a bit at vertex n or above."""
@@ -194,6 +218,7 @@ def dom_candidates(touch, count: int, node_budget: int) -> tuple[list[int], bool
     no cell, and IndexError for a negative constraint index.
     """
     _check_node_budget(node_budget)
+    count = operator.index(count)
     if count < 0:
         raise ValueError("count must be non-negative")
     if not touch:
@@ -298,6 +323,7 @@ def bnb(ctx: Ctx, mode: int, forced_in: int, forced_out: int, cap: int,
     the IN branch is explored first.
     """
     _check_mode(mode, (MODE_LD, MODE_REDLD))
+    cap, stop_at = operator.index(cap), operator.index(stop_at)
     _check_node_budget(node_budget)
     _check_mask(ctx.n, forced_in)
     _check_mask(ctx.n, forced_out)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from numbers import Real
 
 from . import _kernels as K
 from .graph import Graph
@@ -41,11 +42,15 @@ class SolveBudget:
     max_seconds: float | None = None
 
     def __post_init__(self):
-        if self.max_nodes is not None and not isinstance(self.max_nodes, int):
-            raise ValueError(f"max_nodes must be an int, got {self.max_nodes!r}")
-        for name in ("max_nodes", "max_seconds"):
+        for name, kind, what in (("max_nodes", int, "an int"),
+                                 ("max_seconds", Real, "a number")):
             limit = getattr(self, name)
-            if limit is not None and not limit >= 0:  # NaN fails too
+            if limit is None:
+                continue
+            # a bool is an int, but True is no budget
+            if isinstance(limit, bool) or not isinstance(limit, kind):
+                raise ValueError(f"{name} must be {what}, got {limit!r}")
+            if not limit >= 0:  # NaN fails too
                 raise ValueError(f"{name} must be a number >= 0, got {limit}")
 
 

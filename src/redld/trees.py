@@ -17,8 +17,9 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from . import _kernels as K
 from .graph import Graph, build_path
-from .verify import DetectorSet, _mask, is_redld_set
+from .verify import DetectorSet, is_redld_set
 
 # A tree's adjacency as Graph.adj holds it: sorted neighbor tuples.
 Adjacency = tuple[tuple[int, ...], ...]
@@ -198,7 +199,7 @@ def canonical_code(g: Graph, detectors: Optional[Iterable[int]] = None) -> str:
         _require_tree(g)
     colored = frozenset(detectors) if detectors is not None else None
     if colored is not None:
-        _mask(g, colored)
+        K.mask_of(g.n, colored)
     return _code(g.adj, colored)
 
 

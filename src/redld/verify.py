@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import _kernels as K
 from .graph import Graph
@@ -76,9 +76,10 @@ Violation = tuple[str, tuple[int, ...]]
 class VerificationReport:
     """Outcome of one verification: mode, verdict, and all violations.
 
-    The verdict comes from the kernel.  The violations are listed by the
-    set-based lister on first access to `violations`, and only when the
-    verdict fails; an ok report has none and runs no lister.
+    The verdict comes from the kernel; the report keeps the graph and the
+    mask that were checked.  The violations are listed by the set-based
+    lister of the mode, looked up on first access to `violations`, and only
+    when the verdict fails; an ok report has none and runs no lister.
 
     Violation witnesses: (v,) for domination/existence conditions, (u, v) for
     pair conditions. For the removal-definition check the witness is prefixed
@@ -86,12 +87,13 @@ class VerificationReport:
     LD conditions on S − {r}.
     """
 
-    __slots__ = ("mode", "ok", "_lister", "_violations")
+    __slots__ = ("mode", "ok", "_g", "_mask", "_violations")
 
-    def __init__(self, mode: str, ok: bool, lister: Callable[[], list[Violation]]):
+    def __init__(self, mode: str, ok: bool, g: Graph, mask: int):
         self.mode = mode
         self.ok = ok
-        self._lister = lister
+        self._g = g
+        self._mask = mask
         self._violations: list[Violation] | None = None
 
     @property
@@ -99,7 +101,9 @@ class VerificationReport:
         if self.ok:
             return []
         if self._violations is None:
-            self._violations = self._lister()
+            lister = {"ld": _ld_violations, "redld": _redld_violations,
+                      "redld-def": _redld_def_violations}[self.mode]
+            self._violations = lister(self._g, _members(self._mask))
         return self._violations
 
     def __repr__(self) -> str:
@@ -119,14 +123,14 @@ def _as_set(s: Iterable[int]) -> frozenset[int]:
 def domination_count(g: Graph, s: Iterable[int], v: int) -> int:
     """dom(v) = |N[v] ∩ S|."""
     ss = _as_set(s)
-    _mask(g, ss)
+    K.mask_of(g.n, ss)
     return sum(1 for w in g.closed_neighborhood(v) if w in ss)
 
 
 def distinguishing_degree(g: Graph, s: Iterable[int], u: int, v: int) -> int:
     """|((N(u) ∩ S) △ (N(v) ∩ S)) − {u, v}|: how well S tells u and v apart."""
     ss = _as_set(s)
-    _mask(g, ss)
+    K.mask_of(g.n, ss)
     tu = set(g.open_neighborhood(u)) & ss
     tv = set(g.open_neighborhood(v)) & ss
     return len((tu ^ tv) - {u, v})
@@ -136,42 +140,30 @@ def _trace(g: Graph, s: frozenset[int], v: int) -> frozenset[int]:
     return frozenset(w for w in g.adj[v] if w in s)
 
 
-def _mask(g: Graph, s: Iterable[int]) -> int:
-    """The bitmask of s, in one pass that range-checks each detector before
-    its shift; s is read once, so an iterator works."""
-    n = g.n
-    m = 0
-    for v in s:
-        if not 0 <= v < n:
-            raise ValueError(f"detector {v} out of range for n={n}")
-        m |= 1 << v
-    return m
-
-
 def _members(mask: int) -> frozenset[int]:
     return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
+# The checks below take any iterable of vertex ids (numpy ints too): the
+# kernel's mask_of reads it once and range-checks each one before its shift.
+
+
 def is_ld_set(g: Graph, s: Iterable[int]) -> VerificationReport:
     """LD check: domination of non-detectors plus pairwise distinct traces."""
-    mask = _mask(g, s)
-    ok = K.is_ld(g.kernel_ctx(), mask)
-    return VerificationReport("ld", ok, lambda: _ld_violations(g, _members(mask)))
+    mask = K.mask_of(g.n, s)
+    return VerificationReport("ld", K.is_ld(g.kernel_ctx(), mask), g, mask)
 
 
 def is_redld_set(g: Graph, s: Iterable[int]) -> VerificationReport:
     """RED:LD check through the three-condition characterization."""
-    mask = _mask(g, s)
-    ok = K.is_redld(g.kernel_ctx(), mask)
-    return VerificationReport("redld", ok, lambda: _redld_violations(g, _members(mask)))
+    mask = K.mask_of(g.n, s)
+    return VerificationReport("redld", K.is_redld(g.kernel_ctx(), mask), g, mask)
 
 
 def is_redld_by_definition(g: Graph, s: Iterable[int]) -> VerificationReport:
     """RED:LD check straight from the definition: S and every S − {v} are LD."""
-    mask = _mask(g, s)
-    ok = K.is_redld_def(g.kernel_ctx(), mask)
-    return VerificationReport("redld-def", ok,
-                              lambda: _redld_def_violations(g, _members(mask)))
+    mask = K.mask_of(g.n, s)
+    return VerificationReport("redld-def", K.is_redld_def(g.kernel_ctx(), mask), g, mask)
 
 
 # The set-based listers below name every violation of a failed check.  They
@@ -230,7 +222,7 @@ def share(g: Graph, s: Iterable[int], x: int) -> Fraction:
     covering the whole graph, shares add up to n.
     """
     ss = _as_set(s)
-    _mask(g, ss)
+    K.mask_of(g.n, ss)
     total = Fraction(0)
     for w in g.closed_neighborhood(x):
         d = (w in ss) + sum(u in ss for u in g.adj[w])
@@ -241,9 +233,15 @@ def share(g: Graph, s: Iterable[int], x: int) -> Fraction:
 
 
 def find_twins(g: Graph) -> list[tuple[int, int]]:
-    """All pairs with equal open neighborhoods or equal closed neighborhoods."""
-    out = []
-    for u, v in combinations(range(g.n), 2):
-        if g.adj[u] == g.adj[v] or g.closed_neighborhood(u) == g.closed_neighborhood(v):
-            out.append((u, v))
-    return out
+    """All pairs with equal open neighborhoods or equal closed neighborhoods,
+    in ascending order: the vertices are grouped by each of the two rows,
+    and every two vertices of a group make a pair."""
+    by_open: dict[tuple[int, ...], list[int]] = {}
+    by_closed: dict[tuple[int, ...], list[int]] = {}
+    for v in range(g.n):
+        by_open.setdefault(g.adj[v], []).append(v)
+        by_closed.setdefault(g.closed_neighborhood(v), []).append(v)
+    # two vertices with equal open rows are not adjacent, and two with
+    # equal closed rows are, so no pair comes from both groupings
+    return sorted(pair for groups in (by_open, by_closed) for vs in groups.values()
+                  for pair in combinations(vs, 2))

@@ -9,6 +9,8 @@ import sys
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import redld._kernels as K
 import redld._kernels.pybits as py
@@ -17,6 +19,11 @@ try:
     import redld._kernels._ckern as ck
 except ImportError:
     ck = None
+
+try:
+    import numpy as np
+except ImportError:
+    np = None
 
 needs_c = pytest.mark.skipif(ck is None, reason="compiled kernel not built")
 
@@ -57,7 +64,7 @@ def test_verdicts_run_no_python_frame_of_the_kernel():
     # every kernel name of the compiled backend, and of the selected backend
     # when that is it, is the extension's own function; the extension is not
     # entered in sys.modules under a name of its own
-    for name in ("make_ctx", "is_ld", "is_redld", "is_redld_def", "brute_force_min",
+    for name in ("make_ctx", "mask_of", "is_ld", "is_redld", "is_redld_def", "brute_force_min",
                  "pairs_scan", "dom_candidates", "bnb"):
         assert getattr(ck, name) is getattr(ck._ext, name)
         assert type(getattr(ck, name)).__name__ == "builtin_function_or_method"
@@ -87,6 +94,66 @@ def test_backends_agree_on_masks_at_the_word_boundaries(n):
             assert got[0] == got[1], (n, mask, name)
 
 
+@pytest.mark.parametrize("kern", KERNELS, ids=IDS)
+def test_mask_of_reads_vertices_once(kern):
+    assert kern.mask_of(5, []) == 0
+    assert kern.mask_of(5, [4, 0, 4, 0]) == 0b10001
+    assert kern.mask_of(130, (v for v in (129, 0, 64, 63))) == 1 << 129 | 1 << 64 | 1 << 63 | 1
+    assert kern.mask_of(130, range(130)) == (1 << 130) - 1
+    gen = iter([1, 2, 9, 3])
+    # the first vertex out of range is named, before any shift: 10**30 is
+    # checked, not turned into a mask
+    with pytest.raises(ValueError, match="^detector 9 out of range for n=5$"):
+        kern.mask_of(5, gen)
+    assert list(gen) == [3]
+    with pytest.raises(ValueError, match="^detector 1000000000000000000000000000000 "):
+        kern.mask_of(5, [0, 10**30, -1])
+    with pytest.raises(ValueError, match="^detector -1 out of range for n=5$"):
+        kern.mask_of(5, [-1, 10**30])
+    for bad in (4.0, "1", None):
+        with pytest.raises(TypeError):
+            kern.mask_of(5, [0, bad])
+    for n in (1.0, "5", None):
+        with pytest.raises(TypeError):
+            kern.mask_of(n, [0])
+    with pytest.raises(OverflowError):
+        kern.mask_of(-1, [])
+    with pytest.raises(TypeError):
+        kern.mask_of(5, 3)
+
+
+# Items of every kind a caller may hand in as a detector: vertex ids in and
+# out of range of every n tried, past 64 bits, bools, numpy ints (what
+# np.flatnonzero gives), and items that are no int at all.
+DETECTOR_ITEMS = st.one_of(
+    st.integers(-3, 135),
+    st.integers(-2**70, -1),
+    st.integers(2**64, 2**80),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=2),
+    st.none(),
+    *((st.integers(-3, 135).map(np.int64), st.integers(0, 255).map(np.uint8))
+      if np is not None else ()),
+)
+CONTAINERS = {"list": list, "generator": lambda items: (v for v in items), "set": set}
+
+
+@needs_c
+@settings(max_examples=400, deadline=None)
+@given(n=st.sampled_from((1, 5, 63, 64, 65, 130)), items=st.lists(DETECTOR_ITEMS, max_size=10),
+       container=st.sampled_from(sorted(CONTAINERS)))
+def test_backends_build_the_same_mask(n, items, container):
+    # the same int, or the same exception type and message
+    def outcome(kern):
+        try:
+            return kern.mask_of(n, CONTAINERS[container](items))
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    assert outcome(ck) == outcome(py)
+
+
 @needs_c
 def test_c_functions_reject_a_python_context():
     ctx = py.make_ctx(((1,), (0, 2), (1,)))
@@ -112,6 +179,8 @@ def test_c_functions_reject_bad_arguments():
         ck.is_redld(ctx, 0b111, 0)
     with pytest.raises(TypeError):
         ck.is_redld(ctx=ctx, s=0b111)
+    with pytest.raises(TypeError):
+        ck.mask_of(3)
     with pytest.raises(TypeError):
         ck.Ctx(((1,), (0,)))
     with pytest.raises(ValueError, match="at least one vertex"):
@@ -178,9 +247,9 @@ def path_adj(n):
 @needs_c
 def test_calls_leave_no_reference_behind():
     # A refcount bug in the binding leaks or frees the caller's objects: the
-    # counts of contexts, of 130-bit masks and of the argument tuples (which
-    # the binding reads without copying) stay put over 10,000 rounds of calls
-    # that return and calls that raise, and no objects pile up.
+    # counts of contexts, of 130-bit masks and of the argument and vertex
+    # tuples (which the binding reads without copying) stay put over 10,000
+    # rounds of calls that return and calls that raise, and no objects pile up.
     n = 130
     adj, bad_adj = path_adj(n), ((1,), (0, 2))
     ctx, pctx, small = ck.make_ctx(adj), py.make_ctx(adj), ck.make_ctx(path_adj(6))
@@ -188,8 +257,9 @@ def test_calls_leave_no_reference_behind():
     wide = mask | 1 << n
     us, vs, cands, bad_cands = (0, 64), (1, 65), (mask, 0), (mask, wide)
     touch = (((0, 1), (1, 1)), ((1, 2),))
+    detectors, bad_detectors = (0, 64, 129, 64), (0, 64, n)
     watched = (adj, adj[0], bad_adj, ctx, pctx, small, mask, wide, us, vs, cands, bad_cands,
-               touch, touch[0], touch[0][0])
+               touch, touch[0], touch[0][0], detectors, bad_detectors)
     calls = (
         lambda k, c, s: k.make_ctx(adj).n,
         lambda k, c, s: (k.is_ld(c, mask), k.is_redld(c, mask), k.is_redld_def(s, 0b110111)),
@@ -197,6 +267,7 @@ def test_calls_leave_no_reference_behind():
         lambda k, c, s: k.bnb(c, K.MODE_REDLD, mask, 0, n, 0, 3, 0.0),
         lambda k, c, s: k.brute_force_min(s, K.MODE_REDLD),
         lambda k, c, s: k.dom_candidates(touch, 1, 100),
+        lambda k, c, s: (k.mask_of(n, detectors), k.mask_of(6, iter(detectors[:1]))),
     )
     raising = (
         lambda: ck.make_ctx(bad_adj),
@@ -204,6 +275,8 @@ def test_calls_leave_no_reference_behind():
         lambda: ck.is_ld(pctx, mask),
         lambda: ck.pairs_scan(ctx, us, vs, bad_cands),
         lambda: ck.bnb(ctx, K.MODE_REDLD, wide, 0, n, 0, 3, 0.0),
+        lambda: ck.mask_of(n, bad_detectors),
+        lambda: ck.mask_of(n, (0, None)),
     )
     expected = [call(py, pctx, py.make_ctx(path_adj(6))) for call in calls]
 
@@ -211,7 +284,7 @@ def test_calls_leave_no_reference_behind():
         for _ in range(count):
             assert [call(ck, ctx, small) for call in calls] == expected
             for call in raising:
-                with pytest.raises((IndexError, TypeError)):
+                with pytest.raises((IndexError, TypeError, ValueError)):
                     call()
 
     rounds(10)  # fills the caches and free lists of the interpreter and pytest

@@ -351,6 +351,13 @@ def test_backends_reject_the_same_bad_input(kern):
         for forced_in, forced_out in ((mask, 0), (0, mask)):
             with pytest.raises(error):
                 kern.bnb(ctx, K.MODE_REDLD, forced_in, forced_out, 3, 0, 0, 0.0)
+    # a size or count that is a float, even a whole one, is no int
+    for cap, stop_at in ((3.0, 0), (3, 0.0), (3.5, 0)):
+        with pytest.raises(TypeError):
+            kern.bnb(ctx, K.MODE_REDLD, 0, 0, cap, stop_at, 0, 0.0)
+    for count in (1.0, 0.5):
+        with pytest.raises(TypeError):
+            kern.dom_candidates([[(0, 1)]], count, 100)
 
 
 def test_pairs_scan_checks_domination_too():

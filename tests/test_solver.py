@@ -212,6 +212,20 @@ def test_node_budget_must_be_an_int():
         SolveBudget(max_nodes=1.5)
 
 
+@pytest.mark.parametrize("budget, match", [
+    ({"max_nodes": True}, "max_nodes must be an int"),
+    ({"max_nodes": False}, "max_nodes must be an int"),
+    ({"max_nodes": "5"}, "max_nodes must be an int"),
+    ({"max_seconds": "5"}, "max_seconds must be a number"),
+    ({"max_seconds": True}, "max_seconds must be a number"),
+    ({"max_seconds": None, "max_nodes": "0"}, "max_nodes must be an int"),
+])
+def test_str_and_bool_budgets_are_rejected(budget, match):
+    # a bool is an int to isinstance, and True was taken as a 1-node budget
+    with pytest.raises(ValueError, match=match):
+        SolveBudget(**budget)
+
+
 def test_node_budgets_past_64_bits_mean_no_limit():
     unlimited = min_redld(build_hypercube(4))
     for nodes in (2**63 - 1, 2**63, 10**20):

@@ -174,12 +174,13 @@ def _must_not_run(*args):
 
 
 def test_ok_report_runs_no_lister(monkeypatch):
-    rep = VerificationReport("redld", True, _must_not_run)
-    assert rep.violations == []
-    assert rep.render() == "mode=redld ok=true\n"
     for name in ("_ld_violations", "_redld_violations", "_redld_def_violations"):
         monkeypatch.setattr(verify, name, _must_not_run)
     g = build_cycle(5)
+    # the empty mask fails every mode: only the ok verdict keeps the lister idle
+    rep = VerificationReport("redld", True, g, 0)
+    assert rep.violations == []
+    assert rep.render() == "mode=redld ok=true\n"
     for check in (is_ld_set, is_redld_set, is_redld_by_definition):
         rep = check(g, range(5))
         assert rep.ok and rep.violations == []
@@ -301,6 +302,22 @@ def test_find_twins():
     assert len(find_twins(k4)) == 6
     assert find_twins(build_petersen()) == []
     assert find_twins(build_path(4)) == []
+
+
+def test_find_twins_matches_the_pairwise_definition():
+    # isolated vertices allowed: they are open twins of each other
+    rng = random.Random(26)
+    found = 0
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        p = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
+        g = Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+        want = [(u, v) for u, v in combinations(range(n), 2)
+                if g.open_neighborhood(u) == g.open_neighborhood(v)
+                or g.closed_neighborhood(u) == g.closed_neighborhood(v)]
+        assert find_twins(g) == want
+        found += len(want)
+    assert found > 100
 
 
 def test_twins_are_forced():
