@@ -2,8 +2,11 @@
 
 Both backends have the same entry points: `make_ctx` builds a graph's
 context; `mask_of` turns an iterable of vertices into a mask, range-checked;
-the predicates `is_ld`, `is_redld` and `is_redld_def` judge a mask; and
-`brute_force_min`, `pairs_scan`, `dom_candidates` and `bnb` search.
+the predicates `is_ld`, `is_redld` and `is_redld_def` judge a mask;
+`brute_force_min`, `pairs_scan`, `dom_candidates` and `bnb` search; and
+`tree_code` and `tree_orbits` give a tree's canonical code and the least
+vertex of each automorphism orbit, the tree given by its rows and a mask
+of coloured vertices.
 
 Set REDLD_BACKEND=py or REDLD_BACKEND=c to force a backend; forcing "c" raises,
 naming the cause, if the extension cannot be built or loaded.
@@ -40,3 +43,5 @@ brute_force_min = _impl.brute_force_min
 pairs_scan = _impl.pairs_scan
 bnb = _impl.bnb
 dom_candidates = _impl.dom_candidates
+tree_code = _impl.tree_code
+tree_orbits = _impl.tree_orbits

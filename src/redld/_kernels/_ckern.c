@@ -29,6 +29,10 @@
  * The pairs a node tests are likewise those with an end that the branch or
  * its propagation touched.
  *
+ * The tree functions, tree_code and tree_orbits, peel a tree down to its
+ * centres as pybits._peel does and build the same rooted codes, as byte
+ * strings; the orbits then follow from the sorted children's codes alone.
+ *
  * Vertex sets are arrays of W = ceil(n / 64) 64-bit words, vertex v at bit
  * v & 63 of word v >> 6.  In Python they are ints, bit v for vertex v; the
  * binding converts them in mask_words and words_int, and builds them from
@@ -767,6 +771,265 @@ static int rlk_bnb(const rlk_ctx *c, int mode, const u64 *forced_in, const u64 *
     return st.stop == 2 ? 2 : st.best <= cap ? 0 : 1;
 }
 
+/* ---- trees: canonical codes and orbits ---------------------------------- *
+ *
+ * A tree's rows come in CSR form: the neighbours of v are nbr[off[v]] ..
+ * nbr[off[v + 1] - 1].  rlk_tree_shape decides whether they are a tree's,
+ * and rlk_tree_peel then does what pybits._peel does: it peels the leaves
+ * layer by layer down to the one or two centres, and builds the rooted code
+ * of each vertex once its children, the neighbours peeled before it, have
+ * theirs: "*" when the vertex is coloured, "(", the children's codes in
+ * increasing order, ")".  The codes are ASCII, so memcmp orders them as
+ * Python orders str.  No code is a proper prefix of another, as a code's
+ * parentheses balance at its end and nowhere before, so a memcmp over the
+ * shorter length tells any two codes apart.  As in pybits, the codes of a
+ * path take room quadratic in its length. */
+
+#define RLK_ASYMMETRIC 1
+#define RLK_NOT_TREE 2
+
+/* Does vertex 0 reach all n vertices?  seen and stack have room for n. */
+static int connected(int n, const size_t *off, const int *nbr, int *seen, int *stack)
+{
+    memset(seen, 0, (size_t)n * sizeof(int));
+    seen[0] = 1;
+    stack[0] = 0;
+    int top = 1, reached = 1;
+    while (top) {
+        int v = stack[--top];
+        for (size_t i = off[v]; i < off[v + 1]; i++)
+            if (!seen[nbr[i]]) {
+                seen[nbr[i]] = 1;
+                stack[top++] = nbr[i];
+                reached++;
+            }
+    }
+    return reached == n;
+}
+
+/* 0 when the rows of the n >= 1 vertices are a tree's.  RLK_ASYMMETRIC when
+ * some row of v holds a w whose own row lacks v; otherwise RLK_NOT_TREE
+ * unless the rows have 2(n - 1) entries in all and vertex 0 reaches every
+ * vertex.  Symmetric rows with these two properties hold each of n - 1
+ * edges once in each direction, with no loop and no repeat. */
+static int rlk_tree_shape(int n, const size_t *off, const int *nbr)
+{
+    size_t m = off[n], room = (m > (size_t)n ? m : (size_t)n) + 1;
+    size_t *roff = malloc(((size_t)n + 1) * sizeof(size_t) + (room + n) * sizeof(int));
+    if (!roff)
+        return RLK_NOMEM;
+    /* rev holds, for each w in turn, the v whose rows hold w; roff[w] is
+     * first where rev(w) starts, then where it ends */
+    int *rev = (int *)(roff + n + 1), *mark = rev + room, rc = 0;
+    memset(roff, 0, ((size_t)n + 1) * sizeof(size_t));
+    for (size_t i = 0; i < m; i++)
+        roff[nbr[i] + 1]++;
+    for (int w = 0; w < n; w++)
+        roff[w + 1] += roff[w];
+    for (int v = 0; v < n; v++)
+        for (size_t i = off[v]; i < off[v + 1]; i++)
+            rev[roff[nbr[i]]++] = v;
+    for (int w = 0; w < n; w++)
+        mark[w] = -1;
+    for (int w = 0; w < n && !rc; w++) {
+        for (size_t i = off[w]; i < off[w + 1]; i++)
+            mark[nbr[i]] = w;
+        for (size_t i = w ? roff[w - 1] : 0; i < roff[w]; i++)
+            if (mark[rev[i]] != w)
+                rc = RLK_ASYMMETRIC;
+    }
+    if (!rc && (m + 2 != 2 * (size_t)n || !connected(n, off, nbr, mark, rev)))
+        rc = RLK_NOT_TREE;
+    free(roff);
+    return rc;
+}
+
+typedef struct {
+    int n, centres; /* one or two centres */
+    const size_t *off;
+    const int *nbr;
+    const u64 *colored;
+    /* made by rlk_tree_peel, all but buf in the block at start */
+    size_t *start, *len; /* v's code: len[v] bytes of buf from start[v] */
+    int *order;   /* the peeled vertices in peel order, then the centres */
+    int *parent;  /* v's neighbour peeled after it; for a centre the other, or -1 */
+    int *kids;    /* at kids + off[v]: v's neighbours but its parent, by code */
+    int *scratch; /* two rows of n */
+    char *buf;
+} rlk_tree;
+
+static void tree_free(rlk_tree *t)
+{
+    free(t->start);
+    free(t->buf);
+    t->start = NULL;
+    t->buf = NULL;
+}
+
+static int code_cmp(const rlk_tree *t, int a, int b)
+{
+    size_t la = t->len[a], lb = t->len[b];
+    int c = memcmp(t->buf + t->start[a], t->buf + t->start[b], la < lb ? la : lb);
+    return c ? c : (la > lb) - (la < lb);
+}
+
+/* The k vertices at a in increasing order of their codes; tmp has room for
+ * k / 2 of them. */
+static void sort_by_code(const rlk_tree *t, int *a, int k, int *tmp)
+{
+    if (k <= 8) {
+        for (int i = 1; i < k; i++) {
+            int x = a[i], j = i;
+            for (; j > 0 && code_cmp(t, a[j - 1], x) > 0; j--)
+                a[j] = a[j - 1];
+            a[j] = x;
+        }
+        return;
+    }
+    int h = k / 2, i = 0, j = h, o = 0;
+    sort_by_code(t, a, h, tmp);
+    sort_by_code(t, a + h, k - h, tmp);
+    memcpy(tmp, a, (size_t)h * sizeof(int));
+    while (i < h && j < k)
+        a[o++] = code_cmp(t, a[j], tmp[i]) < 0 ? a[j++] : tmp[i++];
+    while (i < h)
+        a[o++] = tmp[i++];
+}
+
+/* Peel the tree t->n, t->off, t->nbr, which rlk_tree_shape has passed, and
+ * code its vertices, coloured by the mask t->colored: 0, or RLK_NOMEM with
+ * nothing left allocated.  The caller frees the rest with tree_free. */
+static int rlk_tree_peel(rlk_tree *t)
+{
+    int n = t->n, head = 0, tail, end = 0, alive = n;
+    size_t m = t->off[n];
+    if (!(t->start = malloc(2 * (size_t)n * sizeof(size_t) + (4 * (size_t)n + m) * sizeof(int))))
+        return RLK_NOMEM;
+    t->len = t->start + n;
+    t->order = (int *)(t->len + n);
+    t->parent = t->order + n;
+    t->scratch = t->parent + n;
+    t->kids = t->scratch + 2 * (size_t)n;
+    int *deg = t->scratch, *peeled = t->scratch + n, *order = t->order;
+    for (int v = 0; v < n; v++) {
+        deg[v] = (int)(t->off[v + 1] - t->off[v]);
+        peeled[v] = 0;
+        t->parent[v] = -1;
+        if (deg[v] == 1)
+            order[end++] = v;
+    }
+    /* order[head .. tail - 1] is the layer being peeled, and the next layer
+     * grows after it */
+    for (tail = end; alive > 2; head = tail, tail = end) {
+        for (int i = head; i < tail; i++) {
+            int v = order[i];
+            peeled[v] = 1;
+            for (size_t k = t->off[v]; k < t->off[v + 1]; k++) {
+                int w = t->nbr[k];
+                if (!peeled[w]) {
+                    t->parent[v] = w;
+                    if (--deg[w] == 1)
+                        order[end++] = w;
+                }
+            }
+        }
+        alive -= tail - head;
+    }
+    t->centres = 0;
+    for (int v = 0; v < n; v++)
+        if (!peeled[v])
+            order[head + t->centres++] = v;
+    if (t->centres == 2) {
+        t->parent[order[head]] = order[head + 1];
+        t->parent[order[head + 1]] = order[head];
+    }
+    /* each code's length and place, children first */
+    size_t total = 0;
+    for (int i = 0; i < n; i++) {
+        int v = order[i];
+        size_t len = 2 + get(t->colored, v);
+        for (size_t k = t->off[v]; k < t->off[v + 1]; k++)
+            if (t->nbr[k] != t->parent[v])
+                len += t->len[t->nbr[k]];
+        t->len[v] = len;
+        t->start[v] = total;
+        if (len > SIZE_MAX - total) {
+            tree_free(t);
+            return RLK_NOMEM;
+        }
+        total += len;
+    }
+    if (!(t->buf = malloc(total))) {
+        tree_free(t);
+        return RLK_NOMEM;
+    }
+    for (int i = 0; i < n; i++) {
+        int v = order[i], k = 0, *kids = t->kids + t->off[v];
+        for (size_t j = t->off[v]; j < t->off[v + 1]; j++)
+            if (t->nbr[j] != t->parent[v])
+                kids[k++] = t->nbr[j];
+        sort_by_code(t, kids, k, t->scratch);
+        char *p = t->buf + t->start[v];
+        if (get(t->colored, v))
+            *p++ = '*';
+        *p++ = '(';
+        for (int j = 0; j < k; j++) {
+            memcpy(p, t->buf + t->start[kids[j]], t->len[kids[j]]);
+            p += t->len[kids[j]];
+        }
+        *p = ')';
+    }
+    return 0;
+}
+
+static int code_eq(const rlk_tree *t, int a, int b)
+{
+    return t->len[a] == t->len[b] && !memcmp(t->buf + t->start[a], t->buf + t->start[b], t->len[a]);
+}
+
+/* The least vertex of each vertex's orbit, as pybits._orbits gives it, in
+ * t->scratch[0 .. n - 1], which the call returns.  Two vertices share an
+ * orbit when their paths to a centre have equal codes, so each vertex gets
+ * a path number, centres first: two centres share one when their codes are
+ * equal.  Vertices of one path number have equal codes, so their sorted
+ * children give the same runs of equal codes, and the j-th run of each gets
+ * one new number: the first vertex of a path number to be reached fixes
+ * where its children's numbers start. */
+static const int *rlk_tree_orbits(rlk_tree *t)
+{
+    int n = t->n, next = 1, *path = t->scratch, *first = t->scratch + n;
+    const int *centre = t->order + n - t->centres;
+    for (int v = 0; v < n; v++)
+        first[v] = -1;
+    path[centre[0]] = 0;
+    if (t->centres == 2)
+        path[centre[1]] = code_eq(t, centre[0], centre[1]) ? 0 : next++;
+    /* parents come after their children in order */
+    for (int i = n - 1; i >= 0; i--) {
+        int v = t->order[i], p = path[v], b = first[p] < 0 ? next : first[p], r = 0;
+        const int *kids = t->kids + t->off[v];
+        int k = (int)(t->off[v + 1] - t->off[v]) - (t->parent[v] >= 0);
+        for (int j = 0; j < k; j++) {
+            r += j && !code_eq(t, kids[j - 1], kids[j]);
+            path[kids[j]] = b + r;
+        }
+        if (first[p] < 0 && k) {
+            first[p] = b;
+            next = b + r + 1;
+        }
+    }
+    /* first, read no more, now takes the least vertex of each path number,
+     * and each path number gives way to it */
+    for (int v = 0; v < n; v++)
+        first[v] = -1;
+    for (int v = 0; v < n; v++) {
+        if (first[path[v]] < 0)
+            first[path[v]] = v;
+        path[v] = first[path[v]];
+    }
+    return path;
+}
+
 /* ---- CPython binding ---------------------------------------------------- *
  *
  * Every function takes positional arguments only (METH_FASTCALL) and checks
@@ -776,7 +1039,10 @@ static int rlk_bnb(const rlk_ctx *c, int mode, const u64 *forced_in, const u64 *
  * names a vertex at n or above (a predicate's, a scan candidate, a forced
  * set of bnb) raises IndexError; an unknown mode, pair lists of two lengths,
  * a negative count or no cell for dom_candidates, and a detector of mask_of
- * outside 0 .. n - 1 raise ValueError.  The
+ * outside 0 .. n - 1 raise ValueError.  A tree's rows for tree_code and
+ * tree_orbits that are not a tuple of tuples of ints raise TypeError, a
+ * neighbour out of range IndexError, and rows that are not symmetric or not
+ * a tree's ValueError.  The
  * searches (brute_force_min, pairs_scan, dom_candidates, bnb) release the GIL
  * while the kernel runs, on buffers that were filled before and belong to the
  * call. */
@@ -841,6 +1107,20 @@ static int int_arg(PyObject *obj, long lo, long hi, long *out)
         return -1;
     }
     return 0;
+}
+
+/* a node budget: an int in the signed 64-bit range, or -1 with TypeError or
+ * the OverflowError of pybits._check_node_budget */
+static int budget_arg(PyObject *obj, long long *out)
+{
+    *out = PyLong_AsLongLong(obj);
+    if (*out != -1 || !PyErr_Occurred())
+        return 0;
+    if (PyErr_ExceptionMatches(PyExc_OverflowError)) {
+        PyErr_Clear();
+        PyErr_SetString(PyExc_OverflowError, "node_budget does not fit in a signed 64-bit int");
+    }
+    return -1;
 }
 
 static int mode_arg(PyObject *obj, int max_mode)
@@ -1271,9 +1551,8 @@ static PyObject *py_dom_candidates(PyObject *mod, PyObject *const *args, Py_ssiz
     if (!nargs_ok("dom_candidates", nargs, 3))
         return NULL;
     long count;
-    long long node_budget = PyLong_AsLongLong(args[2]);
-    if ((node_budget == -1 && PyErr_Occurred()) ||
-        int_arg(args[1], LONG_MIN, INT_MAX, &count) < 0)
+    long long node_budget;
+    if (budget_arg(args[2], &node_budget) < 0 || int_arg(args[1], LONG_MIN, INT_MAX, &count) < 0)
         return NULL;
     if (count < 0) {
         PyErr_SetString(PyExc_ValueError, "count must be non-negative");
@@ -1348,8 +1627,8 @@ static PyObject *py_bnb(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
     if (mode < 0 || int_arg(args[4], INT_MIN, INT_MAX - 1, &cap) < 0 ||
         int_arg(args[5], INT_MIN, INT_MAX, &stop_at) < 0)
         return NULL;
-    long long node_budget = PyLong_AsLongLong(args[6]);
-    if (node_budget == -1 && PyErr_Occurred())
+    long long node_budget;
+    if (budget_arg(args[6], &node_budget) < 0)
         return NULL;
     double time_budget = PyFloat_AsDouble(args[7]);
     if (time_budget == -1.0 && PyErr_Occurred())
@@ -1379,6 +1658,159 @@ done:
     return result;
 }
 
+static const char tree_rows_msg[] = "a tree's adjacency must be a tuple of tuples of ints";
+
+/* The tuple adj as CSR rows into t->n, t->off and t->nbr, in one block
+ * after room for the colour mask at t->colored, which tree_release frees:
+ * -1 with an exception set at the first row, in row order, that is not a
+ * tuple of ints naming vertices.  Tuples and ints run no Python code as
+ * they are read, so adj is read as it was at the call. */
+static int tree_rows(PyObject *adj, rlk_tree *t)
+{
+    if (!PyTuple_Check(adj)) {
+        PyErr_SetString(PyExc_TypeError, tree_rows_msg);
+        return -1;
+    }
+    Py_ssize_t n = PyTuple_GET_SIZE(adj), m = 0;
+    if (n > INT_MAX - 63) {
+        PyErr_SetString(PyExc_OverflowError, "too many vertices for the kernel");
+        return -1;
+    }
+    for (Py_ssize_t v = 0; v < n; v++)
+        if (PyTuple_Check(PyTuple_GET_ITEM(adj, v)))
+            m += PyTuple_GET_SIZE(PyTuple_GET_ITEM(adj, v));
+    int W = words((int)n);
+    u64 *mask = PyMem_Malloc((size_t)W * sizeof(u64) + ((size_t)n + 1) * sizeof(size_t) +
+                             ((size_t)m + 1) * sizeof(int));
+    if (!mask) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    size_t *off = (size_t *)(mask + W);
+    int *nbr = (int *)(off + n + 1);
+    t->n = (int)n;
+    t->colored = mask;
+    t->off = off;
+    t->nbr = nbr;
+    off[0] = 0;
+    for (Py_ssize_t v = 0; v < n; v++) {
+        PyObject *row = PyTuple_GET_ITEM(adj, v);
+        if (!PyTuple_Check(row)) {
+            PyErr_SetString(PyExc_TypeError, tree_rows_msg);
+            return -1;
+        }
+        off[v + 1] = off[v];
+        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(row); i++) {
+            PyObject *item = PyTuple_GET_ITEM(row, i);
+            if (!PyLong_Check(item)) {
+                PyErr_SetString(PyExc_TypeError, tree_rows_msg);
+                return -1;
+            }
+            int overflow;
+            long w = PyLong_AsLongAndOverflow(item, &overflow);
+            if (w == -1 && PyErr_Occurred())
+                return -1;
+            if (overflow || w < 0 || w >= n) {
+                PyErr_SetString(PyExc_IndexError, "vertex out of range");
+                return -1;
+            }
+            nbr[off[v + 1]++] = (int)w;
+        }
+    }
+    return 0;
+}
+
+static void tree_release(rlk_tree *t)
+{
+    tree_free(t);
+    PyMem_Free((void *)t->colored);
+}
+
+/* The arguments (adj, colored) of tree_code and tree_orbits into t, which
+ * is then peeled: 0, or -1 with an exception set.  The checks are those of
+ * pybits._check_tree, in its order.  tree_release frees t either way. */
+static int tree_arg(const char *name, PyObject *const *args, Py_ssize_t nargs, rlk_tree *t)
+{
+    memset(t, 0, sizeof *t);
+    if (!nargs_ok(name, nargs, 2) || tree_rows(args[0], t) < 0)
+        return -1;
+    int rc = rlk_tree_shape(t->n, t->off, t->nbr);
+    if (rc == RLK_ASYMMETRIC)
+        PyErr_SetString(PyExc_ValueError, "the adjacency is not symmetric");
+    else if (rc == RLK_NOT_TREE)
+        PyErr_SetString(PyExc_ValueError, "the adjacency is not a tree's");
+    else if (rc == RLK_NOMEM)
+        PyErr_NoMemory();
+    if (rc)
+        return -1;
+    if (!PyLong_Check(args[1])) {
+        PyErr_SetString(PyExc_TypeError, "the colour mask must be an int");
+        return -1;
+    }
+    if (mask_words(args[1], t->n, (u64 *)t->colored) < 0)
+        return -1;
+    if (rlk_tree_peel(t) == RLK_NOMEM) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
+}
+
+PyDoc_STRVAR(tree_code_doc, "tree_code(adj, colored) -> str\n\n"
+             "The canonical code of the tree with rows adj, its vertices in the mask\n"
+             "colored marked: the codes of its centres, two joined by '|' in order.");
+
+static PyObject *py_tree_code(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)mod;
+    rlk_tree t;
+    PyObject *result = NULL;
+    if (tree_arg("tree_code", args, nargs, &t) == 0) {
+        const int *centre = t.order + t.n - t.centres;
+        int a = centre[0], b = t.centres == 2 ? centre[1] : -1;
+        if (b >= 0 && code_cmp(&t, a, b) > 0) {
+            a = centre[1];
+            b = centre[0];
+        }
+        size_t len = t.len[a] + (b >= 0 ? 1 + t.len[b] : 0);
+        if ((result = PyUnicode_New((Py_ssize_t)len, 127))) {
+            char *p = (char *)PyUnicode_1BYTE_DATA(result);
+            memcpy(p, t.buf + t.start[a], t.len[a]);
+            if (b >= 0) {
+                p[t.len[a]] = '|';
+                memcpy(p + t.len[a] + 1, t.buf + t.start[b], t.len[b]);
+            }
+        }
+    }
+    tree_release(&t);
+    return result;
+}
+
+PyDoc_STRVAR(tree_orbits_doc, "tree_orbits(adj, colored) -> list\n\n"
+             "The least vertex of each vertex's orbit under the automorphisms of the\n"
+             "tree with rows adj that keep the mask colored.");
+
+static PyObject *py_tree_orbits(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)mod;
+    rlk_tree t;
+    PyObject *result = NULL;
+    if (tree_arg("tree_orbits", args, nargs, &t) == 0) {
+        const int *least = rlk_tree_orbits(&t);
+        if ((result = PyList_New(t.n)))
+            for (int v = 0; v < t.n; v++) {
+                PyObject *x = PyLong_FromLong(least[v]);
+                if (!x) {
+                    Py_CLEAR(result);
+                    break;
+                }
+                PyList_SET_ITEM(result, v, x);
+            }
+    }
+    tree_release(&t);
+    return result;
+}
+
 #define FASTCALL(fn) (PyCFunction)(void (*)(void))(fn), METH_FASTCALL
 
 static PyMethodDef methods[] = {
@@ -1391,6 +1823,8 @@ static PyMethodDef methods[] = {
     {"pairs_scan", FASTCALL(py_pairs_scan), pairs_scan_doc},
     {"dom_candidates", FASTCALL(py_dom_candidates), dom_candidates_doc},
     {"bnb", FASTCALL(py_bnb), bnb_doc},
+    {"tree_code", FASTCALL(py_tree_code), tree_code_doc},
+    {"tree_orbits", FASTCALL(py_tree_orbits), tree_orbits_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -8,10 +8,12 @@ its functions.  When it cannot be built or loaded, importing this module
 raises ImportError and backend selection falls back to the pure-Python kernel.
 
 Every kernel name here (`make_ctx`, `mask_of`, `is_ld`, `is_redld`,
-`is_redld_def`, `brute_force_min`, `pairs_scan`, `dom_candidates`, `bnb`) is
-the extension's own function: a call is one call into C, which checks its
-arguments there and raises the exceptions pybits.py raises.  The predicates keep the GIL; `brute_force_min`, `pairs_scan`,
-`dom_candidates` and `bnb` release it while they search.  A context is
+`is_redld_def`, `brute_force_min`, `pairs_scan`, `dom_candidates`, `bnb`,
+`tree_code`, `tree_orbits`) is the extension's own function: a call is one
+call into C, which checks its arguments there and raises the exceptions
+pybits.py raises.  The predicates and the tree functions keep the GIL;
+`brute_force_min`, `pairs_scan`, `dom_candidates` and `bnb` release it while
+they search.  A context is
 read-only once made, so several threads can use one at once.
 """
 
@@ -47,3 +49,5 @@ brute_force_min = _ext.brute_force_min
 pairs_scan = _ext.pairs_scan
 dom_candidates = _ext.dom_candidates
 bnb = _ext.bnb
+tree_code = _ext.tree_code
+tree_orbits = _ext.tree_orbits

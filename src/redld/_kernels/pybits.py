@@ -1,5 +1,5 @@
 """Pure-Python kernel backend: bitmask predicates, brute force, branch and
-bound, and the grid candidate walk.
+bound, the grid candidate walk, and tree codes and orbits.
 
 Vertex sets are Python ints used as bitmasks. The compiled backend implements
 the same algorithms with the same deterministic decision order, so search node
@@ -149,6 +149,18 @@ def _check_mask(n: int, s: int) -> None:
         raise IndexError("mask names a vertex out of range")
 
 
+def _int_arg(x, lo: int, hi: int) -> int:
+    """x as the compiled kernel reads an int argument into a C long, then
+    range-checks it: TypeError for a non-int, OverflowError past a 64-bit
+    long or outside lo .. hi."""
+    x = operator.index(x)
+    if not -2**63 <= x < 2**63:
+        raise OverflowError("Python int too large to convert to C long")
+    if not lo <= x <= hi:
+        raise OverflowError(f"{x} is out of the kernel's range")
+    return x
+
+
 def _check_node_budget(node_budget) -> None:
     """An int (else TypeError) in C's signed 64-bit range (else OverflowError)."""
     if not -2**63 <= operator.index(node_budget) < 2**63:
@@ -218,7 +230,7 @@ def dom_candidates(touch, count: int, node_budget: int) -> tuple[list[int], bool
     no cell, and IndexError for a negative constraint index.
     """
     _check_node_budget(node_budget)
-    count = operator.index(count)
+    count = _int_arg(count, -2**63, 2**31 - 1)
     if count < 0:
         raise ValueError("count must be non-negative")
     if not touch:
@@ -323,7 +335,8 @@ def bnb(ctx: Ctx, mode: int, forced_in: int, forced_out: int, cap: int,
     the IN branch is explored first.
     """
     _check_mode(mode, (MODE_LD, MODE_REDLD))
-    cap, stop_at = operator.index(cap), operator.index(stop_at)
+    # C keeps cap + 1 in an int
+    cap, stop_at = _int_arg(cap, -2**31, 2**31 - 2), _int_arg(stop_at, -2**31, 2**31 - 1)
     _check_node_budget(node_budget)
     _check_mask(ctx.n, forced_in)
     _check_mask(ctx.n, forced_out)
@@ -432,3 +445,139 @@ def bnb(ctx: Ctx, mode: int, forced_in: int, forced_out: int, cap: int,
     if best <= cap:
         return 0, best, best_mask, nodes
     return 1, -1, 0, nodes
+
+
+# ---------------------------------------------------------------------------
+# Trees: canonical codes and automorphism orbits.
+
+_TREE_ROWS = "a tree's adjacency must be a tuple of tuples of ints"
+
+
+def _check_tree(adj, colored) -> None:
+    """The checks of tree_code and tree_orbits that both backends share, in
+    this order: adj is a tuple of rows, each a tuple of ints (TypeError),
+    each naming a vertex (IndexError), the first failure in row order
+    raising; each w in adj[v] has v in adj[w] (ValueError); the rows are a
+    tree's, with 2(n - 1) entries in all and every vertex reached from
+    vertex 0 (ValueError), so with no cycle, loop or repeated edge and one
+    component; colored is an int (TypeError) and a mask of the tree's
+    vertices (IndexError).
+    """
+    if not isinstance(adj, tuple):
+        raise TypeError(_TREE_ROWS)
+    n = len(adj)
+    for row in adj:
+        if not isinstance(row, tuple):
+            raise TypeError(_TREE_ROWS)
+        for w in row:
+            if not isinstance(w, int):
+                raise TypeError(_TREE_ROWS)
+            if not 0 <= w < n:
+                raise IndexError("vertex out of range")
+    if any(v not in adj[w] for v, row in enumerate(adj) for w in row):
+        raise ValueError("the adjacency is not symmetric")
+    if sum(map(len, adj)) != 2 * (n - 1):
+        raise ValueError("the adjacency is not a tree's")
+    reached = [True] + [False] * (n - 1)
+    walk = [0]
+    for v in walk:
+        for w in adj[v]:
+            if not reached[w]:
+                reached[w] = True
+                walk.append(w)
+    if len(walk) < n:
+        raise ValueError("the adjacency is not a tree's")
+    if not isinstance(colored, int):
+        raise TypeError("the colour mask must be an int")
+    _check_mask(n, colored)
+
+
+def _peel(adj, colored: int) -> tuple[list[str], list[int], list[int]]:
+    """Rooted codes of a tree's vertices, its peeled vertices in peel order,
+    and its one or two centers; the vertices in the mask colored are marked.
+
+    Leaves are peeled layer by layer down to the centers; a vertex's rooted
+    code is built when it is peeled, from its neighbors peeled before it
+    (its children). No two leaves of a tree on more than two vertices are
+    adjacent, so no layer holds a vertex and its parent, the one neighbor
+    peeled after it or left as a center. A center's code covers its own
+    half, as the other center is not its child.
+    """
+    n = len(adj)
+    deg = [len(nbrs) for nbrs in adj]
+    peeled = [False] * n
+    codes = [""] * n
+    order: list[int] = []
+
+    def rooted(v: int) -> str:
+        kids = sorted(codes[w] for w in adj[v] if peeled[w])
+        tag = "*" if colored >> v & 1 else ""
+        return tag + "(" + "".join(kids) + ")"
+
+    alive = n
+    layer = [v for v in range(n) if deg[v] == 1]
+    while alive > 2:
+        nxt = []
+        for v in layer:
+            codes[v] = rooted(v)
+            peeled[v] = True
+            for w in adj[v]:
+                if not peeled[w]:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        nxt.append(w)
+        order += layer
+        alive -= len(layer)
+        layer = nxt
+    centers = [c for c in range(n) if not peeled[c]]
+    for c in centers:
+        codes[c] = rooted(c)
+    return codes, order, centers
+
+
+def _code(adj, colored: int) -> str:
+    """Canonical string of the tree with adjacency adj: the rooted codes of
+    its centers, two joined in sorted order."""
+    codes, _order, centers = _peel(adj, colored)
+    return "|".join(sorted(codes[c] for c in centers))
+
+
+def _orbits(adj, colored: int) -> list[int]:
+    """The least vertex of each vertex's orbit under the automorphisms of the
+    tree that keep the mask colored.
+
+    Every automorphism fixes the center, or keeps or swaps the two centers,
+    so two vertices share an orbit exactly when the rooted codes along their
+    paths to a center are equal; two centers share one exactly when their
+    halves have equal codes. A vertex's path is numbered by its own code and
+    its parent's path number, centers first.
+    """
+    codes, order, centers = _peel(adj, colored)
+    n = len(adj)
+    path = [-1] * n
+    ids: dict[tuple[int, str], int] = {}
+    for c in centers:
+        path[c] = ids.setdefault((-1, codes[c]), len(ids))
+    # parents are peeled after their children, so this numbers each vertex
+    # before its children, which are its neighbors not numbered yet
+    for v in centers + order[::-1]:
+        for w in adj[v]:
+            if path[w] < 0:
+                path[w] = ids.setdefault((path[v], codes[w]), len(ids))
+    least: dict[int, int] = {}
+    return [least.setdefault(path[v], v) for v in range(n)]
+
+
+def tree_code(adj, colored: int) -> str:
+    """The canonical code of the tree with rows adj, the vertices in the mask
+    colored marked (0 for none); isomorphic trees, with colorings that the
+    isomorphism maps onto each other, get equal codes."""
+    _check_tree(adj, colored)
+    return _code(adj, colored)
+
+
+def tree_orbits(adj, colored: int) -> list[int]:
+    """The least vertex of each vertex's orbit under the automorphisms of the
+    tree with rows adj that keep the mask colored."""
+    _check_tree(adj, colored)
+    return _orbits(adj, colored)

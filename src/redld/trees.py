@@ -23,6 +23,8 @@ from .verify import DetectorSet, is_redld_set
 
 # A tree's adjacency as Graph.adj holds it: sorted neighbor tuples.
 Adjacency = tuple[tuple[int, ...], ...]
+# A tree and the mask of an optimal detector set of it.
+Pair = tuple[Adjacency, int]
 
 
 def tree_lower_bound(n: int) -> int:
@@ -51,10 +53,12 @@ def is_tmax(g: Graph) -> bool:
 def _attach_points(adj: Adjacency) -> list[int]:
     # a new leaf may go on a support vertex, or on a leaf whose own support
     # has at least two leaf neighbors
-    leaf = [len(nbrs) == 1 for nbrs in adj]
+    leaves = [0] * len(adj)  # the leaf neighbors of each vertex
+    for nbrs in adj:
+        if len(nbrs) == 1:
+            leaves[nbrs[0]] += 1
     return [u for u, nbrs in enumerate(adj)
-            if any(leaf[w] for w in nbrs)
-            or (leaf[u] and sum(leaf[w] for w in adj[nbrs[0]]) >= 2)]
+            if leaves[u] or (len(nbrs) == 1 and leaves[nbrs[0]] >= 2)]
 
 
 def tmax_extensions(g: Graph) -> list[tuple[int, Graph]]:
@@ -90,17 +94,17 @@ def _tmax_level(n: int) -> dict[str, Adjacency]:
     # {code: adjacency} of the family members on n vertices, each grown by
     # one leaf from a member on n - 1
     if n == 2:
-        return {_code(_P2): _P2}
+        return {K.tree_code(_P2, 0): _P2}
     grown: dict[str, Adjacency] = {}
     for adj in _tmax_level(n - 1).values():
         # attach points an automorphism swaps grow the same tree; the least
         # of each orbit comes first, so only it is grown
-        orbit = _orbits(adj)
+        orbit = K.tree_orbits(adj, 0)
         for u in _attach_points(adj):
             if orbit[u] != u:
                 continue
             adj2 = adj[:u] + (adj[u] + (n - 1,),) + adj[u + 1:] + ((u,),)
-            grown.setdefault(_code(adj2), adj2)
+            grown.setdefault(K.tree_code(adj2, 0), adj2)
     return grown
 
 
@@ -115,92 +119,10 @@ def enumerate_tmax(n: int) -> list[str]:
 # Canonical forms.
 
 
-def _peel(adj: Adjacency, colored: Optional[frozenset[int]] = None
-          ) -> tuple[list[str], list[int], list[int]]:
-    """Rooted codes of a tree's vertices, its peeled vertices in peel order,
-    and its one or two centers.
-
-    Leaves are peeled layer by layer down to the centers; a vertex's rooted
-    code is built when it is peeled, from its neighbors peeled before it
-    (its children). No two leaves of a tree on more than two vertices are
-    adjacent, so no layer holds a vertex and its parent, the one neighbor
-    peeled after it or left as a center. A center's code covers its own
-    half, as the other center is not its child.
-    """
-    n = len(adj)
-    deg = [len(nbrs) for nbrs in adj]
-    peeled = [False] * n
-    codes = [""] * n
-    order: list[int] = []
-
-    def rooted(v: int) -> str:
-        kids = sorted(codes[w] for w in adj[v] if peeled[w])
-        tag = "*" if colored is not None and v in colored else ""
-        return tag + "(" + "".join(kids) + ")"
-
-    alive = n
-    layer = [v for v in range(n) if deg[v] == 1]
-    while alive > 2:
-        nxt = []
-        for v in layer:
-            codes[v] = rooted(v)
-            peeled[v] = True
-            for w in adj[v]:
-                if not peeled[w]:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        order += layer
-        alive -= len(layer)
-        layer = nxt
-    centers = [c for c in range(n) if not peeled[c]]
-    for c in centers:
-        codes[c] = rooted(c)
-    return codes, order, centers
-
-
-def _code(adj: Adjacency, colored: Optional[frozenset[int]] = None) -> str:
-    """Canonical string of the tree with adjacency adj, which is not checked:
-    the rooted codes of its centers, two joined in sorted order."""
-    codes, _order, centers = _peel(adj, colored)
-    return "|".join(sorted(codes[c] for c in centers))
-
-
-def _orbits(adj: Adjacency, colored: Optional[frozenset[int]] = None) -> list[int]:
-    """The least vertex of each vertex's orbit under the automorphisms of the
-    tree (those keeping colored, when given).
-
-    Every automorphism fixes the center, or keeps or swaps the two centers,
-    so two vertices share an orbit exactly when the rooted codes along their
-    paths to a center are equal; two centers share one exactly when their
-    halves have equal codes. A vertex's path is numbered by its own code and
-    its parent's path number, centers first.
-    """
-    codes, order, centers = _peel(adj, colored)
-    n = len(adj)
-    path = [-1] * n
-    ids: dict[tuple[int, str], int] = {}
-    for c in centers:
-        path[c] = ids.setdefault((-1, codes[c]), len(ids))
-    # parents are peeled after their children, so this numbers each vertex
-    # before its children, which are its neighbors not numbered yet
-    for v in centers + order[::-1]:
-        for w in adj[v]:
-            if path[w] < 0:
-                path[w] = ids.setdefault((path[v], codes[w]), len(ids))
-    least: dict[int, int] = {}
-    return [least.setdefault(path[v], v) for v in range(n)]
-
-
 def canonical_code(g: Graph, detectors: Optional[Iterable[int]] = None) -> str:
     """Canonical string for a tree, rooted at its center; isomorphic trees
     (with matching detector colorings, when given) get equal codes."""
-    if g.n != 1:
-        _require_tree(g)
-    colored = frozenset(detectors) if detectors is not None else None
-    if colored is not None:
-        K.mask_of(g.n, colored)
-    return _code(g.adj, colored)
+    return K.tree_code(g.adj, 0 if detectors is None else K.mask_of(g.n, detectors))
 
 
 # ---------------------------------------------------------------------------
@@ -411,31 +333,31 @@ def is_2dom_redld_on_tree(g: Graph, s: Iterable[int]) -> bool:
 # of any optimal set.
 
 
-def _join(parts: Sequence[tuple[Adjacency, frozenset[int]]],
-          attach: Sequence[int]) -> tuple[Adjacency, frozenset[int]]:
+def _join(parts: Sequence[Pair], attach: Sequence[int]) -> Pair:
     # the disjoint union of the parts plus one new vertex joined to vertex
     # attach[i] of part i; the sets are kept
     new = sum(len(adj) for adj, _s in parts)
     rows: list[tuple[int, ...]] = []
-    members: set[int] = set()
+    members = 0
     ends = []
     for (adj, s), x in zip(parts, attach):
         off = len(rows)
-        rows.extend(tuple(w + off for w in nbrs) for nbrs in adj)
+        shift = off.__add__
+        rows += [tuple(map(shift, nbrs)) for nbrs in adj]
         rows[x + off] += (new,)
-        members.update(m + off for m in s)
+        members |= s << off
         ends.append(x + off)
     rows.append(tuple(ends))
-    return tuple(rows), frozenset(members)
+    return tuple(rows), members
 
 
 # the four base pairs: P_2, P_3, P_4 and the star K_{1,3}, all detectors
 _P2: Adjacency = ((1,), (0,))
-_TMIN_BASE: dict[int, tuple[tuple[Adjacency, frozenset[int]], ...]] = {
-    2: ((_P2, frozenset({0, 1})),),
-    3: ((((1,), (0, 2), (1,)), frozenset({0, 1, 2})),),
-    4: ((((1,), (0, 2), (1, 3), (2,)), frozenset(range(4))),
-        (((1, 2, 3), (0,), (0,), (0,)), frozenset(range(4)))),
+_TMIN_BASE: dict[int, tuple[Pair, ...]] = {
+    2: ((_P2, 0b11),),
+    3: ((((1,), (0, 2), (1,)), 0b111),),
+    4: ((((1,), (0, 2), (1, 3), (2,)), 0b1111),
+        (((1, 2, 3), (0,), (0,), (0,)), 0b1111)),
 }
 # the pair rules by m mod 3, in the order a level applies them: the residues
 # mod 3 of the orders of the first and the second pair that a new vertex
@@ -444,21 +366,20 @@ _PAIR_JOINS = {2: ((2, 2),), 0: ((0, 2),), 1: ((0, 0), (1, 2))}
 
 
 @lru_cache(maxsize=None)
-def _tmin_parts(m: int) -> tuple[tuple[tuple[Adjacency, frozenset[int]],
-                                       tuple[int, ...], tuple[int, ...]], ...]:
+def _tmin_parts(m: int) -> tuple[tuple[Pair, tuple[int, ...], tuple[int, ...]], ...]:
     # the pairs on m vertices in level order, each with the least vertex of
     # every orbit of its colored automorphisms, and those of them in its set:
     # a join at another vertex of an orbit repeats the join at its least one
     parts = []
     for adj, s in _tmin_level(m).values():
-        orbit = _orbits(adj, s)
+        orbit = K.tree_orbits(adj, s)
         firsts = tuple(v for v in range(m) if orbit[v] == v)
-        parts.append(((adj, s), firsts, tuple(v for v in firsts if v in s)))
+        parts.append(((adj, s), firsts, tuple(v for v in firsts if s >> v & 1)))
     return tuple(parts)
 
 
 @lru_cache(maxsize=None)
-def _tmin_level(m: int) -> dict[str, tuple[Adjacency, frozenset[int]]]:
+def _tmin_level(m: int) -> dict[str, Pair]:
     # {colored code: (adjacency, optimal set)} of the pairs on m vertices,
     # built from the lower orders that the rules for m mod 3 combine.
     # product() walks attach tuples in lexicographic order, so a join skipped
@@ -466,10 +387,10 @@ def _tmin_level(m: int) -> dict[str, tuple[Adjacency, frozenset[int]]]:
     # least one, made before it, and setdefault would have dropped it; so
     # does a join of parts (P_j, P_i), j > i, of one order, which repeats
     # the earlier (P_i, P_j). The level is the same without them.
-    level: dict[str, tuple[Adjacency, frozenset[int]]] = {}
+    level: dict[str, Pair] = {}
 
-    def add(adj: Adjacency, s: frozenset[int]) -> None:
-        level.setdefault(_code(adj, s), (adj, s))
+    def add(adj: Adjacency, s: int) -> None:
+        level.setdefault(K.tree_code(adj, s), (adj, s))
 
     def join_at_detectors(n1: int, n2: int) -> None:
         second = _tmin_parts(n2)
@@ -497,7 +418,7 @@ def _tmin_level(m: int) -> dict[str, tuple[Adjacency, frozenset[int]]]:
                 for triple in product(_tmin_parts(n1), _tmin_parts(n2), _tmin_parts(n3)):
                     parts = [pair for pair, _f, _d in triple]
                     for attach in product(*(f for _p, f, _d in triple)):
-                        inside = sum(x in s for (_adj, s), x in zip(parts, attach))
+                        inside = sum(s >> x & 1 for (_adj, s), x in zip(parts, attach))
                         if inside >= 2:
                             add(*_join(parts, attach))
     return level
@@ -507,7 +428,7 @@ def enumerate_tmin(n: int) -> list[str]:
     """Canonical codes of all minimum-family trees on n vertices."""
     if n < 2:
         raise ValueError("family starts at n = 2")
-    return sorted({_code(adj) for adj, _s in _tmin_level(n).values()})
+    return sorted({K.tree_code(adj, 0) for adj, _s in _tmin_level(n).values()})
 
 
 def tmin_representatives(n: int) -> list[tuple[Graph, DetectorSet]]:
@@ -515,7 +436,7 @@ def tmin_representatives(n: int) -> list[tuple[Graph, DetectorSet]]:
     if n < 2:
         raise ValueError("family starts at n = 2")
     return [(Graph(len(adj), [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v]),
-             DetectorSet(s))
+             DetectorSet(v for v in range(len(adj)) if s >> v & 1))
             for adj, s in _tmin_level(n).values()]
 
 

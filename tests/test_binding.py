@@ -9,11 +9,13 @@ import sys
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import redld._kernels as K
 import redld._kernels.pybits as py
+from redld.graph import build_path
+from redld.trees import prufer_decode
 
 try:
     import redld._kernels._ckern as ck
@@ -65,7 +67,7 @@ def test_verdicts_run_no_python_frame_of_the_kernel():
     # when that is it, is the extension's own function; the extension is not
     # entered in sys.modules under a name of its own
     for name in ("make_ctx", "mask_of", "is_ld", "is_redld", "is_redld_def", "brute_force_min",
-                 "pairs_scan", "dom_candidates", "bnb"):
+                 "pairs_scan", "dom_candidates", "bnb", "tree_code", "tree_orbits"):
         assert getattr(ck, name) is getattr(ck._ext, name)
         assert type(getattr(ck, name)).__name__ == "builtin_function_or_method"
         if K.BACKEND == "c":
@@ -209,6 +211,13 @@ def test_c_functions_reject_bad_arguments():
                          ([5], TypeError), ([[5]], TypeError), ([[(-1, 1)]], IndexError)):
         with pytest.raises(error):
             ck.dom_candidates(touch, 1, 100)
+    for fn in (ck.tree_code, ck.tree_orbits):
+        with pytest.raises(TypeError):
+            fn(((1,), (0,)))
+        with pytest.raises(TypeError):
+            fn(((1,), (0,)), 0, 0)
+        with pytest.raises(TypeError):
+            fn(adj=((1,), (0,)), colored=0)
 
 
 class Shrinking:
@@ -244,6 +253,61 @@ def path_adj(n):
     return tuple(tuple(w for w in (v - 1, v + 1) if 0 <= w < n) for v in range(n))
 
 
+@st.composite
+def tree_inputs(draw):
+    """A tree's rows from a random Pruefer sequence, or a path on 1 or 2
+    vertices, with a colour mask, which may name a vertex out of range or be
+    no int (a numpy int among them); some inputs then get one fault: a row
+    or the rows not a tuple, an item no int, a neighbour out of range, an
+    entry without its mirror, a cycle, or a forest."""
+    n = draw(st.integers(1, 40))
+    if n <= 2:
+        rows = [list(row) for row in path_adj(n)]
+    else:
+        seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+        rows = [list(row) for row in prufer_decode(seq).adj]
+    colored = draw(st.one_of(st.integers(0, 2**n - 1), st.just(0),
+                             st.sampled_from((-1, 1 << n, 1.0, None, True) +
+                                             ((np.int64(1),) if np is not None else ()))))
+    fault = draw(st.sampled_from((None, None, None, "list row", "list rows", "item", "range",
+                                  "one way", "cycle", "forest")))
+    v, w = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if fault == "item":
+        rows[v].append(draw(st.sampled_from((1.0, "1", None, True))))
+    elif fault == "range":
+        rows[v].append(draw(st.sampled_from((n, -1, 2**70, -2**70))))
+    elif fault == "one way":
+        rows[v].append(w)
+    elif fault == "cycle" and w not in rows[v] and w != v:
+        rows[v].append(w)
+        rows[w].append(v)
+    elif fault == "forest" and rows[v]:
+        x = rows[v].pop()
+        rows[x].remove(v)
+    adj = tuple(list(row) if fault == "list row" and u == v else tuple(row)
+                for u, row in enumerate(rows))
+    return (list(adj) if fault == "list rows" else adj), colored
+
+
+@needs_c
+@settings(max_examples=500, deadline=None)
+@given(tree=tree_inputs())
+@example(tree=(build_path(3000).adj, 0))
+@example(tree=(((),), 1))
+@example(tree=(((1,), (0,)), 0b10))
+@example(tree=(((1, 2), (0, 2), (0, 1)), 0))
+def test_backends_code_the_same_tree(tree):
+    # the same code and orbits, or the same exception type and message
+    def outcome(fn):
+        try:
+            return fn(*tree)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    assert outcome(ck.tree_code) == outcome(py.tree_code)
+    assert outcome(ck.tree_orbits) == outcome(py.tree_orbits)
+
+
 @needs_c
 def test_calls_leave_no_reference_behind():
     # A refcount bug in the binding leaks or frees the caller's objects: the
@@ -258,8 +322,9 @@ def test_calls_leave_no_reference_behind():
     us, vs, cands, bad_cands = (0, 64), (1, 65), (mask, 0), (mask, wide)
     touch = (((0, 1), (1, 1)), ((1, 2),))
     detectors, bad_detectors = (0, 64, 129, 64), (0, 64, n)
+    cycle, list_rows = ((1, 2), (0, 2), (0, 1)), ([1], (0,))
     watched = (adj, adj[0], bad_adj, ctx, pctx, small, mask, wide, us, vs, cands, bad_cands,
-               touch, touch[0], touch[0][0], detectors, bad_detectors)
+               touch, touch[0], touch[0][0], detectors, bad_detectors, cycle, list_rows)
     calls = (
         lambda k, c, s: k.make_ctx(adj).n,
         lambda k, c, s: (k.is_ld(c, mask), k.is_redld(c, mask), k.is_redld_def(s, 0b110111)),
@@ -268,6 +333,7 @@ def test_calls_leave_no_reference_behind():
         lambda k, c, s: k.brute_force_min(s, K.MODE_REDLD),
         lambda k, c, s: k.dom_candidates(touch, 1, 100),
         lambda k, c, s: (k.mask_of(n, detectors), k.mask_of(6, iter(detectors[:1]))),
+        lambda k, c, s: (k.tree_code(adj, mask), k.tree_orbits(adj, mask)),
     )
     raising = (
         lambda: ck.make_ctx(bad_adj),
@@ -277,6 +343,10 @@ def test_calls_leave_no_reference_behind():
         lambda: ck.bnb(ctx, K.MODE_REDLD, wide, 0, n, 0, 3, 0.0),
         lambda: ck.mask_of(n, bad_detectors),
         lambda: ck.mask_of(n, (0, None)),
+        lambda: ck.tree_code(cycle, 0),
+        lambda: ck.tree_orbits(adj, wide),
+        lambda: ck.tree_code(bad_adj, 0),
+        lambda: ck.tree_orbits(list_rows, 0),
     )
     expected = [call(py, pctx, py.make_ctx(path_adj(6))) for call in calls]
 

@@ -294,11 +294,14 @@ def test_backends_reject_the_same_node_budgets(kern):
     # the C kernel counts nodes in a signed 64-bit int
     ctx = kern.make_ctx([[1], [0, 2], [1]])  # P_3
     touch = [[(0, 1), (1, 1)], [(1, 2)]]
-    for budget, error in ((1.5, TypeError), (None, TypeError), ("1", TypeError),
-                          (2**63, OverflowError), (-2**63 - 1, OverflowError)):
-        with pytest.raises(error):
+    too_big = "^node_budget does not fit in a signed 64-bit int$"
+    for budget, error, match in ((1.5, TypeError, None), (None, TypeError, None),
+                                 ("1", TypeError, None), (2**63, OverflowError, too_big),
+                                 (-2**63 - 1, OverflowError, too_big),
+                                 (2**70, OverflowError, too_big)):
+        with pytest.raises(error, match=match):
             kern.bnb(ctx, K.MODE_REDLD, 0, 0, 3, 0, budget, 0.0)
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             kern.dom_candidates(touch, 1, budget)
     # the ends of the range are taken: no limit, and a stop at the first node
     assert kern.bnb(ctx, K.MODE_REDLD, 0, 0, 3, 0, 2**63 - 1, 0.0) == (0, 3, 0b111, 1)
@@ -358,6 +361,25 @@ def test_backends_reject_the_same_bad_input(kern):
     for count in (1.0, 0.5):
         with pytest.raises(TypeError):
             kern.dom_candidates([[(0, 1)]], count, 100)
+    # a size or count past the C kernel's ints: cap + 1 must fit one, and a
+    # value past a 64-bit long does not convert
+    for cap, stop_at, count, bad in ((2**31 - 1, 0, 2**31, 2**31 - 1), (2**31, 0, 2**31, 2**31),
+                                     (3, 2**31, 2**31, 2**31), (-2**31 - 1, -2**31 - 1, 2**40,
+                                                                 -2**31 - 1)):
+        with pytest.raises(OverflowError, match=rf"^{bad} is out of the kernel's range$"):
+            kern.bnb(ctx, K.MODE_REDLD, 0, 0, cap, stop_at, 0, 0.0)
+        with pytest.raises(OverflowError, match=rf"^{count} is out of the kernel's range$"):
+            kern.dom_candidates([[(0, 1)]], count, 100)
+    for big in (2**63, -2**63 - 1, 2**70):
+        for call in (lambda: kern.bnb(ctx, K.MODE_REDLD, 0, 0, big, 0, 0, 0.0),
+                     lambda: kern.bnb(ctx, K.MODE_REDLD, 0, 0, 3, big, 0, 0.0),
+                     lambda: kern.dom_candidates([[(0, 1)]], big, 100)):
+            with pytest.raises(OverflowError, match="^Python int too large to convert to C long$"):
+                call()
+    # the ends of the ranges are taken
+    assert kern.bnb(ctx, K.MODE_REDLD, 0, 0, 2**31 - 2, 2**31 - 1, 0, 0.0)[:2] == (0, 3)
+    assert kern.bnb(ctx, K.MODE_REDLD, 0, 0, -2**31, -2**31, 0, 0.0)[:2] == (1, -1)
+    assert kern.dom_candidates([[(0, 1)]], 2**31 - 1, 100) == ([], True)
 
 
 def test_pairs_scan_checks_domination_too():

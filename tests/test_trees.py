@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from redld import _kernels as K
 from redld import trees
 from redld.families import kary_table, redld_path
 from redld.graph import Graph, build_path
@@ -28,11 +29,12 @@ from redld.trees import (
 )
 from redld.verify import is_redld_set
 
-# Family sizes by order, from filtering all trees by their brute-force optimum.
+# Family sizes by order, from filtering all trees by their brute-force optimum
+# up to order 14, and by the tree DP's optimum for orders 15..18.
 TMIN_COUNTS = {2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 6, 8: 2, 9: 6, 10: 24,
-               11: 5, 12: 22, 13: 104, 14: 15}
+               11: 5, 12: 22, 13: 104, 14: 15, 15: 89, 16: 503, 17: 49, 18: 382}
 TMAX_COUNTS = {2: 1, 3: 1, 4: 2, 5: 2, 6: 4, 7: 5, 8: 10, 9: 14, 10: 27,
-               11: 43, 12: 82, 13: 140, 14: 269}
+               11: 43, 12: 82, 13: 140, 14: 269, 15: 486, 16: 939, 17: 1765, 18: 3446}
 
 
 def all_trees(n):
@@ -183,8 +185,8 @@ def test_each_orbit_is_tried_once(monkeypatch):
     # one per minimum-family pair in enumerate_tmin; 5,325 when every vertex
     # of every part was tried
     calls = []
-    code = trees._code
-    monkeypatch.setattr(trees, "_code", lambda *args: calls.append(1) or code(*args))
+    code = K.tree_code
+    monkeypatch.setattr(K, "tree_code", lambda *args: calls.append(1) or code(*args))
     for cached in (trees._tmin_level, trees._tmin_parts, trees._tmax_level):
         cached.cache_clear()
     for n in range(2, 15):
@@ -257,9 +259,10 @@ def rooted_code(adj, root, colored=frozenset()):
 def assert_orbits_by_rooting(adj, colored=None):
     # v and w share an orbit exactly when the trees rooted at them are
     # isomorphic, as then an isomorphism between them maps v to w
-    codes = [rooted_code(adj, v, colored or frozenset()) for v in range(len(adj))]
+    colored = colored or frozenset()
+    codes = [rooted_code(adj, v, colored) for v in range(len(adj))]
     least = [codes.index(c) for c in codes]
-    assert trees._orbits(adj, colored) == least
+    assert K.tree_orbits(adj, sum(1 << v for v in colored)) == least
 
 
 def test_orbits_match_rooted_codes():
