@@ -498,8 +498,9 @@ typedef struct {
     u64 *best_mask;
     u64 *frames; /* per depth FRAME_ROWS rows of W words: in_m, pool, child, done */
     u64 *scratch; /* predicate scratch */
-    /* the LD bound's X (W words) and cap histogram (maxdeg + 1 counts): used
-     * only before a node recurses, so one of each serves every depth */
+    /* the bounds' vertex row (W words), X for LD and D for RED:LD, and their
+     * cap histogram (maxdeg + 2 counts): used only before a node recurses, so
+     * one of each serves every depth */
     u64 *undom;
     int *hist;
 } bnb_state;
@@ -519,6 +520,31 @@ typedef struct {
 #ifndef POPCNT_DISPATCH
 #define POPCNT_DISPATCH
 #endif
+
+/* The sum of the t largest caps |rows(d) & st->undom| over the candidates d
+ * in pool - in_m, each cap at most top, read off a histogram of the caps;
+ * rows is the first of the context's open or closed rows. */
+static long long top_caps(bnb_state *st, const u64 *rows, const u64 *in_m, const u64 *pool,
+                          int top, int t)
+{
+    int W = st->c->W;
+    memset(st->hist, 0, ((size_t)top + 1) * sizeof(int));
+    for (int w = 0; w < W; w++)
+        for (u64 m = pool[w] & ~in_m[w]; m; m &= m - 1) {
+            const u64 *nb = rows + (size_t)(w << 6 | __builtin_ctzll(m)) * W;
+            int cap = 0;
+            for (int y = 0; y < W; y++)
+                cap += popc(nb[y] & st->undom[y]);
+            st->hist[cap]++;
+        }
+    long long sum = 0;
+    for (int k = top; k > 0 && t > 0; k--) {
+        int take = st->hist[k] < t ? st->hist[k] : t;
+        sum += (long long)take * k;
+        t -= take;
+    }
+    return sum;
+}
 
 /* The LD bound of dfs, the bound of pybits._ld_prunes: does no LD set S
  * with in_m <= S <= pool have fewer than `room` vertices outside in_m?
@@ -544,21 +570,20 @@ static int ld_prunes(bnb_state *st, const u64 *in_m, const u64 *pool, int nx, in
         return 0;
     if (short_by > t * c->maxdeg)
         return 1;
-    memset(st->hist, 0, ((size_t)c->maxdeg + 1) * sizeof(int));
-    for (int w = 0; w < W; w++)
-        for (u64 m = pool[w] & ~in_m[w]; m; m &= m - 1) {
-            const u64 *nb = OPEN(c, w << 6 | __builtin_ctzll(m));
-            int cap = 0;
-            for (int y = 0; y < W; y++)
-                cap += popc(nb[y] & x[y]);
-            st->hist[cap]++;
-        }
-    for (int k = c->maxdeg; k > 0 && t > 0; k--) {
-        int take = st->hist[k] < t ? st->hist[k] : t;
-        short_by -= take * k;
-        t -= take;
-    }
-    return short_by > 0;
+    return short_by > top_caps(st, OPEN(c, 0), in_m, pool, c->maxdeg, t);
+}
+
+/* The RED:LD bound of dfs, the bound of pybits._redld_prunes, where it is
+ * argued: can the `room` largest caps |N[d] & D|, d in pool - in_m, cover the
+ * deficit?  st->undom holds D.  Every cap is at most maxdeg + 1, which
+ * settles most nodes before the caps are counted. */
+static int redld_prunes(bnb_state *st, const u64 *in_m, const u64 *pool, int deficit, int room)
+{
+    const rlk_ctx *c = st->c;
+    int top = c->maxdeg + 1;
+    if (deficit > (long long)room * top)
+        return 1;
+    return deficit > 0 && deficit > top_caps(st, CLOSED(c, 0), in_m, pool, top, room);
 }
 
 /* One node, reached by `branch` on vertex b.  pybits.bnb recomputes every
@@ -659,23 +684,25 @@ static void dfs(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m, in
     /* admissible bound */
     int limit = st->best < st->cap + 1 ? st->best : st->cap + 1, leaf;
     if (redld) {
-        /* each detector covers at most maxdeg + 1 units of deficit.  Only the
-         * vertices not yet done can add to it; those that are settled now
-         * join done. */
-        int deficit = 0, cover = c->maxdeg + 1;
+        /* Only the vertices not yet done can add to the deficit; those that
+         * are settled now join done, and the rest are D. */
+        int deficit = 0;
         complement(c, child, done);
+        memset(st->undom, 0, W * sizeof(u64));
         for (int w = 0; w < W; w++)
             for (u64 m = child[w]; m; m &= m - 1) {
                 int v = w << 6 | __builtin_ctzll(m);
                 int have = 0;
                 for (int x = 0; x < W && have < 2; x++)
                     have += popc(CLOSED(c, v)[x] & in_m[x]);
-                if (have < 2)
+                if (have < 2) {
                     deficit += 2 - have;
-                else
+                    set(st->undom, v);
+                } else {
                     set(done, v);
+                }
             }
-        if (in_ct + (deficit + cover - 1) / cover >= limit)
+        if (redld_prunes(st, in_m, pool, deficit, limit - in_ct - 1))
             return;
         leaf = deficit == 0;
     } else {
@@ -751,7 +778,7 @@ static int rlk_bnb(const rlk_ctx *c, int mode, const u64 *forced_in, const u64 *
     st.frames = malloc(((size_t)c->n + 1) * FRAME_ROWS * W * sizeof(u64));
     st.scratch = scratch_new(c);
     st.undom = malloc(W * sizeof(u64));
-    st.hist = malloc(((size_t)c->maxdeg + 1) * sizeof(int));
+    st.hist = malloc(((size_t)c->maxdeg + 2) * sizeof(int));
     if (!st.frames || !st.scratch || !st.undom || !st.hist) {
         free(st.frames);
         free(st.scratch);
@@ -1160,7 +1187,7 @@ static int mask_words(PyObject *obj, int n, u64 *m)
 {
     int W = words(n), overflow;
     if (!PyLong_Check(obj)) {
-        PyErr_Format(PyExc_TypeError, "a mask must be an int, not %.100s", Py_TYPE(obj)->tp_name);
+        PyErr_SetString(PyExc_TypeError, "a mask must be an int");
         return -1;
     }
     long long v = PyLong_AsLongLongAndOverflow(obj, &overflow);
@@ -1630,6 +1657,10 @@ static PyObject *py_bnb(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
     long long node_budget;
     if (budget_arg(args[6], &node_budget) < 0)
         return NULL;
+    if (!PyFloat_Check(args[7]) && !PyLong_Check(args[7])) {
+        PyErr_SetString(PyExc_TypeError, "time_budget must be an int or a float");
+        return NULL;
+    }
     double time_budget = PyFloat_AsDouble(args[7]);
     if (time_budget == -1.0 && PyErr_Occurred())
         return NULL;

@@ -111,7 +111,7 @@ def is_redld_def(ctx: Ctx, s: int) -> bool:
 
 
 def _check_mode(mode: int, modes: tuple[int, ...]) -> None:
-    if mode not in modes:
+    if not isinstance(mode, int) or mode not in modes:
         raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -145,6 +145,8 @@ def mask_of(n: int, vertices) -> int:
 def _check_mask(n: int, s: int) -> None:
     """The check of a mask argument that both backends share: one test
     catches both a negative mask and a bit at vertex n or above."""
+    if not isinstance(s, int):
+        raise TypeError("a mask must be an int")
     if s >> n:
         raise IndexError("mask names a vertex out of range")
 
@@ -292,6 +294,11 @@ def dom_candidates(touch, count: int, node_budget: int) -> tuple[list[int], bool
     return out, exhausted
 
 
+def _top_caps(rows: list[int], cand: int, x: int, t: int) -> int:
+    """The sum of the t largest caps |rows[d] & x| over the vertices d of cand."""
+    return sum(sorted(((rows[d] & x).bit_count() for d in _bit_list(cand)), reverse=True)[:t])
+
+
 def _ld_prunes(ctx: Ctx, in_m: int, pool: int, x: int, room: int) -> bool:
     """The LD bound of bnb: True when no LD set S with in_m <= S <= pool
     has fewer than `room` vertices outside in_m.
@@ -309,10 +316,25 @@ def _ld_prunes(ctx: Ctx, in_m: int, pool: int, x: int, room: int) -> bool:
     ceil(2n / (maxdeg + 3)).
     """
     cand = pool & ~in_m
-    caps = sorted(((ctx.open_[d] & x).bit_count() for d in _bit_list(cand)), reverse=True)
-    t = min(room - 1, len(caps))
+    t = min(room - 1, cand.bit_count())
     left = x.bit_count() - min(t, (x & pool).bit_count())
-    return 2 * left > t + sum(caps[:t])
+    return 2 * left > t + _top_caps(ctx.open_, cand, x, t)
+
+
+def _redld_prunes(ctx: Ctx, in_m: int, pool: int, short: int, deficit: int,
+                  room: int) -> bool:
+    """The RED:LD bound of bnb: True when no set S with in_m <= S <= pool
+    and at most `room` vertices outside in_m 2-dominates every vertex.
+
+    short is D, the vertices v with |N[v] & in_m| < 2, and deficit sums
+    2 - |N[v] & in_m| over D.  A detector d in pool & ~in_m lowers the
+    deficit by at most cap(d) = |N[d] & D|, so the room largest caps must
+    reach it.  Every cap is at most maxdeg + 1, which settles most nodes
+    before the caps are counted.
+    """
+    if deficit > room * (ctx.maxdeg + 1):
+        return True
+    return deficit > _top_caps(ctx.closed, pool & ~in_m, short, room)
 
 
 def bnb(ctx: Ctx, mode: int, forced_in: int, forced_out: int, cap: int,
@@ -338,6 +360,9 @@ def bnb(ctx: Ctx, mode: int, forced_in: int, forced_out: int, cap: int,
     # C keeps cap + 1 in an int
     cap, stop_at = _int_arg(cap, -2**31, 2**31 - 2), _int_arg(stop_at, -2**31, 2**31 - 1)
     _check_node_budget(node_budget)
+    if not isinstance(time_budget, (int, float)):
+        raise TypeError("time_budget must be an int or a float")
+    time_budget = float(time_budget)
     _check_mask(ctx.n, forced_in)
     _check_mask(ctx.n, forced_out)
     deadline = time.monotonic() + time_budget if time_budget else 0.0
@@ -394,14 +419,13 @@ def bnb(ctx: Ctx, mode: int, forced_in: int, forced_out: int, cap: int,
         # admissible bound
         limit = min(best, cap + 1)
         if mode == MODE_REDLD:
-            # each detector covers at most maxdeg+1 units of deficit
-            cover = ctx.maxdeg + 1
-            deficit = 0
+            deficit = short = 0
             for v in range(n):
                 have = (closed[v] & in_m).bit_count()
                 if have < 2:
                     deficit += 2 - have
-            if in_ct + (deficit + cover - 1) // cover >= limit:
+                    short |= 1 << v
+            if _redld_prunes(ctx, in_m, pool, short, deficit, limit - in_ct - 1):
                 return
             leaf = deficit == 0 and is_redld(ctx, in_m)
         else:

@@ -156,6 +156,65 @@ def test_backends_build_the_same_mask(n, items, container):
     assert outcome(ck) == outcome(py)
 
 
+@st.composite
+def bnb_arguments(draw):
+    """A graph on at most 8 vertices, isolated vertices allowed, with bnb's
+    other arguments, valid, of which none, one or two are then swapped for a
+    value out of range or of the wrong type.  Valid time budgets either stop
+    the search at its first node or never, so both backends stop alike."""
+    n = draw(st.integers(1, 8))
+    slots = list(combinations(range(n), 2))
+    picks = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    adj = [[] for _ in range(n)]
+    for (u, v), take in zip(slots, picks):
+        if take:
+            adj[u].append(v)
+            adj[v].append(u)
+    # each vertex free, forced in, forced out, or (rarely) both
+    roles = draw(st.lists(st.sampled_from("ffffffffffiob"), min_size=n, max_size=n))
+    args = [draw(st.sampled_from((K.MODE_LD, K.MODE_REDLD))),
+            sum(1 << v for v, r in enumerate(roles) if r in "ib"),
+            sum(1 << v for v, r in enumerate(roles) if r in "ob"),
+            draw(st.integers(-1, n + 1)), draw(st.integers(-1, n)),
+            draw(st.one_of(st.just(0), st.integers(-2, 300))),
+            draw(st.sampled_from((0.0, 0, -0.0, -1.0, -1, 3600.0, 3600, float("inf"),
+                                  float("-inf"), float("nan"), False)))]
+    wrong_type = st.sampled_from((1.0, 0.5, float("nan"), None, "1", b"1", [1]) +
+                                 ((np.int64(1), np.float64(1.0)) if np is not None else ()))
+    mask = st.one_of(st.integers(-2**70, -1), st.integers(2**n, 2**70), wrong_type)
+    size = st.one_of(st.integers(-2**31 - 2, -2**31 + 1), st.integers(2**31 - 3, 2**31 + 1),
+                     st.integers(-2**70, 2**70), wrong_type)
+    bad = [st.one_of(st.integers(-2, 3), st.just(2**70), st.booleans(), wrong_type),
+           mask, mask, size, size,
+           st.one_of(st.integers(2**63 - 2, 2**63 + 1), st.integers(-2**63 - 1, -2**63 + 1),
+                     wrong_type),
+           st.sampled_from((None, "1", 1j, [0.0], 10**400) +
+                           ((np.float64(-1.0), np.float32(0.0), np.int64(0))
+                            if np is not None else ()))]
+    for k in draw(st.one_of(st.just(()), st.lists(st.integers(0, 6), min_size=1, max_size=2))):
+        args[k] = draw(bad[k])
+    return (adj, *args)
+
+
+@needs_c
+@settings(max_examples=500, deadline=None)
+@given(args=bnb_arguments())
+@example(args=([[1], [0]], K.MODE_REDLD, 0, 0, 2**31 - 1, 0, 0, 0.0))
+@example(args=([[1], [0, 2], [1]], K.MODE_REDLD, 0, 0, 3, 0, 0, None))
+@example(args=([[1], [0, 2], [1]], 1.0, 0, 0, 3, 0, 0, 0.0))
+def test_backends_search_the_same_way(args):
+    # the same tuple, or the same exception type and message
+    adj, *rest = args
+
+    def outcome(kern):
+        try:
+            return kern.bnb(kern.make_ctx(adj), *rest)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    assert outcome(ck) == outcome(py)
+
+
 @needs_c
 def test_c_functions_reject_a_python_context():
     ctx = py.make_ctx(((1,), (0, 2), (1,)))

@@ -69,7 +69,7 @@ def test_solve(tmp_path, capsys):
     assert lines[1] == "witness: 0 1 2 3 6 7"
     assert lines[2] == "labels: 0 1 2 3 6 7"
     # the per-phase counts go to stderr, so stdout stays byte-stable
-    assert "nodes: optimum 56 (2 calls), witness 6 (4 calls)\n" in err
+    assert "nodes: optimum 32 (2 calls), witness 4 (4 calls)\n" in err
     code, out, err = run(capsys, ["solve", "--mode", "ld", path])
     assert out.splitlines()[0] == "optimum: 4"
     assert "nodes: optimum 29 (1 calls), witness 22 (6 calls)\n" in err

@@ -17,7 +17,7 @@ from redld._kernels import _build
 from redld.graph import Graph
 from redld.grids import LatticeKind, _fold_constraints
 from redld.satreduce import SatInstance, build_reduction
-from redld.solver import _ld_lower_bound
+from redld.solver import _ld_lower_bound, _redld_lower_bound
 
 try:
     import redld._kernels._ckern as ck
@@ -316,10 +316,14 @@ def test_backends_reject_the_same_bad_input(kern):
     for mode in (-1, 3):
         with pytest.raises(ValueError, match="unknown mode"):
             kern.brute_force_min(ctx, mode)
-    # bnb searches by the characterization only: no removal-definition mode
-    for mode in (-1, K.MODE_REDLD_DEF, 7):
+    # bnb searches by the characterization only: no removal-definition mode;
+    # a mode is an int
+    for mode in (-1, K.MODE_REDLD_DEF, 7, 1.0):
         with pytest.raises(ValueError, match="unknown mode"):
             kern.bnb(ctx, mode, 0, 0, 3, 0, 0, 0.0)
+    for time_budget in (None, "1", 1j):
+        with pytest.raises(TypeError, match="^time_budget must be an int or a float$"):
+            kern.bnb(ctx, K.MODE_REDLD, 0, 0, 3, 0, 0, time_budget)
     for forced_in, forced_out in ((1 << 3, 0), (0, 1 << 5), (-1, 0), (0, -2)):
         with pytest.raises(IndexError, match="out of range"):
             kern.bnb(ctx, K.MODE_REDLD, forced_in, forced_out, 3, 0, 0, 0.0)
@@ -341,7 +345,7 @@ def test_backends_reject_the_same_bad_input(kern):
     # that is not an int is a TypeError
     for mask, error, match in [(m, IndexError, "mask names a vertex out of range")
                                for m in (-1, -(1 << 70), 1 << 3, 1 << 70, 0b111 | 1 << 64)] + \
-            [(m, TypeError, None) for m in (1.0, None, "1")]:
+            [(m, TypeError, "^a mask must be an int$") for m in (1.0, None, "1")]:
         for check in (
             lambda: kern.is_ld(ctx, mask),
             lambda: kern.is_redld(ctx, mask),
@@ -626,39 +630,56 @@ def test_bnb_agrees_across_words():
     assert {0, 1, 2} <= set(statuses)
 
 
-@pytest.mark.parametrize("kern", [py, pytest.param(ck, marks=needs_c)],
-                         ids=["py", "c"])
-def test_ld_bnb_matches_brute_force_on_every_graph_to_7_vertices(kern):
-    # every graph of the networkx atlas, all 1,253 with n <= 7 but the empty
-    # one, under seeded forced-in and forced-out masks: capped at n the
-    # search finds the minimum, capped one below it finds nothing, and the
-    # classic bound the solver stops at is never above the minimum
-    nx = pytest.importorskip("networkx")
-    rng = random.Random(16)
-    for g in nx.graph_atlas_g()[1:]:
+def check_bnb_against_brute_force(kern, mode, lower_bound, graphs, seed):
+    # under seeded forced-in and forced-out masks: capped at n the search
+    # finds the minimum, capped one below it finds nothing, and the bound the
+    # solver starts from is never above the minimum
+    rng = random.Random(seed)
+    pred = (py.is_ld, py.is_redld)[mode]
+    for g in graphs:
         n = g.number_of_nodes()
         adj = [sorted(g[v]) for v in range(n)]
         cp, ctx = py.make_ctx(adj), kern.make_ctx(adj)
-        ld_sets = [s for s in range(1 << n) if py.is_ld(cp, s)]
+        valid = [s for s in range(1 << n) if pred(cp, s)]
         forced = [(0, 0)]
         for _ in range(3):
             forced_in = sum(1 << v for v in range(n) if rng.random() < 0.2)
             forced.append((forced_in, sum(1 << v for v in range(n)
                                           if not forced_in >> v & 1 and rng.random() < 0.25)))
         for forced_in, forced_out in forced:
-            best = min((s.bit_count() for s in ld_sets
+            best = min((s.bit_count() for s in valid
                         if s & forced_in == forced_in and not s & forced_out), default=None)
-            status, value, mask, _ = kern.bnb(ctx, K.MODE_LD, forced_in, forced_out, n, 0, 0, 0.0)
+            status, value, mask, _ = kern.bnb(ctx, mode, forced_in, forced_out, n, 0, 0, 0.0)
             if best is None:
                 assert status == 1
                 continue
             assert (status, value) == (0, best)
-            assert mask in ld_sets and mask & forced_in == forced_in and not mask & forced_out
-            assert kern.bnb(ctx, K.MODE_LD, forced_in, forced_out, best - 1, 0, 0, 0.0)[0] == 1
-        lb = _ld_lower_bound(Graph(n, list(g.edges)))
-        unforced = min(s.bit_count() for s in ld_sets)
+            assert mask in valid and mask & forced_in == forced_in and not mask & forced_out
+            assert kern.bnb(ctx, mode, forced_in, forced_out, best - 1, 0, 0, 0.0)[0] == 1
+        lb = lower_bound(Graph(n, list(g.edges)))
+        unforced = min(s.bit_count() for s in valid)
         assert lb <= unforced
-        assert kern.bnb(ctx, K.MODE_LD, 0, 0, n, lb, 0, 0.0)[:2] == (0, unforced)
+        assert kern.bnb(ctx, mode, 0, 0, n, lb, 0, 0.0)[:2] == (0, unforced)
+
+
+@pytest.mark.parametrize("kern", [py, pytest.param(ck, marks=needs_c)],
+                         ids=["py", "c"])
+def test_ld_bnb_matches_brute_force_on_every_graph_to_7_vertices(kern):
+    # every graph of the networkx atlas, all 1,253 with n <= 7 but the empty one
+    nx = pytest.importorskip("networkx")
+    check_bnb_against_brute_force(kern, K.MODE_LD, _ld_lower_bound, nx.graph_atlas_g()[1:], 16)
+
+
+@pytest.mark.parametrize("kern", [py, pytest.param(ck, marks=needs_c)],
+                         ids=["py", "c"])
+def test_redld_bnb_matches_brute_force_on_every_graph_to_7_vertices(kern):
+    # the 1,043 graphs of the networkx atlas with n <= 7 and no isolated
+    # vertex, where RED:LD sets exist: the coverage bound cuts only subtrees
+    # without a valid set
+    nx = pytest.importorskip("networkx")
+    graphs = [g for g in nx.graph_atlas_g()[1:] if min(d for _, d in g.degree) > 0]
+    assert len(graphs) == 1_043
+    check_bnb_against_brute_force(kern, K.MODE_REDLD, _redld_lower_bound, graphs, 17)
 
 
 @needs_c

@@ -91,10 +91,10 @@ def test_bnb_matches_brute_force():
 # witness-phase calls); both backends count the same nodes
 PINNED_COUNTS = [
     ("petersen", min_ld, 51, 29, 1, 6),
-    ("petersen", min_redld, 62, 56, 2, 4),
+    ("petersen", min_redld, 36, 32, 2, 4),
     ("q4", min_ld, 2_702, 2_620, 2, 10),
-    ("q4", min_redld, 2_314, 1_444, 2, 8),
-    ("q5", min_redld, 9_264, 7_596, 2, 20),
+    ("q4", min_redld, 1_566, 928, 2, 8),
+    ("q5", min_redld, 4_506, 3_752, 2, 20),
 ]
 PINNED_GRAPHS = {"petersen": build_petersen, "q4": lambda: build_hypercube(4),
                  "q5": lambda: build_hypercube(5)}
@@ -291,10 +291,10 @@ def test_ld_ladder_climbs_from_the_lower_bound(monkeypatch, dim, rungs, first_ru
 
 
 @pytest.mark.parametrize("dim, refuted, budget", [
-    # the node budget runs out halfway through Q_5's cap-11 rung (5,921
+    # the node budget runs out halfway through Q_5's cap-11 rung (2,991
     # nodes); a time stop cannot be placed in so short a rung on every
-    # machine, so that budget stops Q_6's cap-19 rung (2.4M nodes on C)
-    (5, 11, SolveBudget(max_nodes=2_900)),
+    # machine, so that budget stops Q_6's cap-19 rung (1.47M nodes on C)
+    (5, 11, SolveBudget(max_nodes=1_500)),
     (6, 19, SolveBudget(max_seconds=0.05)),
 ])
 def test_budget_stop_in_a_refuting_rung_raises(monkeypatch, dim, refuted, budget):
@@ -386,3 +386,18 @@ def test_bnb_optima_match_a_milp_past_brute_force(n):
         value, chosen = milp_optimum(g, mode)
         assert check(g, chosen).ok
         assert solve(g).optimum == value
+
+
+@needs_c
+@pytest.mark.parametrize("seed, optimum", [(0, 15), (1, 16)])
+def test_redld_optima_of_g40_match_a_milp(seed, optimum):
+    # G(40, 0.15) #s: each pair i < j in order is an edge when
+    # random.Random(s).random() < 0.15.  The RED:LD coverage bound solves #0
+    # in 1.1M nodes (0.7 s on C), where the cover bound took 9.2M
+    pytest.importorskip("scipy")
+    rng = random.Random(seed)
+    g = Graph(40, [e for e in combinations(range(40), 2) if rng.random() < 0.15])
+    value, chosen = milp_optimum(g, MODE_REDLD)
+    assert value == optimum and is_redld_set(g, chosen).ok
+    res = min_redld(g)
+    assert res.optimum == optimum and is_redld_set(g, res.witness).ok
