@@ -23,7 +23,7 @@
  * The other difference in the work is in the branch and bound.  pybits.bnb
  * recomputes every count at every node and stays the check; dfs re-checks
  * only what the branch into a node changed, on three invariants (argued above
- * dfs): the IN child keeps its parent's pool, so its domination test can
+ * dfs_node): the IN child keeps its parent's pool, so its domination test can
  * change nothing; the OUT child of b changes the counts on N[b] only; and the
  * settled vertices of a node, kept in its `done` row, only grow along a path.
  * The pairs a node tests are likewise those with an end that the branch or
@@ -36,7 +36,10 @@
  * Vertex sets are arrays of W = ceil(n / 64) 64-bit words, vertex v at bit
  * v & 63 of word v >> 6.  In Python they are ints, bit v for vertex v; the
  * binding converts them in mask_words and words_int, and builds them from
- * vertex lists in mask_of.
+ * vertex lists in mask_of.  The helpers of the branch and bound take W as an
+ * argument, and its search is built twice from one body: dfs_1, where W is
+ * the literal 1 (n <= 64) and every word loop folds down to one word, and
+ * dfs_w for any W.
  *
  * A context is written once by ctx_fill, in make_ctx, and is only read
  * afterwards.  Every other entry point allocates its scratch per call, so
@@ -72,10 +75,21 @@ typedef struct {
     u64 rows[];
 } rlk_ctx;
 
-#define OPEN(c, v) ((c)->rows + (size_t)(v) * (c)->W)
-#define CLOSED(c, v) ((c)->rows + ((size_t)(c)->n + (v)) * (c)->W)
-#define NEAR(c, v) ((c)->rows + (2 * (size_t)(c)->n + (v)) * (c)->W)
-#define DEG(c) ((int *)((c)->rows + 3 * (size_t)(c)->n * (c)->W))
+/* The rows of v for a word count W that the caller passes: c->W, or a
+ * literal 1 in the single-word branch and bound, where it folds every word
+ * loop down to one word (see dfs_1). */
+#define OPEN_W(c, v, W) ((c)->rows + (size_t)(v) * (W))
+#define CLOSED_W(c, v, W) ((c)->rows + ((size_t)(c)->n + (v)) * (W))
+#define NEAR_W(c, v, W) ((c)->rows + (2 * (size_t)(c)->n + (v)) * (W))
+#define DEG_W(c, W) ((int *)((c)->rows + 3 * (size_t)(c)->n * (W)))
+#define OPEN(c, v) OPEN_W(c, v, (c)->W)
+#define CLOSED(c, v) CLOSED_W(c, v, (c)->W)
+#define NEAR(c, v) NEAR_W(c, v, (c)->W)
+#define DEG(c) DEG_W(c, (c)->W)
+
+/* for the helpers that take W: inlined into each caller, so that a literal
+ * W reaches their word loops */
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
 
 static inline int popc(u64 x) { return __builtin_popcountll(x); }
 /* the bits set in x, capped at 2: enough for a test against 1 or 2, and
@@ -86,7 +100,7 @@ static inline void set(u64 *m, int v) { m[v >> 6] |= (u64)1 << (v & 63); }
 
 static int words(int n) { return (n + 63) >> 6; }
 
-static int popcount(const u64 *m, int W)
+ALWAYS_INLINE int popcount(const u64 *m, int W)
 {
     int c = 0;
     for (int w = 0; w < W; w++)
@@ -129,21 +143,21 @@ static void ctx_finish(rlk_ctx *c)
 /* ---- pair conditions ---------------------------------------------------- */
 
 /* dst = the vertices not in src */
-static void complement(const rlk_ctx *c, u64 *dst, const u64 *src)
+ALWAYS_INLINE void complement(const rlk_ctx *c, int W, u64 *dst, const u64 *src)
 {
-    for (int w = 0; w < c->W; w++)
+    for (int w = 0; w < W; w++)
         dst[w] = ~src[w];
     if (c->n & 63)
-        dst[c->W - 1] &= ((u64)1 << (c->n & 63)) - 1;
+        dst[W - 1] &= ((u64)1 << (c->n & 63)) - 1;
 }
 
 /* every vertex has at least `need` members of s in its closed neighbourhood */
-static int dominated(const rlk_ctx *c, const u64 *s, int need)
+ALWAYS_INLINE int dominated(const rlk_ctx *c, int W, const u64 *s, int need)
 {
     for (int v = 0; v < c->n; v++) {
         int pc = 0;
-        for (int w = 0; w < c->W && pc < need; w++)
-            pc += popc2(CLOSED(c, v)[w] & s[w]);
+        for (int w = 0; w < W && pc < need; w++)
+            pc += popc2(CLOSED_W(c, v, W)[w] & s[w]);
         if (pc < need)
             return 0;
     }
@@ -155,11 +169,11 @@ static int dominated(const rlk_ctx *c, const u64 *s, int need)
  * condition (ii) with need 1 for LD and 2 for RED:LD; out vertices are not
  * in the pool, so dropping v changes nothing.  With v in, it is condition
  * (iii) with need 1. */
-static inline int pair_fails(const rlk_ctx *c, const u64 *pool, int need, int u, int v)
+ALWAYS_INLINE int pair_fails(const rlk_ctx *c, int W, const u64 *pool, int need, int u, int v)
 {
-    const u64 *ou = OPEN(c, u), *ov = OPEN(c, v);
+    const u64 *ou = OPEN_W(c, u, W), *ov = OPEN_W(c, v, W);
     int pc = 0;
-    for (int w = 0; w < c->W && pc < need; w++) {
+    for (int w = 0; w < W && pc < need; w++) {
         u64 x = (ou[w] ^ ov[w]) & pool[w];
         pc += popc2(w == v >> 6 ? x & ~((u64)1 << (v & 63)) : x);
     }
@@ -181,13 +195,12 @@ static inline int pair_fails(const rlk_ctx *c, const u64 *pool, int need, int u,
  *
  * With `touched` NULL every such pair is tested.  Otherwise only the pairs
  * with an end in `touched` are, for a caller that knows every other pair
- * passes (see dfs).  Inlined, so that the predicates get a copy without the
- * tests on `touched`. */
-static inline __attribute__((always_inline)) int
-pairs_fail(const rlk_ctx *c, int mode, const u64 *in, const u64 *out, const u64 *pool,
-           const u64 *touched)
+ * passes (see dfs_node).  Inlined, so that the predicates get a copy without
+ * the tests on `touched`. */
+ALWAYS_INLINE int pairs_fail(const rlk_ctx *c, int W, int mode, const u64 *in, const u64 *out,
+                             const u64 *pool, const u64 *touched)
 {
-    int W = c->W, need = mode == MODE_REDLD ? 2 : 1;
+    int need = mode == MODE_REDLD ? 2 : 1;
     /* from each out end: its out/out pairs, each tested once, and in RED:LD
      * mode its in/out pairs, found from the out side because near the optima
      * of reduction graphs most vertices are in and few are out */
@@ -199,15 +212,15 @@ pairs_fail(const rlk_ctx *c, int mode, const u64 *in, const u64 *out, const u64 
                 u64 seen = wv < wu ? ~(u64)0 : wv == wu ? ((u64)2 << (u & 63)) - 1 : 0;
                 if (touched)
                     seen &= touched[wv];
-                for (u64 mv = NEAR(c, u)[wv] & out[wv] & ~seen; mv; mv &= mv - 1)
-                    if (pair_fails(c, pool, need, u, wv << 6 | __builtin_ctzll(mv)))
+                for (u64 mv = NEAR_W(c, u, W)[wv] & out[wv] & ~seen; mv; mv &= mv - 1)
+                    if (pair_fails(c, W, pool, need, u, wv << 6 | __builtin_ctzll(mv)))
                         return 1;
             }
             if (mode != MODE_REDLD)
                 continue;
             for (int wv = 0; wv < W; wv++)
-                for (u64 mv = NEAR(c, u)[wv] & in[wv]; mv; mv &= mv - 1)
-                    if (pair_fails(c, pool, 1, u, wv << 6 | __builtin_ctzll(mv)))
+                for (u64 mv = NEAR_W(c, u, W)[wv] & in[wv]; mv; mv &= mv - 1)
+                    if (pair_fails(c, W, pool, 1, u, wv << 6 | __builtin_ctzll(mv)))
                         return 1;
         }
     if (mode != MODE_REDLD || !touched)
@@ -217,8 +230,8 @@ pairs_fail(const rlk_ctx *c, int mode, const u64 *in, const u64 *out, const u64 
         for (u64 mv = in[wv] & touched[wv]; mv; mv &= mv - 1) {
             int v = wv << 6 | __builtin_ctzll(mv);
             for (int wu = 0; wu < W; wu++)
-                for (u64 mu = NEAR(c, v)[wu] & out[wu] & ~touched[wu]; mu; mu &= mu - 1)
-                    if (pair_fails(c, pool, 1, wu << 6 | __builtin_ctzll(mu), v))
+                for (u64 mu = NEAR_W(c, v, W)[wu] & out[wu] & ~touched[wu]; mu; mu &= mu - 1)
+                    if (pair_fails(c, W, pool, 1, wu << 6 | __builtin_ctzll(mu), v))
                         return 1;
         }
     return 0;
@@ -235,18 +248,18 @@ static u64 *scratch_new(const rlk_ctx *c)
 
 /* LD or RED:LD (by conditions (i)-(iii)): domination, then the pairs with
  * the members of s in and the rest out */
-static int characterized(const rlk_ctx *c, int mode, const u64 *s, u64 *scratch)
+ALWAYS_INLINE int characterized(const rlk_ctx *c, int W, int mode, const u64 *s, u64 *scratch)
 {
-    if (!dominated(c, s, mode == MODE_REDLD ? 2 : 1))
+    if (!dominated(c, W, s, mode == MODE_REDLD ? 2 : 1))
         return 0;
-    complement(c, scratch, s);
-    return !pairs_fail(c, mode, s, scratch, s, NULL);
+    complement(c, W, scratch, s);
+    return !pairs_fail(c, W, mode, s, scratch, s, NULL);
 }
 
 /* LD, and still LD after removing any one detector */
 static int is_redld_def_core(const rlk_ctx *c, const u64 *s, u64 *scratch)
 {
-    if (!characterized(c, MODE_LD, s, scratch))
+    if (!characterized(c, c->W, MODE_LD, s, scratch))
         return 0;
     u64 *sm = scratch + c->W; /* characterized uses the first row only */
     for (int v = 0; v < c->n; v++) {
@@ -254,7 +267,7 @@ static int is_redld_def_core(const rlk_ctx *c, const u64 *s, u64 *scratch)
             continue;
         memcpy(sm, s, c->W * sizeof(u64));
         sm[v >> 6] ^= (u64)1 << (v & 63);
-        if (!characterized(c, MODE_LD, sm, scratch))
+        if (!characterized(c, c->W, MODE_LD, sm, scratch))
             return 0;
     }
     return 1;
@@ -263,7 +276,7 @@ static int is_redld_def_core(const rlk_ctx *c, const u64 *s, u64 *scratch)
 static int valid(const rlk_ctx *c, int mode, const u64 *s, u64 *scratch)
 {
     return mode == MODE_REDLD_DEF ? is_redld_def_core(c, s, scratch)
-                                  : characterized(c, mode, s, scratch);
+                                  : characterized(c, c->W, mode, s, scratch);
 }
 
 /* ---- brute force -------------------------------------------------------- */
@@ -316,7 +329,7 @@ static int rlk_brute_force_min(const rlk_ctx *c, int mode, u64 *out)
 static int pairs_ok_core(const rlk_ctx *c, const u64 *s, int npairs, const int *us,
                          const int *vs)
 {
-    if (!dominated(c, s, 2))
+    if (!dominated(c, c->W, s, 2))
         return 0;
     for (int i = 0; i < npairs; i++) {
         int u = us[i], v = vs[i];
@@ -324,7 +337,7 @@ static int pairs_ok_core(const rlk_ctx *c, const u64 *s, int npairs, const int *
             u = vs[i];
             v = us[i];
         }
-        if (!get(s, u) && pair_fails(c, s, get(s, v) ? 1 : 2, u, v))
+        if (!get(s, u) && pair_fails(c, c->W, s, get(s, v) ? 1 : 2, u, v))
             return 0;
     }
     return 1;
@@ -507,11 +520,11 @@ typedef struct {
 
 #define FRAME_ROWS 4
 
-/* On x86-64 under glibc, dfs is compiled twice, with and without the popcnt
- * instruction, and the loader picks the version the CPU can run.  The module
- * may run on another CPU than the one that built it, so a bare -mpopcnt would
- * not be safe.  Elsewhere dfs is built once, for the compiler's default
- * target. */
+/* On x86-64 under glibc, each dfs instance is compiled twice, with and
+ * without the popcnt instruction, and the loader picks the version the CPU
+ * can run.  The module may run on another CPU than the one that built it, so
+ * a bare -mpopcnt would not be safe.  Elsewhere each is built once, for the
+ * compiler's default target. */
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
 #define POPCNT_DISPATCH __attribute__((target_clones("popcnt", "default")))
@@ -524,10 +537,9 @@ typedef struct {
 /* The sum of the t largest caps |rows(d) & st->undom| over the candidates d
  * in pool - in_m, each cap at most top, read off a histogram of the caps;
  * rows is the first of the context's open or closed rows. */
-static long long top_caps(bnb_state *st, const u64 *rows, const u64 *in_m, const u64 *pool,
-                          int top, int t)
+ALWAYS_INLINE long long top_caps(bnb_state *st, int W, const u64 *rows, const u64 *in_m,
+                                 const u64 *pool, int top, int t)
 {
-    int W = st->c->W;
     memset(st->hist, 0, ((size_t)top + 1) * sizeof(int));
     for (int w = 0; w < W; w++)
         for (u64 m = pool[w] & ~in_m[w]; m; m &= m - 1) {
@@ -555,11 +567,12 @@ static long long top_caps(bnb_state *st, const u64 *rows, const u64 *in_m, const
  * t largest caps |N(d) & X|, d in C.  The right side less the left only grows
  * with t, so the largest t allowed decides.  Each cap is at most maxdeg,
  * which settles most nodes before the caps are counted. */
-static int ld_prunes(bnb_state *st, const u64 *in_m, const u64 *pool, int nx, int room)
+ALWAYS_INLINE int ld_prunes(bnb_state *st, int W, const u64 *in_m, const u64 *pool, int nx,
+                            int room)
 {
     const rlk_ctx *c = st->c;
     const u64 *x = st->undom;
-    int W = c->W, nc = 0, nu = 0;
+    int nc = 0, nu = 0;
     for (int w = 0; w < W; w++) {
         nc += popc(pool[w] & ~in_m[w]);
         nu += popc(x[w] & pool[w]);
@@ -570,20 +583,40 @@ static int ld_prunes(bnb_state *st, const u64 *in_m, const u64 *pool, int nx, in
         return 0;
     if (short_by > t * c->maxdeg)
         return 1;
-    return short_by > top_caps(st, OPEN(c, 0), in_m, pool, c->maxdeg, t);
+    return short_by > top_caps(st, W, OPEN_W(c, 0, W), in_m, pool, c->maxdeg, t);
 }
 
 /* The RED:LD bound of dfs, the bound of pybits._redld_prunes, where it is
  * argued: can the `room` largest caps |N[d] & D|, d in pool - in_m, cover the
  * deficit?  st->undom holds D.  Every cap is at most maxdeg + 1, which
  * settles most nodes before the caps are counted. */
-static int redld_prunes(bnb_state *st, const u64 *in_m, const u64 *pool, int deficit, int room)
+ALWAYS_INLINE int redld_prunes(bnb_state *st, int W, const u64 *in_m, const u64 *pool,
+                               int deficit, int room)
 {
     const rlk_ctx *c = st->c;
     int top = c->maxdeg + 1;
     if (deficit > (long long)room * top)
         return 1;
-    return deficit > 0 && deficit > top_caps(st, CLOSED(c, 0), in_m, pool, top, room);
+    return deficit > 0 && deficit > top_caps(st, W, CLOSED_W(c, 0, W), in_m, pool, top, room);
+}
+
+/* The search has two instances of one body, dfs_node, so the two make the
+ * same decisions: dfs_1 for a single word (n <= 64), where W is the literal 1
+ * and every word loop folds down to one word, and dfs_w for any W. */
+POPCNT_DISPATCH static void dfs_1(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m,
+                                  int branch, int b);
+POPCNT_DISPATCH static void dfs_w(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m,
+                                  int branch, int b);
+
+/* A call of the instance for W words.  In dfs_1 the test folds away, and
+ * dfs_w runs only for W > 1, so each instance recurses into itself. */
+ALWAYS_INLINE void dfs_child(bnb_state *st, int W, int depth, const u64 *in_m0, const u64 *out_m,
+                             int branch, int b)
+{
+    if (W == 1)
+        dfs_1(st, depth, in_m0, out_m, branch, b);
+    else
+        dfs_w(st, depth, in_m0, out_m, branch, b);
 }
 
 /* One node, reached by `branch` on vertex b.  pybits.bnb recomputes every
@@ -615,11 +648,11 @@ static int redld_prunes(bnb_state *st, const u64 *in_m, const u64 *pool, int def
  * with an end in that touched set only; in LD mode, where no in/out pair is
  * tested, the IN child tests none.
  */
-POPCNT_DISPATCH
-static void dfs(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m, int branch, int b)
+ALWAYS_INLINE void dfs_node(bnb_state *st, int W, int depth, const u64 *in_m0, const u64 *out_m,
+                            int branch, int b)
 {
     const rlk_ctx *c = st->c;
-    int W = c->W, redld = st->mode == MODE_REDLD, need = redld ? 2 : 1;
+    int redld = st->mode == MODE_REDLD, need = redld ? 2 : 1;
     u64 *in_m = st->frames + (size_t)depth * FRAME_ROWS * W, *pool = in_m + W,
         *child = pool + W, *done = child + W;
 
@@ -633,7 +666,7 @@ static void dfs(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m, in
         return;
     }
     memcpy(in_m, in_m0, W * sizeof(u64));
-    complement(c, pool, out_m);
+    complement(c, W, pool, out_m);
     if (branch == BRANCH_ROOT)
         memset(done, 0, W * sizeof(u64));
     else
@@ -643,14 +676,14 @@ static void dfs(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m, in
      * counts the branch changed, gathered in child */
     if (branch != BRANCH_IN) {
         if (branch == BRANCH_ROOT)
-            complement(c, child, done); /* every vertex: nothing is done yet */
+            complement(c, W, child, done); /* every vertex: nothing is done yet */
         else
             for (int w = 0; w < W; w++)
-                child[w] = CLOSED(c, b)[w] & ~done[w];
+                child[w] = CLOSED_W(c, b, W)[w] & ~done[w];
         for (int w = 0; w < W; w++)
             for (u64 m = redld ? child[w] : child[w] & out_m[w]; m; m &= m - 1) {
                 int v = w << 6 | __builtin_ctzll(m);
-                const u64 *nb = redld ? CLOSED(c, v) : OPEN(c, v);
+                const u64 *nb = redld ? CLOSED_W(c, v, W) : OPEN_W(c, v, W);
                 int pc = 0;
                 for (int x = 0; x < W; x++)
                     pc += popc(nb[x] & pool[x]);
@@ -667,7 +700,7 @@ static void dfs(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m, in
 
     /* pair feasibility: prune once no undecided vertex can fix a pair */
     if (branch == BRANCH_ROOT) {
-        if (pairs_fail(c, st->mode, in_m, out_m, pool, NULL))
+        if (pairs_fail(c, W, st->mode, in_m, out_m, pool, NULL))
             return;
     } else if (redld || branch == BRANCH_OUT) {
         if (branch == BRANCH_IN) {
@@ -675,9 +708,9 @@ static void dfs(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m, in
             set(child, b);
         } else {
             for (int w = 0; w < W; w++)
-                child[w] = CLOSED(c, b)[w] | (in_m[w] & ~in_m0[w]);
+                child[w] = CLOSED_W(c, b, W)[w] | (in_m[w] & ~in_m0[w]);
         }
-        if (pairs_fail(c, st->mode, in_m, out_m, pool, child))
+        if (pairs_fail(c, W, st->mode, in_m, out_m, pool, child))
             return;
     }
 
@@ -687,14 +720,14 @@ static void dfs(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m, in
         /* Only the vertices not yet done can add to the deficit; those that
          * are settled now join done, and the rest are D. */
         int deficit = 0;
-        complement(c, child, done);
+        complement(c, W, child, done);
         memset(st->undom, 0, W * sizeof(u64));
         for (int w = 0; w < W; w++)
             for (u64 m = child[w]; m; m &= m - 1) {
                 int v = w << 6 | __builtin_ctzll(m);
                 int have = 0;
                 for (int x = 0; x < W && have < 2; x++)
-                    have += popc(CLOSED(c, v)[x] & in_m[x]);
+                    have += popc(CLOSED_W(c, v, W)[x] & in_m[x]);
                 if (have < 2) {
                     deficit += 2 - have;
                     set(st->undom, v);
@@ -702,7 +735,7 @@ static void dfs(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m, in
                     set(done, v);
                 }
             }
-        if (redld_prunes(st, in_m, pool, deficit, limit - in_ct - 1))
+        if (redld_prunes(st, W, in_m, pool, deficit, limit - in_ct - 1))
             return;
         leaf = deficit == 0;
     } else {
@@ -711,19 +744,19 @@ static void dfs(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m, in
         const u64 *prev = branch == BRANCH_ROOT ? NULL : in_m - FRAME_ROWS * W;
         for (int w = 0; w < W; w++)
             for (u64 m = prev ? in_m[w] & ~prev[w] : in_m[w]; m; m &= m - 1) {
-                const u64 *nb = OPEN(c, w << 6 | __builtin_ctzll(m));
+                const u64 *nb = OPEN_W(c, w << 6 | __builtin_ctzll(m), W);
                 for (int x = 0; x < W; x++)
                     done[x] |= nb[x];
             }
         for (int w = 0; w < W; w++)
             child[w] = in_m[w] | done[w];
-        complement(c, st->undom, child);
+        complement(c, W, st->undom, child);
         int nx = popcount(st->undom, W);
-        if (ld_prunes(st, in_m, pool, nx, limit - in_ct))
+        if (ld_prunes(st, W, in_m, pool, nx, limit - in_ct))
             return;
         leaf = nx == 0;
     }
-    if (leaf && characterized(c, st->mode, in_m, st->scratch)) {
+    if (leaf && characterized(c, W, st->mode, in_m, st->scratch)) {
         st->best = in_ct;
         memcpy(st->best_mask, in_m, W * sizeof(u64));
         if (st->best <= st->stop_at)
@@ -736,8 +769,8 @@ static void dfs(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m, in
     for (int w = 0; w < W; w++)
         for (u64 m = pool[w] & ~in_m[w]; m; m &= m - 1) {
             int v = w << 6 | __builtin_ctzll(m);
-            if (DEG(c)[v] > bd) {
-                bd = DEG(c)[v];
+            if (DEG_W(c, W)[v] > bd) {
+                bd = DEG_W(c, W)[v];
                 next = v;
             }
         }
@@ -745,12 +778,24 @@ static void dfs(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m, in
         return;
     memcpy(child, in_m, W * sizeof(u64));
     set(child, next);
-    dfs(st, depth + 1, child, out_m, BRANCH_IN, next);
+    dfs_child(st, W, depth + 1, child, out_m, BRANCH_IN, next);
     if (st->stop)
         return;
     memcpy(child, out_m, W * sizeof(u64));
     set(child, next);
-    dfs(st, depth + 1, in_m, child, BRANCH_OUT, next);
+    dfs_child(st, W, depth + 1, in_m, child, BRANCH_OUT, next);
+}
+
+POPCNT_DISPATCH static void dfs_1(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m,
+                                  int branch, int b)
+{
+    dfs_node(st, 1, depth, in_m0, out_m, branch, b);
+}
+
+POPCNT_DISPATCH static void dfs_w(bnb_state *st, int depth, const u64 *in_m0, const u64 *out_m,
+                                  int branch, int b)
+{
+    dfs_node(st, st->c->W, depth, in_m0, out_m, branch, b);
 }
 
 /* Branch and bound over sets S with forced_in <= S <= ~forced_out, with the
@@ -787,7 +832,7 @@ static int rlk_bnb(const rlk_ctx *c, int mode, const u64 *forced_in, const u64 *
         return RLK_NOMEM;
     }
     st.best_mask = witness; /* written at each improvement, so only when best <= cap */
-    dfs(&st, 0, forced_in, forced_out, BRANCH_ROOT, -1);
+    dfs_child(&st, W, 0, forced_in, forced_out, BRANCH_ROOT, -1);
     if (st.best <= cap)
         *value = st.best;
     *nodes = st.nodes;
@@ -1247,13 +1292,15 @@ static PyObject *words_int(u64 *m, int W)
  * what the binding is reading. */
 
 /* The int obj as a vertex of an n-vertex graph in *v: -1 with an exception
- * set when it is not an int naming a vertex. */
+ * set when it is not an int naming a vertex.  An int past a C long is out of
+ * range, as in pybits, not an OverflowError. */
 static int vertex_arg(PyObject *obj, int n, int *v)
 {
-    long w = PyLong_AsLong(obj);
+    int overflow;
+    long w = PyLong_AsLongAndOverflow(obj, &overflow);
     if (w == -1 && PyErr_Occurred())
         return -1;
-    if (w < 0 || w >= n) {
+    if (overflow || w < 0 || w >= n) {
         PyErr_SetString(PyExc_IndexError, "vertex out of range");
         return -1;
     }

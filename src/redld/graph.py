@@ -130,9 +130,13 @@ class Graph:
         """Subgraph on the given vertices, relabeled to 0..k-1 in sorted order.
 
         Returns the subgraph and the old->new index map. Labels carry over.
+        Given every vertex, it returns the graph itself, which is immutable,
+        with the identity map.
         """
         vs = sorted(set(vertices))
         index = {v: i for i, v in enumerate(vs)}
+        if len(vs) == self.n and vs[0] == 0 and vs[-1] == self.n - 1:
+            return self, index
         edges = [(index[u], index[v]) for u in vs for v in self.adj[u] if u < v and v in index]
         labels = tuple(self.label(v) for v in vs) if self.labels is not None else None
         return Graph(len(vs), edges, labels), index

@@ -157,6 +157,67 @@ def test_backends_build_the_same_mask(n, items, container):
 
 
 @st.composite
+def predicate_arguments(draw):
+    """Rows of a simple graph on 1 to 130 vertices, now and then with one
+    neighbour out of range, and masks of every kind: near the full set, so
+    that some verdicts are yes, random, past the graph or its words,
+    negative, bools, numpy ints, floats, str and None."""
+    n = draw(st.integers(1, 130))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    adj = [sorted(row) for row in adj]
+    if draw(st.integers(0, 9)) == 0:
+        draw(st.sampled_from(adj)).append(draw(st.sampled_from((-1, n, n + 64, 2**70))))
+    full = (1 << n) - 1
+    masks = st.lists(st.one_of(
+        st.integers(0, full).map(lambda m: full ^ (m & m >> 1 & m >> 2)),
+        st.integers(0, full),
+        st.integers(full + 1, 2**200),
+        st.integers(-2**140, -1),
+        st.booleans(),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.text(max_size=2),
+        st.none(),
+        *((st.integers(-3, 2**62).map(np.int64), st.integers(0, 255).map(np.uint8))
+          if np is not None else ()),
+    ), min_size=1, max_size=6)
+    return adj, draw(masks)
+
+
+@needs_c
+@settings(max_examples=300, deadline=None)
+@given(args=predicate_arguments())
+@example(args=([[1], [0]], [3, True, False, 4, -1]))
+@example(args=([[(v + 1) % 64, (v - 1) % 64] for v in range(64)], [2**64 - 1, 2**64, 2**63]))
+def test_backends_judge_the_same_masks(args):
+    # make_ctx raises alike, or each predicate gives the same bool or the
+    # same exception type and message on both backends
+    adj, masks = args
+
+    def outcome(call, *call_args):
+        try:
+            return call(*call_args)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    cp, cc = outcome(py.make_ctx, adj), outcome(ck.make_ctx, adj)
+    if isinstance(cp, tuple):
+        assert cp == cc
+        return
+    assert cc.n == cp.n == len(adj)
+    for mask in masks:
+        for name in ("is_ld", "is_redld", "is_redld_def"):
+            got = outcome(getattr(py, name), cp, mask)
+            assert got == outcome(getattr(ck, name), cc, mask), (name, mask)
+            assert isinstance(got, (bool, tuple))
+
+
+@st.composite
 def bnb_arguments(draw):
     """A graph on at most 8 vertices, isolated vertices allowed, with bnb's
     other arguments, valid, of which none, one or two are then swapped for a

@@ -75,6 +75,25 @@ def test_solve(tmp_path, capsys):
     assert "nodes: optimum 29 (1 calls), witness 22 (6 calls)\n" in err
 
 
+def test_solve_of_a_disconnected_graph_is_pinned(tmp_path, capsys):
+    # Petersen, C_5 and P_4 with their vertices interleaved: each component
+    # is solved on its own and mapped back
+    from redld.graph import Graph
+    perm = [8, 3, 6, 5, 15, 16, 2, 12, 0, 1, 13, 10, 18, 9, 14, 11, 4, 17, 7]
+    parts = [(0, build_petersen().edges()), (10, [(i, (i + 1) % 5) for i in range(5)]),
+             (15, [(0, 1), (1, 2), (2, 3)])]
+    g = Graph(19, [(perm[o + u], perm[o + v]) for o, es in parts for u, v in es])
+    assert len(g.connected_components()) == 3
+    path = graph_file(tmp_path, g)
+    code, out, _ = run(capsys, ["solve", path])
+    assert code == 0
+    assert out == ("optimum: 14\nwitness: 0 1 2 3 4 5 7 9 10 11 13 14 16 17\n"
+                   "labels: 0 1 2 3 4 5 7 9 10 11 13 14 16 17\n")
+    code, out, _ = run(capsys, ["solve", "--mode", "ld", path])
+    assert code == 0
+    assert out == "optimum: 8\nwitness: 0 1 3 4 5 7 9 10\nlabels: 0 1 3 4 5 7 9 10\n"
+
+
 def test_solve_infeasible(tmp_path, capsys):
     path = tmp_path / "iso.edges"
     path.write_text("3\n0 1\n")

@@ -12,6 +12,7 @@ from redld.graph import (
     parse_edge_list,
     render_edge_list,
 )
+from redld.solver import min_redld
 
 
 def test_graph_basics():
@@ -102,6 +103,19 @@ def test_kernel_ctx_is_built_once():
     assert g.kernel_ctx() is ctx
     assert ctx.n == g.n
     assert Graph(10, g.edges()).kernel_ctx() is not ctx
+
+
+def test_induced_subgraph_on_every_vertex_is_the_graph():
+    g = build_petersen()
+    sub, index = g.induced_subgraph(range(g.n))
+    assert sub is g
+    assert index == {v: v for v in range(g.n)}
+    # a connected graph is solved on its own context
+    assert min_redld(g).optimum == 6
+    assert g._ctx is not None
+    sub, index = g.induced_subgraph([9, 2, 4])
+    assert sub is not g and index == {2: 0, 4: 1, 9: 2}
+    assert sub.edges() == [(1, 2)]
 
 
 def test_edge_list_round_trip():

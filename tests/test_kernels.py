@@ -331,13 +331,17 @@ def test_backends_reject_the_same_bad_input(kern):
         kern.pairs_scan(ctx, [0], [], [])
     # every pair vertex is checked before the scan, even when no candidate
     # would reach the pair
-    for us, vs in (([0], [5]), ([-1], [0]), ([0], [3]), ([0, 1], [1, -2])):
+    for us, vs in (([0], [5]), ([-1], [0]), ([0], [3]), ([0, 1], [1, -2]), ([0], [2**70])):
         with pytest.raises(IndexError, match="^vertex out of range$"):
             kern.pairs_scan(ctx, us, vs, [0])
     with pytest.raises(IndexError, match="^vertex out of range$"):
         kern.make_ctx([[5], [0]])
     with pytest.raises(IndexError, match="^vertex out of range$"):
         kern.make_ctx([[1], [-1]])
+    # past a 64-bit long, a vertex is as out of range as any other
+    for bad in (2**70, -2**70):
+        with pytest.raises(IndexError, match="^vertex out of range$"):
+            kern.make_ctx([[1, bad], [0]])
     with pytest.raises(ValueError, match="^the kernel needs at least one vertex$"):
         kern.make_ctx([])
     # a negative mask, or one with a bit at n or above, names no vertex; every
@@ -610,11 +614,13 @@ def test_bnb_agrees_where_propagation_breaks_a_pair():
 
 @needs_c
 def test_bnb_agrees_across_words():
-    # 65 and 130 vertices: the settled vertices and the vertices a branch
-    # re-checks span two and three words
+    # 63 and 64 vertices fill one word, where the C kernel runs its
+    # single-word search, and at 64 the complement needs no tail mask; at 65
+    # and 130 the settled vertices and the vertices a branch re-checks span
+    # two and three words
     rng = random.Random(14)
     statuses = []
-    for n in (65, 130):
+    for n in (63, 64, 65, 130):
         for _ in range(3):
             adj = random_tree_adj(n, n // 4, rng)
             cp, cc = py.make_ctx(adj), ck.make_ctx(adj)
@@ -684,8 +690,9 @@ def test_redld_bnb_matches_brute_force_on_every_graph_to_7_vertices(kern):
 
 @needs_c
 def test_kernel_built_without_popcount_dispatch(tmp_path, monkeypatch):
-    # where dfs has a popcnt clone, undefining __ELF__ turns its #if guard
-    # off: that plain build must compile and search the same way
+    # where dfs has popcnt clones, undefining __ELF__ turns its #if guard
+    # off: that plain build must compile and search the same way, in its
+    # single-word instance (12 vertices) and its any-width one (70)
     real_build = _build.build
     cc = f"{sysconfig.get_config_var('CC') or 'cc'} -U__ELF__"
     monkeypatch.setattr(_build, "build", lambda: real_build(cc=cc, directory=tmp_path))
