@@ -122,10 +122,17 @@ static size_t ctx_size(int n)
     return sizeof(rlk_ctx) + 3 * (size_t)n * words(n) * sizeof(u64) + (size_t)n * sizeof(int);
 }
 
-/* The rows of c from its open rows and degrees, which ctx_fill has set. */
+/* The rows and degrees of c from its open rows, which ctx_fill has set: a
+ * degree counts the distinct neighbours, as pybits counts them. */
 static void ctx_finish(rlk_ctx *c)
 {
     int n = c->n, W = c->W;
+    c->maxdeg = 0;
+    for (int v = 0; v < n; v++) {
+        DEG(c)[v] = popcount(OPEN(c, v), W);
+        if (DEG(c)[v] > c->maxdeg)
+            c->maxdeg = DEG(c)[v];
+    }
     memcpy(CLOSED(c, 0), OPEN(c, 0), (size_t)n * W * sizeof(u64));
     for (int v = 0; v < n; v++)
         set(CLOSED(c, v), v);
@@ -1314,14 +1321,12 @@ static int ctx_fill(rlk_ctx *c, int n, PyObject *rows)
 {
     c->n = n;
     c->W = words(n);
-    c->maxdeg = 0;
     memset(c->rows, 0, (size_t)n * c->W * sizeof(u64));
     for (int v = 0; v < n; v++) {
         PyObject *row = PySequence_Tuple(PyTuple_GET_ITEM(rows, v));
         if (!row)
             return -1;
-        Py_ssize_t deg = PyTuple_GET_SIZE(row);
-        for (Py_ssize_t i = 0; i < deg; i++) {
+        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(row); i++) {
             int w;
             if (vertex_arg(PyTuple_GET_ITEM(row, i), n, &w) < 0) {
                 Py_DECREF(row);
@@ -1330,10 +1335,6 @@ static int ctx_fill(rlk_ctx *c, int n, PyObject *rows)
             set(OPEN(c, v), w);
         }
         Py_DECREF(row);
-        /* the length, duplicates included, as pybits counts it */
-        DEG(c)[v] = (int)(deg < INT_MAX ? deg : INT_MAX);
-        if (DEG(c)[v] > c->maxdeg)
-            c->maxdeg = DEG(c)[v];
     }
     ctx_finish(c);
     return 0;

@@ -29,16 +29,31 @@ class Ctx:
     __slots__ = ("n", "open_", "closed", "deg", "full", "maxdeg")
 
     def __init__(self, adj):
-        n = len(adj)
+        # adj and each row are read once, as the compiled kernel reads them
+        # into tuples, so iterators work; a repeated neighbour is one bit
+        rows = tuple(adj)
+        n = len(rows)
         if n < 1:
             raise ValueError("the kernel needs at least one vertex")
-        _check_vertices(n, (w for nbrs in adj for w in nbrs))
         self.n = n
-        self.open_ = [sum(1 << w for w in nbrs) for nbrs in adj]
-        self.closed = [self.open_[v] | (1 << v) for v in range(n)]
-        self.deg = [len(nbrs) for nbrs in adj]
+        self.open_ = [_row_mask(n, row) for row in rows]
+        self.closed = [m | 1 << v for v, m in enumerate(self.open_)]
+        self.deg = [m.bit_count() for m in self.open_]
         self.full = (1 << n) - 1
         self.maxdeg = max(self.deg)
+
+
+def _row_mask(n: int, row) -> int:
+    """The mask of a row of neighbours: each entry converted with
+    operator.index (TypeError), then range-checked (IndexError), in row
+    order, as the compiled kernel's vertex_arg does."""
+    m = 0
+    for w in tuple(row):
+        w = operator.index(w)
+        if not 0 <= w < n:
+            raise IndexError("vertex out of range")
+        m |= 1 << w
+    return m
 
 
 def make_ctx(adj) -> Ctx:
@@ -212,6 +227,32 @@ def pairs_scan(ctx: Ctx, us: list[int], vs: list[int], candidates) -> int:
     return -1
 
 
+def _touch_cells(touch) -> list[list[tuple[int, int]]]:
+    """The cells of touch as lists of (constraint, multiplicity) pairs,
+    checked before anything is sized by them, in the compiled kernel's
+    order: at least one cell (ValueError), then, entry by entry, a pair
+    (ValueError), a constraint id in C's long range (TypeError or
+    OverflowError) and at most 2**31 - 2, a multiplicity in C's int range,
+    and a constraint id not negative (IndexError)."""
+    cells = tuple(touch)
+    if not cells:
+        raise ValueError("touch needs one list per cell and at least one cell")
+    out = []
+    for cell in cells:
+        items = []
+        for entry in tuple(cell):
+            pair = tuple(entry)
+            if len(pair) != 2:
+                raise ValueError("each entry of a cell needs to be a pair")
+            v = _int_arg(pair[0], -2**63, 2**31 - 2)
+            m = _int_arg(pair[1], -2**31, 2**31 - 1)
+            if v < 0:
+                raise IndexError("vertex out of range")
+            items.append((v, m))
+        out.append(items)
+    return out
+
+
 def dom_candidates(touch, count: int, node_budget: int) -> tuple[list[int], bool]:
     """Masks of the exactly-count subsets of the cells 0 .. len(touch) - 1,
     cell 0 among them, that leave every constraint able to reach 2.
@@ -228,18 +269,15 @@ def dom_candidates(touch, count: int, node_budget: int) -> tuple[list[int], bool
     deficit 0, so the prune cuts only subtrees without a leaf: the masks and
     their order are those of the walk without it.  Returns (masks, True)
     when it exhausted the cells, or (the masks found so far, False) once it
-    has spent node_budget nodes.  Raises ValueError for a negative count or
-    no cell, and IndexError for a negative constraint index.
+    has spent node_budget nodes.  touch, each cell and each entry are read
+    once, so iterators work; the arguments are checked as _touch_cells says.
     """
     _check_node_budget(node_budget)
     count = _int_arg(count, -2**63, 2**31 - 1)
     if count < 0:
         raise ValueError("count must be non-negative")
-    if not touch:
-        raise ValueError("touch needs one list per cell and at least one cell")
+    touch = _touch_cells(touch)
     ids = [v for items in touch for v, _m in items]
-    if min(ids, default=0) < 0:
-        raise IndexError("vertex out of range")
     n = len(touch)
     cnt = [0] * (max(ids, default=-1) + 1)
     open_ = list(cnt)

@@ -156,10 +156,21 @@ def test_backends_build_the_same_mask(n, items, container):
     assert outcome(ck) == outcome(py)
 
 
+# How a test hands rows to make_ctx: each container is made afresh per call,
+# as make_ctx reads an iterator once.
+ROW_CONTAINERS = {
+    "lists": lambda rows: [list(row) for row in rows],
+    "tuples": lambda rows: tuple(map(tuple, rows)),
+    "map rows": lambda rows: [map(lambda w: w, row) for row in rows],
+    "generator": lambda rows: (list(row) for row in rows),
+}
+
+
 @st.composite
 def predicate_arguments(draw):
-    """Rows of a simple graph on 1 to 130 vertices, now and then with one
-    neighbour out of range, and masks of every kind: near the full set, so
+    """Rows of a graph on 1 to 130 vertices, some neighbours repeated, now
+    and then with one entry out of range or no int (a float or None), in
+    one of ROW_CONTAINERS, and masks of every kind: near the full set, so
     that some verdicts are yes, random, past the graph or its words,
     negative, bools, numpy ints, floats, str and None."""
     n = draw(st.integers(1, 130))
@@ -171,8 +182,12 @@ def predicate_arguments(draw):
             adj[u].add(v)
             adj[v].add(u)
     adj = [sorted(row) for row in adj]
+    for v in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        if adj[v]:
+            adj[v].insert(draw(st.integers(0, len(adj[v]))), draw(st.sampled_from(adj[v])))
     if draw(st.integers(0, 9)) == 0:
-        draw(st.sampled_from(adj)).append(draw(st.sampled_from((-1, n, n + 64, 2**70))))
+        draw(st.sampled_from(adj)).append(
+            draw(st.sampled_from((-1, n, n + 64, 2**70, 0.0, 1.5, None))))
     full = (1 << n) - 1
     masks = st.lists(st.one_of(
         st.integers(0, full).map(lambda m: full ^ (m & m >> 1 & m >> 2)),
@@ -186,18 +201,23 @@ def predicate_arguments(draw):
         *((st.integers(-3, 2**62).map(np.int64), st.integers(0, 255).map(np.uint8))
           if np is not None else ()),
     ), min_size=1, max_size=6)
-    return adj, draw(masks)
+    return adj, draw(masks), draw(st.sampled_from(sorted(ROW_CONTAINERS)))
 
 
 @needs_c
 @settings(max_examples=300, deadline=None)
 @given(args=predicate_arguments())
-@example(args=([[1], [0]], [3, True, False, 4, -1]))
-@example(args=([[(v + 1) % 64, (v - 1) % 64] for v in range(64)], [2**64 - 1, 2**64, 2**63]))
+@example(args=([[1], [0]], [3, True, False, 4, -1], "lists"))
+@example(args=([[(v + 1) % 64, (v - 1) % 64] for v in range(64)], [2**64 - 1, 2**64, 2**63],
+               "lists"))
+@example(args=([[1, 1], [0]], [3], "lists"))
+@example(args=([[1, 2], [0, 2], [1, 0]], [0b111], "map rows"))
+@example(args=([[1, 2], [0, 2], [1, 0]], [0b111], "generator"))
+@example(args=([[1], [0.0]], [3], "lists"))
 def test_backends_judge_the_same_masks(args):
     # make_ctx raises alike, or each predicate gives the same bool or the
     # same exception type and message on both backends
-    adj, masks = args
+    adj, masks, container = args
 
     def outcome(call, *call_args):
         try:
@@ -205,7 +225,8 @@ def test_backends_judge_the_same_masks(args):
         except Exception as exc:
             return type(exc), str(exc)
 
-    cp, cc = outcome(py.make_ctx, adj), outcome(ck.make_ctx, adj)
+    cp = outcome(py.make_ctx, ROW_CONTAINERS[container](adj))
+    cc = outcome(ck.make_ctx, ROW_CONTAINERS[container](adj))
     if isinstance(cp, tuple):
         assert cp == cc
         return
@@ -215,6 +236,21 @@ def test_backends_judge_the_same_masks(args):
             got = outcome(getattr(py, name), cp, mask)
             assert got == outcome(getattr(ck, name), cc, mask), (name, mask)
             assert isinstance(got, (bool, tuple))
+
+
+@pytest.mark.parametrize("kern", KERNELS, ids=IDS)
+def test_make_ctx_reads_a_row_as_the_set_of_its_entries(kern):
+    # a repeated neighbour is one neighbour, in the predicates and in branch
+    # and bound, whose branch order follows the degrees
+    rows = [[1, 1, 2, 3], [0, 2], [0, 1, 3, 3, 0], [0, 2]]
+    twice, once = kern.make_ctx(rows), kern.make_ctx([sorted(set(row)) for row in rows])
+    for mask in range(16):
+        for name in ("is_ld", "is_redld", "is_redld_def"):
+            assert getattr(kern, name)(twice, mask) == getattr(kern, name)(once, mask)
+    for mode in (K.MODE_LD, K.MODE_REDLD):
+        for cap in range(5):
+            assert kern.bnb(twice, mode, 0, 0, cap, 0, 0, 0.0) == \
+                kern.bnb(once, mode, 0, 0, cap, 0, 0, 0.0)
 
 
 @st.composite
@@ -270,6 +306,81 @@ def test_backends_search_the_same_way(args):
     def outcome(kern):
         try:
             return kern.bnb(kern.make_ctx(adj), *rest)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    assert outcome(ck) == outcome(py)
+
+
+# How a test hands touch and its cells to dom_candidates, as (touch, each
+# cell): made afresh per call, as the walk reads an iterator once.
+TOUCH_CONTAINERS = {
+    "lists": (list, list),
+    "tuples": (tuple, tuple),
+    "iterator cells": (list, iter),
+    "iterator": (iter, list),
+}
+
+
+def make_touch(cells, container):
+    # a cell that is no list is a fault, handed in as it is
+    outer, inner = TOUCH_CONTAINERS[container]
+    return outer([inner(cell) if isinstance(cell, list) else cell for cell in cells])
+
+
+@st.composite
+def dom_arguments(draw):
+    """touch lists of 1 to 8 cells on constraints 0 to 5, each entry a pair
+    (a tuple or a list) with a multiplicity from -1 to 3, a count and a node
+    budget that may cut the walk; then, now and then, one fault: an entry
+    that is no pair or no sequence, a constraint id or a multiplicity out of
+    range or no int, a cell that is no sequence, no cell at all, or a bad
+    count or budget.  A valid id stays small: one near 2**31 would make both
+    backends allocate gigabytes."""
+    cells = draw(st.lists(st.lists(st.tuples(st.integers(0, 5), st.integers(-1, 3))
+                                   .map(draw(st.sampled_from((tuple, list)))), max_size=4),
+                          min_size=1, max_size=8))
+    count = draw(st.integers(0, len(cells) + 1))
+    budget = draw(st.sampled_from((1, 5, 40, 10**6)))
+    fault = draw(st.sampled_from((None, None, None, "entry", "id", "multiplicity", "cell",
+                                  "no cells", "count", "budget")))
+    k = draw(st.integers(0, len(cells) - 1))
+    if fault == "entry":
+        cells[k].insert(draw(st.integers(0, len(cells[k]))),
+                        draw(st.sampled_from(((0,), (0, 1, 2), (), 5, None, "ab", [0, 1, 2]))))
+    elif fault in ("id", "multiplicity"):
+        bad = draw(st.sampled_from((-1, -2**63, -2**63 - 1, 2**31 - 1, 2**31, 2**40, 2**70,
+                                    -2**31 - 1, 1.0, None, "1")))
+        entry = (bad, 1) if fault == "id" else (0, bad)
+        cells[k].insert(draw(st.integers(0, len(cells[k]))), entry)
+    elif fault == "cell":
+        cells[k] = draw(st.sampled_from((5, None)))
+    elif fault == "no cells":
+        cells = []
+    elif fault == "count":
+        count = draw(st.sampled_from((-1, 2**31, 2**63, 1.0, None)))
+    elif fault == "budget":
+        budget = draw(st.sampled_from((2**63, -2**63 - 1, 1.0, None)))
+    return cells, count, budget, draw(st.sampled_from(sorted(TOUCH_CONTAINERS)))
+
+
+@needs_c
+@settings(max_examples=500, deadline=None)
+@given(args=dom_arguments())
+@example(args=([[(0, 1)], [(0, 1)], [(1, 2)]], 2, 100, "iterator"))
+@example(args=([[(0, 1)], [(0, 1), (1, 2)], [(1, 1), (0, 1)]], 2, 100, "iterator cells"))
+@example(args=([[(0, 1.0)]], 1, 100, "lists"))
+@example(args=([[(0.0, 1)]], 1, 100, "lists"))
+@example(args=([[(0, 1, 2)]], 1, 100, "lists"))
+@example(args=([[(0, 2**40)]], 1, 100, "lists"))
+@example(args=([[(-1, 2**40)]], 1, 100, "lists"))
+def test_backends_walk_the_same_way(args):
+    # the same (masks, exhausted), or the same exception type and message
+    cells, count, budget, container = args
+
+    def outcome(kern):
+        try:
+            return kern.dom_candidates(make_touch(cells, container), count, budget)
         except Exception as exc:
             return type(exc), str(exc)
 

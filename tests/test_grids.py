@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from redld import _kernels as kern
 from redld import grids
 from redld._kernels import pybits
+from redld.cli import main
 from redld.grids import (
     _DFS_NODE_BUDGET,
     LatticeKind,
@@ -366,6 +368,15 @@ def test_sq_4x8_walk_exhausts_and_budget_cuts_are_prefixes(monkeypatch):
     monkeypatch.setattr(grids, "_random_descents", no_descents)
     p = pattern_search(LatticeKind.SQ, 8, Fraction(7, 16))
     assert render_pattern(p) == SQ_7_16
+
+
+def test_sq_search_at_7_16_prints_the_pinned_pattern(capsys):
+    # the command line's stdout, byte for byte; every walk up to the 4x8
+    # domain exhausts under the count prune, so no random descents run
+    start = time.monotonic()
+    assert main(["grid", "search", "sq", "8", "7/16"]) == 0
+    assert time.monotonic() - start < 20
+    assert capsys.readouterr().out == SQ_7_16 + "density: 7/16\n"
 
 
 # Densities with no periodic pattern on any domain up to the period, as

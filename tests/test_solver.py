@@ -18,6 +18,7 @@ from redld.solver import (
     min_redld,
     redld_exists,
 )
+from redld.trees import random_tree
 from redld.verify import is_ld_set, is_redld_set
 
 
@@ -87,23 +88,55 @@ def test_bnb_matches_brute_force():
             random_graph(rng.randint(6, 12), rng.uniform(0.15, 0.7), rng))
 
 
-# (graph, solver, nodes, optimum-phase nodes, optimum-phase calls,
-# witness-phase calls); both backends count the same nodes
+needs_c = pytest.mark.skipif(K.BACKEND != "c", reason="too slow on the pure-Python kernel")
+
+
+# (graph, solver, optimum, witness, nodes, optimum-phase nodes, optimum-phase
+# calls, witness-phase calls); both backends count the same nodes
 PINNED_COUNTS = [
-    ("petersen", min_ld, 51, 29, 1, 6),
-    ("petersen", min_redld, 36, 32, 2, 4),
-    ("q4", min_ld, 2_702, 2_620, 2, 10),
-    ("q4", min_redld, 1_566, 928, 2, 8),
-    ("q5", min_redld, 4_506, 3_752, 2, 20),
+    ("petersen", min_ld, 4, (0, 1, 3, 7), 51, 29, 1, 6),
+    ("petersen", min_redld, 6, (0, 1, 2, 3, 6, 7), 36, 32, 2, 4),
+    ("q4", min_ld, 6, (0, 1, 2, 5, 11, 12), 2_702, 2_620, 2, 10),
+    ("q4", min_redld, 8, (0, 1, 6, 7, 10, 11, 12, 13), 1_566, 928, 2, 8),
+    ("q5", min_redld, 12, (0, 1, 2, 4, 8, 15, 16, 23, 27, 29, 30, 31), 4_506, 3_752, 2, 20),
+    ("q6", min_redld, 20, (0, 1, 6, 7, 10, 11, 18, 19, 28, 29, 34, 35, 44, 45, 52, 53, 56, 57,
+                           62, 63), 6_681_780, 4_076_112, 2, 44),
+    ("g40", min_ld, 10, (1, 7, 8, 12, 25, 26, 27, 33, 36, 38), 8_830_494, 2_654_777, 5, 31),
+    ("g40", min_redld, 15, (1, 2, 3, 7, 8, 10, 12, 17, 18, 21, 24, 25, 26, 36, 38),
+     1_098_673, 447_873, 9, 27),
+    # the witness is every vertex but these 35
+    ("tree200", min_redld, 165,
+     tuple(v for v in range(200) if v not in {
+         29, 38, 44, 56, 58, 59, 62, 65, 69, 77, 86, 87, 88, 98, 102, 108, 110, 121, 128, 132,
+         133, 135, 145, 160, 166, 168, 175, 179, 186, 187, 191, 193, 194, 195, 196}),
+     2_846_005, 2_783_732, 32, 38),
 ]
-PINNED_GRAPHS = {"petersen": build_petersen, "q4": lambda: build_hypercube(4),
-                 "q5": lambda: build_hypercube(5)}
+# Each graph's builder and, for the graphs the pure-Python kernel is too
+# slow for, the seconds budget of each solve, so that a slowed search fails
+# instead of hanging.  In G(40, 0.15) #0 each pair i < j in order is an edge
+# when random.Random(0).random() < 0.15.
+PINNED_GRAPHS = {
+    "petersen": (build_petersen, None),
+    "q4": (lambda: build_hypercube(4), None),
+    "q5": (lambda: build_hypercube(5), None),
+    "q6": (lambda: build_hypercube(6), 120),
+    "g40": (lambda: random_graph(40, 0.15, random.Random(0), allow_isolated=True), 60),
+    "tree200": (lambda: random_tree(200, random.Random(2)), 60),
+}
 
 
-@pytest.mark.parametrize("name, solve, nodes, opt_nodes, opt_calls, wit_calls",
-                         PINNED_COUNTS)
-def test_node_counts_are_pinned(name, solve, nodes, opt_nodes, opt_calls, wit_calls):
-    res = solve(PINNED_GRAPHS[name]())
+@pytest.mark.parametrize(
+    "name, solve, optimum, witness, nodes, opt_nodes, opt_calls, wit_calls",
+    [pytest.param(*row, id="-".join(map(str, (row[0], row[1].__name__, *row[4:]))),
+                  marks=needs_c if PINNED_GRAPHS[row[0]][1] else ())
+     for row in PINNED_COUNTS])
+def test_node_counts_are_pinned(name, solve, optimum, witness, nodes, opt_nodes, opt_calls,
+                                wit_calls):
+    build, seconds = PINNED_GRAPHS[name]
+    g = build()
+    res = solve(g, SolveBudget(max_seconds=seconds) if seconds else None)
+    assert (res.optimum, tuple(res.witness)) == (optimum, witness)
+    assert (is_ld_set if solve is min_ld else is_redld_set)(g, res.witness).ok
     assert (res.nodes, res.optimum_nodes, res.optimum_calls, res.witness_calls) == \
         (nodes, opt_nodes, opt_calls, wit_calls)
     assert res.witness_nodes == nodes - opt_nodes
@@ -237,9 +270,6 @@ def test_node_budgets_past_64_bits_mean_no_limit():
 def test_brute_force_cap():
     with pytest.raises(ValueError):
         brute_force_min_redld(Graph(25, [(v, (v + 1) % 25) for v in range(25)]))
-
-
-needs_c = pytest.mark.skipif(K.BACKEND != "c", reason="too slow on the pure-Python kernel")
 
 
 def spy_on_bnb(monkeypatch):
@@ -395,9 +425,18 @@ def test_redld_optima_of_g40_match_a_milp(seed, optimum):
     # random.Random(s).random() < 0.15.  The RED:LD coverage bound solves #0
     # in 1.1M nodes (0.7 s on C), where the cover bound took 9.2M
     pytest.importorskip("scipy")
-    rng = random.Random(seed)
-    g = Graph(40, [e for e in combinations(range(40), 2) if rng.random() < 0.15])
+    g = random_graph(40, 0.15, random.Random(seed), allow_isolated=True)
     value, chosen = milp_optimum(g, MODE_REDLD)
     assert value == optimum and is_redld_set(g, chosen).ok
     res = min_redld(g)
     assert res.optimum == optimum and is_redld_set(g, res.witness).ok
+
+
+@needs_c
+def test_q6_redld_optimum_matches_a_milp():
+    # past 40 vertices: the 0/1 program gives the optimum that the q6 row of
+    # PINNED_COUNTS pins from branch and bound, in about 2 s
+    pytest.importorskip("scipy")
+    g = build_hypercube(6)
+    value, chosen = milp_optimum(g, MODE_REDLD)
+    assert value == 20 and is_redld_set(g, chosen).ok

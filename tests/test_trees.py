@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from itertools import permutations
 
 import networkx as nx
@@ -161,6 +162,20 @@ def test_enumeration_outputs_are_pinned():
     assert tmin.hexdigest()[:16] == "e5e2e196d9ac43c3"
     assert tmax.hexdigest()[:16] == "2c56c9027a8022c5"
     assert reps.hexdigest()[:16] == "7f5b369ba9398cb4"
+
+
+@pytest.mark.skipif(K.BACKEND != "c", reason="too slow on the pure-Python kernel")
+@pytest.mark.parametrize("enumerate_family, count", [(enumerate_tmin, 180),
+                                                     (enumerate_tmax, 13_137)])
+def test_enumeration_at_order_20_is_pinned(enumerate_family, count):
+    # from empty caches: about 0.5 s for both families on the C backend,
+    # 4 s on the pure-Python one.  The counts pin today's enumeration as a
+    # regression and scaling guard; they are not a theorem
+    for cached in (trees._tmin_parts, trees._tmin_level, trees._tmax_level):
+        cached.cache_clear()
+    start = time.monotonic()
+    assert len(enumerate_family(20)) == count
+    assert time.monotonic() - start < 30
 
 
 def test_an_order_builds_only_the_orders_it_reads():
