@@ -8,6 +8,14 @@ the predicates `is_ld`, `is_redld` and `is_redld_def` judge a mask;
 vertex of each automorphism orbit, the tree given by its rows and a mask
 of coloured vertices.
 
+`dom_candidates(steps, w, h, count, node_budget)` takes a grid as the
+neighbour steps of its cells with x + y even and odd, and returns the valid
+periodic patterns of `count` cells on the w x h domain: it folds the
+domination constraints, which prune its walk, and the pair conditions,
+which it checks at the leaves only, so that most domains never fold them
+and the walk's node count stays that of the domination walk.  A
+verification torus then only certifies the pattern a search returns.
+
 Set REDLD_BACKEND=py or REDLD_BACKEND=c to force a backend; forcing "c" raises,
 naming the cause, if the extension cannot be built or loaded.
 """

@@ -13,6 +13,17 @@
  * is the walk of the grid candidate search, whose candidate lists and
  * budget-limited prefixes therefore come out in the same order.
  *
+ * That walk takes the grid as its neighbour steps and the w x h domain, and
+ * folds everything else itself: the closed-neighbourhood constraints, which
+ * prune it, and conditions (ii)/(iii) of every vertex pair within distance 2,
+ * which it tests at each leaf.  So every candidate it returns is a valid
+ * periodic pattern, and grid search builds a verification torus only to
+ * certify the pattern it returns.  The pair conditions are folded at the
+ * first leaf and checked at the leaves only: most domains reach no leaf, the
+ * walk's nodes, and so where a budget cuts it, stay those of the domination
+ * walk, and a prototype that checked each condition at its last decided
+ * cell walked fewer nodes but ran slower on the searched domains.
+ *
  * The pair conditions (ii)/(iii) are written once, in pair_fails and
  * pairs_fail; the predicates, pairs_ok_core and dfs all call them.  One
  * difference in the work, not in the result: where pybits tests every vertex
@@ -362,19 +373,166 @@ static Py_ssize_t rlk_pairs_scan(const rlk_ctx *c, int npairs, const int *us, co
     return -1;
 }
 
-/* ---- folded domination candidates --------------------------------------- */
+/* ---- grid candidate walk ----------------------------------------------- */
+
+/* The most steps of a cell (KING's 8) and the most cells of a domain.  A
+ * constraint's multiplicities sum to 1 + its vertex's steps, at most 9, so
+ * the int totals of dom_state cannot overflow.  dom_dfs recurses once per
+ * cell, in 128 bytes of stack a level (gcc 12 -O2, x86-64): 2^12 levels take
+ * 512 KB, where a walk down 10^5 cells overflowed an 8 MB stack. */
+#define MAX_STEPS 8
+#define MAX_CELLS (1L << 12)
+
+/* the neighbour steps of the cells with x + y even (p = 0) and odd (p = 1) */
+typedef struct {
+    int n[2];
+    int dx[2][MAX_STEPS], dy[2][MAX_STEPS];
+} rlk_steps;
+
+/* One pair condition, folded: the cells of u and v, whether u and v are
+ * adjacent, and the len cells of N(u) ^ N(v) with their multiplicities. */
+typedef struct {
+    int u, v, adj, len;
+    int cell[2 * MAX_STEPS], mult[2 * MAX_STEPS];
+} dom_pair;
 
 typedef struct {
+    const rlk_steps *steps;
+    int w, h, bw, bh; /* the domain, and the block that the constraints cover */
     int n, W, count, nomem;
     int exhausted; /* cleared when the node budget runs out */
-    const int *off, *cons, *mult;
-    int *cnt, *open; /* per constraint: chosen and undecided multiplicity */
-    long long *cov;  /* cov[i]: the largest cover of a cell i or later; cov[n] = 0 */
+    int *off, *cons, *mult; /* cell c adds mult[k] to cons[k], off[c] <= k < off[c + 1] */
+    int *cnt, *open;  /* per constraint: chosen and undecided multiplicity */
+    long long *cov;   /* cov[i]: the largest cover of a cell i or later; cov[n] = 0 */
     long long node_budget, nodes;
     u64 *chosen;
     u64 *out; /* n_out masks of W words, room for cap_out */
     size_t n_out, cap_out;
+    int folded; /* set once the pair conditions are in pairs */
+    dom_pair *pairs;
+    size_t n_pairs, cap_pairs;
 } dom_state;
+
+static int has_step(const rlk_steps *s, int p, long long dx, long long dy)
+{
+    for (int j = 0; j < s->n[p]; j++)
+        if (s->dx[p][j] == dx && s->dy[p][j] == dy)
+            return 1;
+    return 0;
+}
+
+/* the cell of the domain that grid vertex (x, y) folds onto */
+static int fold_cell(const dom_state *st, long long x, long long y)
+{
+    long long fx = x % st->w, fy = y % st->h;
+    return (int)((fy < 0 ? fy + st->h : fy) * st->w + (fx < 0 ? fx + st->w : fx));
+}
+
+/* one more of cell c among the *k cells listed with their multiplicities */
+static void tally(int *cell, int *mult, int *k, int c)
+{
+    int e = 0;
+    while (e < *k && cell[e] != c)
+        e++;
+    if (e == *k) {
+        cell[e] = c;
+        mult[(*k)++] = 0;
+    }
+    mult[e]++;
+}
+
+/* The closed neighbourhood of block vertex (x, y) folded onto the domain, as
+ * pybits._fold_domination folds it: its k distinct cells and their
+ * multiplicities; returns k. */
+static int fold_closed(const dom_state *st, int x, int y, int *cell, int *mult)
+{
+    const rlk_steps *s = st->steps;
+    int p = (x + y) & 1, k = 0;
+    tally(cell, mult, &k, fold_cell(st, x, y));
+    for (int j = 0; j < s->n[p]; j++)
+        tally(cell, mult, &k, fold_cell(st, (long long)x + s->dx[p][j], (long long)y + s->dy[p][j]));
+    return k;
+}
+
+/* Conditions (ii) and (iii) of every block vertex u and every v within
+ * distance 2 of it, at the end with the smaller (y, x), folded as
+ * pybits._fold_pairs folds them into st->pairs; 0, or RLK_NOMEM. */
+static int fold_pairs(dom_state *st)
+{
+    const rlk_steps *s = st->steps;
+    for (int y = 0; y < st->bh; y++)
+        for (int x = 0; x < st->bw; x++) {
+            /* the offsets from u of its neighbours, then of the vertices two
+             * steps away */
+            long long ox[MAX_STEPS * (MAX_STEPS + 1)], oy[MAX_STEPS * (MAX_STEPS + 1)];
+            int p = (x + y) & 1, k = 0, n_adj = s->n[p];
+            for (int a = 0; a < n_adj; a++) {
+                ox[k] = s->dx[p][a];
+                oy[k++] = s->dy[p][a];
+            }
+            for (int a = 0; a < n_adj; a++) {
+                int q = (p + s->dx[p][a] + s->dy[p][a]) & 1;
+                for (int b = 0; b < s->n[q]; b++) {
+                    long long tx = (long long)s->dx[p][a] + s->dx[q][b];
+                    long long ty = (long long)s->dy[p][a] + s->dy[q][b];
+                    int e = 0;
+                    while (e < k && (ox[e] != tx || oy[e] != ty))
+                        e++;
+                    if (e == k) {
+                        ox[k] = tx;
+                        oy[k++] = ty;
+                    }
+                }
+            }
+            for (int e = 0; e < k; e++) {
+                if (oy[e] < 0 || (oy[e] == 0 && ox[e] <= 0))
+                    continue;
+                if (st->n_pairs == st->cap_pairs) {
+                    size_t cap = st->cap_pairs ? 2 * st->cap_pairs : 64;
+                    dom_pair *grown = realloc(st->pairs, cap * sizeof(dom_pair));
+                    if (!grown)
+                        return RLK_NOMEM;
+                    st->pairs = grown;
+                    st->cap_pairs = cap;
+                }
+                dom_pair *pc = st->pairs + st->n_pairs++;
+                int q = (int)((p + ox[e] + oy[e]) & 1);
+                pc->u = fold_cell(st, x, y);
+                pc->v = fold_cell(st, x + ox[e], y + oy[e]);
+                pc->adj = e < n_adj;
+                pc->len = 0;
+                for (int a = 0; a < s->n[p]; a++)
+                    if (!has_step(s, q, s->dx[p][a] - ox[e], s->dy[p][a] - oy[e]))
+                        tally(pc->cell, pc->mult, &pc->len,
+                              fold_cell(st, (long long)x + s->dx[p][a], (long long)y + s->dy[p][a]));
+                for (int b = 0; b < s->n[q]; b++)
+                    if (!has_step(s, p, ox[e] + s->dx[q][b], oy[e] + s->dy[q][b]))
+                        tally(pc->cell, pc->mult, &pc->len,
+                              fold_cell(st, x + ox[e] + s->dx[q][b], y + oy[e] + s->dy[q][b]));
+            }
+        }
+    return 0;
+}
+
+/* Does the mask st->chosen pass every folded pair condition?  The detectors
+ * of N(u) ^ N(v), with multiplicities, must reach 2 when u and v are both
+ * out or when one is in and they are adjacent, and 1 when one is in and they
+ * are not adjacent, as in pybits._pairs_hold. */
+static int pairs_hold(const dom_state *st)
+{
+    for (size_t k = 0; k < st->n_pairs; k++) {
+        const dom_pair *pc = st->pairs + k;
+        int in_u = get(st->chosen, pc->u), in_v = get(st->chosen, pc->v);
+        if (in_u && in_v)
+            continue;
+        int need = in_u != in_v && !pc->adj ? 1 : 2, have = 0;
+        for (int e = 0; e < pc->len && have < need; e++)
+            have += get(st->chosen, pc->cell[e]) * pc->mult[e];
+        if (have < need)
+            return 0;
+    }
+    return 1;
+}
 
 static void dom_emit(dom_state *st)
 {
@@ -396,9 +554,10 @@ static void dom_emit(dom_state *st)
  * decided at depth i, cell 0 only IN, otherwise IN before OUT; every entry
  * counts as a node, and the budget check precedes the cardinality prune,
  * which precedes the count prune.  `deficit` is the sum of max(0, 2 - cnt)
- * over the touched constraints; the cells still to pick lower it by at most
- * cov[i] each, and a leaf has none left, so the count prune cuts only
- * subtrees without a leaf. */
+ * over the constraints; the cells still to pick lower it by at most cov[i]
+ * each, and a leaf has none left, so the count prune cuts only subtrees
+ * without a leaf.  A leaf is emitted when it passes the pair conditions,
+ * folded at the first leaf. */
 static void dom_dfs(dom_state *st, int i, int picked, long long deficit)
 {
     if (!st->exhausted || st->nomem)
@@ -413,7 +572,15 @@ static void dom_dfs(dom_state *st, int i, int picked, long long deficit)
     if ((long long)(st->count - picked) * st->cov[i] < deficit)
         return;
     if (i == st->n) {
-        dom_emit(st);
+        if (!st->folded) {
+            st->folded = 1;
+            if (fold_pairs(st) < 0) {
+                st->nomem = 1;
+                return;
+            }
+        }
+        if (pairs_hold(st))
+            dom_emit(st);
         return;
     }
     for (int val = 1; val >= (i == 0 ? 1 : 0); val--) {
@@ -425,7 +592,8 @@ static void dom_dfs(dom_state *st, int i, int picked, long long deficit)
             if (val) {
                 int c = st->cnt[v];
                 st->cnt[v] = c + m;
-                left += (c + m < 2 ? 2 - c - m : 0) - (c < 2 ? 2 - c : 0);
+                if (c < 2)
+                    left -= m < 2 - c ? m : 2 - c;
             }
             if (st->cnt[v] + st->open[v] < 2)
                 ok = 0;
@@ -445,47 +613,79 @@ static void dom_dfs(dom_state *st, int i, int picked, long long deficit)
     }
 }
 
-/* Every subset of exactly `count` of the n_cells cells, cell 0 among them,
- * that leaves each of the n_cons constraints able to reach 2.  Cell c adds
- * mult[k] to constraint cons[k], which is below n_cons, for k in off[c] ..
- * off[c + 1].  On success returns 0, writes the masks (ceil(n_cells / 64)
- * words each, in walk order) to a buffer that *out points to and the caller
- * frees, their number to *n_out, and to *exhausted 1 when the walk ended
- * within node_budget nodes, 0 when it stopped early with the masks found so
- * far.  Returns RLK_NOMEM when an allocation fails, with *out NULL. */
-static int rlk_dom_candidates(int n_cells, int n_cons, const int *off, const int *cons,
-                              const int *mult, int count, long long node_budget, u64 **out,
-                              size_t *n_out, int *exhausted)
+/* The constraints of the block folded onto the cells, in off, cons and mult
+ * (see dom_state), and each constraint's undecided total in open; 0, or
+ * RLK_NOMEM. */
+static int fold_domination(dom_state *st)
+{
+    int n_cons = st->bw * st->bh, cell[MAX_STEPS + 1], mult[MAX_STEPS + 1];
+    if (!(st->off = calloc((size_t)st->n + 1, sizeof(int))))
+        return RLK_NOMEM;
+    /* count each cell's entries in off[c + 1], sum them up, place every
+     * entry at off[c], which moves it to the next cell's start, then shift
+     * off back by one cell */
+    for (int v = 0; v < n_cons; v++) {
+        int k = fold_closed(st, v % st->bw, v / st->bw, cell, mult);
+        for (int e = 0; e < k; e++)
+            st->off[cell[e] + 1]++;
+    }
+    for (int c = 0; c < st->n; c++)
+        st->off[c + 1] += st->off[c];
+    st->cons = malloc((size_t)st->off[st->n] * sizeof(int));
+    st->mult = malloc((size_t)st->off[st->n] * sizeof(int));
+    if (!st->cons || !st->mult)
+        return RLK_NOMEM;
+    for (int v = 0; v < n_cons; v++) {
+        int k = fold_closed(st, v % st->bw, v / st->bw, cell, mult);
+        for (int e = 0; e < k; e++) {
+            int at = st->off[cell[e]]++;
+            st->cons[at] = v;
+            st->mult[at] = mult[e];
+            st->open[v] += mult[e];
+        }
+    }
+    for (int c = st->n; c > 0; c--)
+        st->off[c] = st->off[c - 1];
+    st->off[0] = 0;
+    return 0;
+}
+
+/* Every valid pattern of exactly `count` cells, cell 0 among them, on the
+ * w x h domain of the grid whose cell (x, y) has the neighbour steps of
+ * parity (x + y) & 1 (steps as the binding checks them: symmetric, at most
+ * MAX_STEPS per cell; w * h <= MAX_CELLS).  On success returns 0, writes the
+ * masks (ceil(w h / 64) words each, in walk order) to a buffer that *out
+ * points to and the caller frees, their number to *n_out, and to *exhausted
+ * 1 when the walk ended within node_budget nodes, 0 when it stopped early
+ * with the masks found so far.  Returns RLK_NOMEM when an allocation fails,
+ * with *out NULL. */
+static int rlk_dom_candidates(const rlk_steps *steps, int w, int h, int count,
+                              long long node_budget, u64 **out, size_t *n_out, int *exhausted)
 {
     *out = NULL;
     *n_out = 0;
     *exhausted = 1;
-    dom_state st = {.n = n_cells, .W = words(n_cells), .count = count, .exhausted = 1,
-                    .off = off, .cons = cons, .mult = mult, .node_budget = node_budget};
-    st.cnt = calloc((size_t)n_cons + 1, sizeof(int));
-    st.open = calloc((size_t)n_cons + 1, sizeof(int));
-    st.cov = calloc((size_t)n_cells + 1, sizeof(long long));
-    st.chosen = calloc((size_t)st.W + 1, sizeof(u64));
-    if (st.cnt && st.open && st.cov && st.chosen) {
-        /* cnt marks the touched constraints for the initial deficit, then
-         * goes back to 0 */
-        long long deficit = 0;
-        for (int k = 0; k < off[n_cells]; k++) {
-            st.open[cons[k]] += mult[k];
-            if (!st.cnt[cons[k]]) {
-                st.cnt[cons[k]] = 1;
-                deficit += 2;
-            }
-        }
-        for (int k = 0; k < off[n_cells]; k++)
-            st.cnt[cons[k]] = 0;
-        for (int i = n_cells - 1; i >= 0; i--) {
+    int same = steps->n[0] == steps->n[1];
+    for (int j = 0; same && j < steps->n[0]; j++)
+        same = has_step(steps, 1, steps->dx[0][j], steps->dy[0][j]);
+    dom_state st = {.steps = steps, .w = w, .h = h, .n = w * h, .W = words(w * h),
+                    .count = count, .exhausted = 1, .node_budget = node_budget};
+    /* pybits._block: an odd extent doubles when the two parities' steps differ */
+    st.bw = same || w % 2 == 0 ? w : 2 * w;
+    st.bh = same || h % 2 == 0 ? h : 2 * h;
+    int n_cons = st.bw * st.bh;
+    st.cnt = calloc((size_t)n_cons, sizeof(int));
+    st.open = calloc((size_t)n_cons, sizeof(int));
+    st.cov = calloc((size_t)st.n + 1, sizeof(long long));
+    st.chosen = calloc((size_t)st.W, sizeof(u64));
+    if (st.cnt && st.open && st.cov && st.chosen && fold_domination(&st) == 0) {
+        for (int i = st.n - 1; i >= 0; i--) {
             long long cover = 0;
-            for (int k = off[i]; k < off[i + 1]; k++)
-                cover += mult[k] < 0 ? 0 : mult[k] > 2 ? 2 : mult[k];
+            for (int k = st.off[i]; k < st.off[i + 1]; k++)
+                cover += st.mult[k] < 2 ? st.mult[k] : 2;
             st.cov[i] = cover > st.cov[i + 1] ? cover : st.cov[i + 1];
         }
-        dom_dfs(&st, 0, 0, deficit);
+        dom_dfs(&st, 0, 0, 2 * (long long)n_cons); /* every constraint starts 2 short */
     } else {
         st.nomem = 1;
     }
@@ -493,6 +693,10 @@ static int rlk_dom_candidates(int n_cells, int n_cons, const int *off, const int
     free(st.open);
     free(st.cov);
     free(st.chosen);
+    free(st.off);
+    free(st.cons);
+    free(st.mult);
+    free(st.pairs);
     if (st.nomem) {
         free(st.out);
         return RLK_NOMEM;
@@ -1117,8 +1321,9 @@ static const int *rlk_tree_orbits(rlk_tree *t)
  * a mask that is not an int raises TypeError; a mask that is negative or
  * names a vertex at n or above (a predicate's, a scan candidate, a forced
  * set of bnb) raises IndexError; an unknown mode, pair lists of two lengths,
- * a negative count or no cell for dom_candidates, and a detector of mask_of
- * outside 0 .. n - 1 raise ValueError.  A tree's rows for tree_code and
+ * a negative count, a domain below 1 x 1 or steps that are not a grid's for
+ * dom_candidates, and a detector of mask_of outside 0 .. n - 1 raise
+ * ValueError.  A tree's rows for tree_code and
  * tree_orbits that are not a tuple of tuples of ints raise TypeError, a
  * neighbour out of range IndexError, and rows that are not symmetric or not
  * a tree's ValueError.  The
@@ -1563,125 +1768,118 @@ done:
     return result;
 }
 
-/* One cell's (constraint, multiplicity) pairs appended to cons and mult,
- * which grow by doubling cap; n_cons rises past every constraint seen. */
-static int touch_cell(PyObject *cell, int **cons, int **mult, int *len, int *cap, int *n_cons)
+/* steps as *s, with the checks of pybits._steps_arg in its order: 0, or -1
+ * with an exception */
+static int steps_arg(PyObject *obj, rlk_steps *s)
 {
-    PyObject *items = PySequence_Tuple(cell);
-    if (!items)
+    PyObject *lists = PySequence_Tuple(obj);
+    if (!lists)
         return -1;
     int rc = -1;
-    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(items); i++) {
-        PyObject *pair = PySequence_Tuple(PyTuple_GET_ITEM(items, i));
-        if (!pair)
-            goto done;
-        long v = 0, m = 0;
-        int bad = PyTuple_GET_SIZE(pair) != 2;
-        if (bad)
-            PyErr_SetString(PyExc_ValueError, "each entry of a cell needs to be a pair");
-        else
-            bad = int_arg(PyTuple_GET_ITEM(pair, 0), LONG_MIN, INT_MAX - 1, &v) < 0 ||
-                  int_arg(PyTuple_GET_ITEM(pair, 1), INT_MIN, INT_MAX, &m) < 0;
-        Py_DECREF(pair);
-        if (bad)
-            goto done;
-        if (v < 0) {
-            PyErr_SetString(PyExc_IndexError, "vertex out of range");
-            goto done;
-        }
-        if (*len == *cap) {
-            if (*cap > INT_MAX / 2) {
-                PyErr_NoMemory();
-                goto done;
-            }
-            *cap *= 2;
-            int *grown_cons = PyMem_Realloc(*cons, (size_t)*cap * sizeof(int));
-            if (grown_cons)
-                *cons = grown_cons;
-            int *grown_mult = PyMem_Realloc(*mult, (size_t)*cap * sizeof(int));
-            if (grown_mult)
-                *mult = grown_mult;
-            if (!grown_cons || !grown_mult) {
-                PyErr_NoMemory();
-                goto done;
-            }
-        }
-        (*cons)[*len] = (int)v;
-        (*mult)[(*len)++] = (int)m;
-        if (v >= *n_cons)
-            *n_cons = (int)v + 1;
+    if (PyTuple_GET_SIZE(lists) != 2) {
+        PyErr_SetString(PyExc_ValueError, "steps needs two step lists, for x + y even and odd");
+        goto done;
     }
+    for (int p = 0; p < 2; p++) {
+        PyObject *list = PySequence_Tuple(PyTuple_GET_ITEM(lists, p));
+        if (!list)
+            goto done;
+        s->n[p] = 0;
+        for (Py_ssize_t j = 0; j < PyTuple_GET_SIZE(list); j++) {
+            PyObject *pair = PySequence_Tuple(PyTuple_GET_ITEM(list, j));
+            long dx = 0, dy = 0;
+            int bad = !pair;
+            if (!bad && PyTuple_GET_SIZE(pair) != 2) {
+                PyErr_SetString(PyExc_ValueError, "each step needs to be a pair");
+                bad = 1;
+            } else if (!bad) {
+                bad = int_arg(PyTuple_GET_ITEM(pair, 0), INT_MIN, INT_MAX, &dx) < 0 ||
+                      int_arg(PyTuple_GET_ITEM(pair, 1), INT_MIN, INT_MAX, &dy) < 0;
+            }
+            Py_XDECREF(pair);
+            if (!bad && ((dx == 0 && dy == 0) || has_step(s, p, dx, dy) || s->n[p] == MAX_STEPS)) {
+                PyErr_Format(PyExc_ValueError, "a cell takes at most %d distinct nonzero steps",
+                             MAX_STEPS);
+                bad = 1;
+            }
+            if (bad) {
+                Py_DECREF(list);
+                goto done;
+            }
+            s->dx[p][s->n[p]] = (int)dx;
+            s->dy[p][s->n[p]++] = (int)dy;
+        }
+        Py_DECREF(list);
+    }
+    for (int p = 0; p < 2; p++)
+        for (int j = 0; j < s->n[p]; j++) {
+            long long dx = s->dx[p][j], dy = s->dy[p][j];
+            if (!has_step(s, (int)((p + dx + dy) & 1), -dx, -dy)) {
+                PyErr_SetString(PyExc_ValueError,
+                                "each step needs its reverse at the cell it reaches");
+                goto done;
+            }
+        }
     rc = 0;
 done:
-    Py_DECREF(items);
+    Py_DECREF(lists);
     return rc;
 }
 
-PyDoc_STRVAR(dom_candidates_doc, "dom_candidates(touch, count, node_budget) -> (masks, exhausted)\n\n"
-             "The walk of pybits.dom_candidates over the len(touch) cells.");
+PyDoc_STRVAR(dom_candidates_doc,
+             "dom_candidates(steps, w, h, count, node_budget) -> (masks, exhausted)\n\n"
+             "The walk of pybits.dom_candidates: the valid patterns of count cells\n"
+             "on the w x h domain.");
 
 static PyObject *py_dom_candidates(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)mod;
-    if (!nargs_ok("dom_candidates", nargs, 3))
+    if (!nargs_ok("dom_candidates", nargs, 5))
         return NULL;
-    long count;
+    long count, w, h;
     long long node_budget;
-    if (budget_arg(args[2], &node_budget) < 0 || int_arg(args[1], LONG_MIN, INT_MAX, &count) < 0)
+    rlk_steps steps;
+    if (budget_arg(args[4], &node_budget) < 0 || int_arg(args[3], LONG_MIN, INT_MAX, &count) < 0)
         return NULL;
     if (count < 0) {
         PyErr_SetString(PyExc_ValueError, "count must be non-negative");
         return NULL;
     }
-    PyObject *cells = PySequence_Tuple(args[0]);
-    if (!cells)
+    if (int_arg(args[1], LONG_MIN, INT_MAX, &w) < 0 || int_arg(args[2], LONG_MIN, INT_MAX, &h) < 0)
         return NULL;
-    Py_ssize_t n_cells = PyTuple_GET_SIZE(cells);
-    PyObject *result = NULL, *list = NULL;
-    int len = 0, cap = 64, n_cons = 0, *off = NULL;
-    int *cons = PyMem_Malloc(cap * sizeof(int)), *mult = PyMem_Malloc(cap * sizeof(int));
-    u64 *out = NULL;
-    if (n_cells < 1 || n_cells > INT_MAX - 63) {
-        PyErr_SetString(PyExc_ValueError, "touch needs one list per cell and at least one cell");
-        goto done;
+    if (w < 1 || h < 1) {
+        PyErr_SetString(PyExc_ValueError, "the domain needs w >= 1 and h >= 1");
+        return NULL;
     }
-    if (!cons || !mult || !(off = PyMem_Malloc((size_t)(n_cells + 1) * sizeof(int)))) {
-        PyErr_NoMemory();
-        goto done;
+    if ((long long)w * h > MAX_CELLS) {
+        PyErr_Format(PyExc_OverflowError, "a %ldx%ld domain is out of the kernel's range", w, h);
+        return NULL;
     }
-    off[0] = 0;
-    for (Py_ssize_t i = 0; i < n_cells; i++) {
-        if (touch_cell(PyTuple_GET_ITEM(cells, i), &cons, &mult, &len, &cap, &n_cons) < 0)
-            goto done;
-        off[i + 1] = len;
-    }
+    if (steps_arg(args[0], &steps) < 0)
+        return NULL;
     int code, exhausted;
     size_t n_out;
+    u64 *out;
     Py_BEGIN_ALLOW_THREADS
-    code = rlk_dom_candidates((int)n_cells, n_cons, off, cons, mult, (int)count, node_budget,
-                              &out, &n_out, &exhausted);
+    code = rlk_dom_candidates(&steps, (int)w, (int)h, (int)count, node_budget, &out, &n_out,
+                              &exhausted);
     Py_END_ALLOW_THREADS
-    if (code == RLK_NOMEM) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    int W = words((int)n_cells);
-    if (!(list = PyList_New((Py_ssize_t)n_out)))
-        goto done;
-    for (size_t i = 0; i < n_out; i++) {
+    if (code == RLK_NOMEM)
+        return PyErr_NoMemory();
+    int W = words((int)(w * h));
+    PyObject *result = NULL, *list = PyList_New((Py_ssize_t)n_out);
+    for (size_t i = 0; list && i < n_out; i++) {
         PyObject *mask = words_int(out + i * W, W);
-        if (!mask)
-            goto done;
+        if (!mask) {
+            Py_CLEAR(list);
+            break;
+        }
         PyList_SET_ITEM(list, (Py_ssize_t)i, mask);
     }
-    result = Py_BuildValue("(OO)", list, exhausted ? Py_True : Py_False);
-done:
+    if (list)
+        result = Py_BuildValue("(OO)", list, exhausted ? Py_True : Py_False);
     Py_XDECREF(list);
     free(out);
-    PyMem_Free(off);
-    PyMem_Free(cons);
-    PyMem_Free(mult);
-    Py_DECREF(cells);
     return result;
 }
 

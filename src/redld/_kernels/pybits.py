@@ -227,72 +227,186 @@ def pairs_scan(ctx: Ctx, us: list[int], vs: list[int], candidates) -> int:
     return -1
 
 
-def _touch_cells(touch) -> list[list[tuple[int, int]]]:
-    """The cells of touch as lists of (constraint, multiplicity) pairs,
-    checked before anything is sized by them, in the compiled kernel's
-    order: at least one cell (ValueError), then, entry by entry, a pair
-    (ValueError), a constraint id in C's long range (TypeError or
-    OverflowError) and at most 2**31 - 2, a multiplicity in C's int range,
-    and a constraint id not negative (IndexError)."""
-    cells = tuple(touch)
-    if not cells:
-        raise ValueError("touch needs one list per cell and at least one cell")
+# The most steps a cell may have (KING's 8), and the most cells of a domain.
+# A constraint's multiplicities sum to 1 + its vertex's steps, at most 9, so
+# the compiled walk's int totals cannot overflow.  The walk recurses once per
+# cell, and 2**12 levels keep the compiled one's stack within 512 KB (see
+# _ckern.c); this one stops at Python's recursion limit first, at about a
+# thousand cells.
+_MAX_STEPS = 8
+_MAX_CELLS = 2**12
+
+
+def _steps_arg(steps) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """steps as two tuples of (dx, dy) steps, for the cells with x + y even
+    and odd, checked in the compiled kernel's order.  steps, each list and
+    each step are read once, so iterators work.  List by list and step by
+    step: two lists (ValueError), a step a pair (ValueError) of ints
+    (TypeError) in C's int range (OverflowError), and neither (0, 0), a
+    repeat nor the ninth of its list (ValueError).  Then every step needs its
+    reverse among the steps of the cell it reaches (ValueError): the grid is
+    an undirected graph, which the distance-2 argument needs."""
+    lists = tuple(steps)
+    if len(lists) != 2:
+        raise ValueError("steps needs two step lists, for x + y even and odd")
     out = []
-    for cell in cells:
-        items = []
-        for entry in tuple(cell):
-            pair = tuple(entry)
+    for cell_steps in lists:
+        got: list[tuple[int, int]] = []
+        for step in tuple(cell_steps):
+            pair = tuple(step)
             if len(pair) != 2:
-                raise ValueError("each entry of a cell needs to be a pair")
-            v = _int_arg(pair[0], -2**63, 2**31 - 2)
-            m = _int_arg(pair[1], -2**31, 2**31 - 1)
-            if v < 0:
-                raise IndexError("vertex out of range")
-            items.append((v, m))
-        out.append(items)
+                raise ValueError("each step needs to be a pair")
+            step = (_int_arg(pair[0], -2**31, 2**31 - 1), _int_arg(pair[1], -2**31, 2**31 - 1))
+            if step == (0, 0) or step in got or len(got) == _MAX_STEPS:
+                raise ValueError(f"a cell takes at most {_MAX_STEPS} distinct nonzero steps")
+            got.append(step)
+        out.append(tuple(got))
+    for p, cell_steps in enumerate(out):
+        for dx, dy in cell_steps:
+            if (-dx, -dy) not in out[(p + dx + dy) & 1]:
+                raise ValueError("each step needs its reverse at the cell it reaches")
+    return tuple(out)
+
+
+def _domain_arg(w, h) -> tuple[int, int]:
+    """w and h as the compiled kernel reads them: ints (TypeError) up to
+    2**31 - 1 (OverflowError), at least 1 (ValueError), with w * h at most
+    _MAX_CELLS (OverflowError)."""
+    w, h = _int_arg(w, -2**63, 2**31 - 1), _int_arg(h, -2**63, 2**31 - 1)
+    if w < 1 or h < 1:
+        raise ValueError("the domain needs w >= 1 and h >= 1")
+    if w * h > _MAX_CELLS:
+        raise OverflowError(f"a {w}x{h} domain is out of the kernel's range")
+    return w, h
+
+
+def _block(steps, w: int, h: int) -> tuple[int, int]:
+    """The extents of a block of the w x h domain's translates on which every
+    neighbourhood shape repeats: an odd extent doubles when the steps of the
+    two parities of x + y differ (HEX), since a shift by it flips the parity."""
+    same = set(steps[0]) == set(steps[1])
+    return (w if same or w % 2 == 0 else 2 * w), (h if same or h % 2 == 0 else 2 * h)
+
+
+def _fold_domination(steps, w: int, h: int) -> tuple[int, list[list[tuple[int, int]]]]:
+    """The closed-neighbourhood constraints of the infinite grid folded onto
+    the w x h domain, one per vertex of the block, vertex (x, y) numbered
+    y * block width + x: their number and, per cell, its (constraint,
+    multiplicity) pairs."""
+    bw, bh = _block(steps, w, h)
+    touch: list[list[tuple[int, int]]] = [[] for _ in range(w * h)]
+    for y in range(bh):
+        for x in range(bw):
+            mult: dict[int, int] = {}
+            for dx, dy in ((0, 0), *steps[(x + y) & 1]):
+                c = (y + dy) % h * w + (x + dx) % w
+                mult[c] = mult.get(c, 0) + 1
+            for c, m in mult.items():
+                touch[c].append((y * bw + x, m))
+    return bw * bh, touch
+
+
+def _fold_pairs(steps, w: int, h: int) -> list[tuple[int, int, bool, tuple[tuple[int, int], ...]]]:
+    """Conditions (ii) and (iii) of the infinite grid folded onto the w x h
+    domain: for each vertex u of the block and each v within distance 2 of
+    it, (the cell of u, the cell of v, whether u and v are adjacent, the
+    cells of N(u) ^ N(v) with their multiplicities).  Each pair is taken at
+    the end with the smaller (y, x); its translates have the same condition.
+    Pairs farther apart cannot fail once every vertex is 2-dominated (the
+    argument is in grids.py)."""
+    bw, bh = _block(steps, w, h)
+    out = []
+    for y in range(bh):
+        for x in range(bw):
+            nu = steps[(x + y) & 1]
+            near = dict.fromkeys(nu, True)  # offsets from u, and adjacency
+            for ax, ay in nu:
+                for bx, by in steps[(x + y + ax + ay) & 1]:
+                    near.setdefault((ax + bx, ay + by), False)
+            for (ox, oy), adj in near.items():
+                if (oy, ox) <= (0, 0):
+                    continue
+                nv = [(ox + dx, oy + dy) for dx, dy in steps[(x + y + ox + oy) & 1]]
+                mult: dict[int, int] = {}
+                for dx, dy in [a for a in nu if a not in nv] + [b for b in nv if b not in nu]:
+                    c = (y + dy) % h * w + (x + dx) % w
+                    mult[c] = mult.get(c, 0) + 1
+                out.append((y % h * w + x % w, (y + oy) % h * w + (x + ox) % w, adj,
+                            tuple(mult.items())))
     return out
 
 
-def dom_candidates(touch, count: int, node_budget: int) -> tuple[list[int], bool]:
-    """Masks of the exactly-count subsets of the cells 0 .. len(touch) - 1,
-    cell 0 among them, that leave every constraint able to reach 2.
+def _pairs_hold(pairs, mask: int) -> bool:
+    """Whether the domain mask passes every folded pair condition.  Counted
+    with multiplicities, the detectors of N(u) ^ N(v) must reach 2 when u and
+    v are both out, or when one is in and they are adjacent (the one in is
+    in the difference, and (iii) does not count it); 1 when one is in and
+    they are not adjacent.  Two detectors face no condition."""
+    for cu, cv, adj, diff in pairs:
+        iu, iv = mask >> cu & 1, mask >> cv & 1
+        if iu and iv:
+            continue
+        need = 1 if iu != iv and not adj else 2
+        if sum(m for c, m in diff if mask >> c & 1) < need:
+            return False
+    return True
 
-    Cell c adds m to constraint v for each (v, m) in touch[c]; a constraint
-    fails once its chosen plus undecided total drops below 2.  The walk is
-    depth first and decides cell i at depth i, IN before OUT (cell 0 only
-    IN).  Each entry is a node; after the budget and cardinality checks, a
-    node is pruned when the cells still to pick cannot cover the deficit:
-    (count - picked) * cov[i] < deficit, where deficit sums max(0, 2 - cnt)
-    over the touched constraints and cov[i] is the largest cover, the sum of
-    max(0, min(m, 2)) over a cell's entries, of any cell i or later.  A
-    picked cell lowers the deficit by at most its cover and every leaf has
-    deficit 0, so the prune cuts only subtrees without a leaf: the masks and
-    their order are those of the walk without it.  Returns (masks, True)
-    when it exhausted the cells, or (the masks found so far, False) once it
-    has spent node_budget nodes.  touch, each cell and each entry are read
-    once, so iterators work; the arguments are checked as _touch_cells says.
+
+def dom_candidates(steps, w: int, h: int, count: int,
+                   node_budget: int) -> tuple[list[int], bool]:
+    """Masks of the exactly-count subsets of the w x h domain, bit y*w + x
+    for cell (x, y), cell 0 among them, whose translation closure is a
+    RED:LD set of the infinite grid in which cell (x, y) has the neighbour
+    steps steps[(x + y) % 2]: the valid periodic patterns of the domain.
+
+    The walk folds the closed-neighbourhood constraints onto the domain
+    (_fold_domination): cell c adds m to constraint v for each (v, m) of its
+    list, and a constraint fails once its chosen plus undecided total drops
+    below 2.  The walk is depth first and decides cell i at depth i, IN
+    before OUT (cell 0 only IN).  Each entry is a node; after the budget and
+    cardinality checks, a node is pruned when the cells still to pick cannot
+    cover the deficit: (count - picked) * cov[i] < deficit, where deficit
+    sums max(0, 2 - cnt) over the constraints and cov[i] is the largest
+    cover, the sum of min(m, 2) over a cell's entries, of any cell i or
+    later.  A picked cell lowers the deficit by at most its cover and every
+    leaf has deficit 0, so the prune cuts only subtrees without a leaf.
+
+    A leaf 2-dominates every vertex.  It is a mask of the result when it
+    passes the pair conditions (ii) and (iii) as well, which are folded at
+    the first leaf (_fold_pairs).  They are checked at the leaves only: most
+    domains reach no leaf, the node count and so the budget's cut stay those
+    of the domination walk, and a prototype that checked each condition at
+    its last decided cell walked fewer nodes but ran slower on the searched
+    domains.
+
+    Returns (masks, True) when the walk exhausted the cells, or (the masks
+    found so far, False) once it has spent node_budget nodes.  The
+    arguments are checked in this order: the budget, count (an int in 0 ..
+    2**31 - 1), w and h (_domain_arg), then steps (_steps_arg).
     """
     _check_node_budget(node_budget)
     count = _int_arg(count, -2**63, 2**31 - 1)
     if count < 0:
         raise ValueError("count must be non-negative")
-    touch = _touch_cells(touch)
-    ids = [v for items in touch for v, _m in items]
-    n = len(touch)
-    cnt = [0] * (max(ids, default=-1) + 1)
+    w, h = _domain_arg(w, h)
+    steps = _steps_arg(steps)
+    n = w * h
+    n_cons, touch = _fold_domination(steps, w, h)
+    cnt = [0] * n_cons
     open_ = list(cnt)
     for items in touch:
         for v, m in items:
             open_[v] += m
     cov = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        cov[i] = max(cov[i + 1], sum(max(0, min(m, 2)) for _v, m in touch[i]))
+        cov[i] = max(cov[i + 1], sum(min(m, 2) for _v, m in touch[i]))
     out: list[int] = []
     nodes = 0
     exhausted = True
+    pairs = None
 
     def dfs(i: int, picked: int, mask: int, deficit: int) -> None:
-        nonlocal nodes, exhausted
+        nonlocal nodes, exhausted, pairs
         if not exhausted:
             return
         nodes += 1
@@ -304,7 +418,10 @@ def dom_candidates(touch, count: int, node_budget: int) -> tuple[list[int], bool
         if (count - picked) * cov[i] < deficit:
             return
         if i == n:
-            out.append(mask)
+            if pairs is None:
+                pairs = _fold_pairs(steps, w, h)
+            if _pairs_hold(pairs, mask):
+                out.append(mask)
             return
         for val in ((1,) if i == 0 else (1, 0)):
             ok = True
@@ -314,8 +431,8 @@ def dom_candidates(touch, count: int, node_budget: int) -> tuple[list[int], bool
                 if val:
                     c = cnt[v]
                     cnt[v] = c + m
-                    if c < 2 or c + m < 2:
-                        left += max(0, 2 - c - m) - max(0, 2 - c)
+                    if c < 2:
+                        left -= min(m, 2 - c)
                 if cnt[v] + open_[v] < 2:
                     ok = False
             if ok:
@@ -326,7 +443,7 @@ def dom_candidates(touch, count: int, node_budget: int) -> tuple[list[int], bool
                     cnt[v] -= m
 
     try:
-        dfs(0, 0, 0, 2 * len(set(ids)))
+        dfs(0, 0, 0, 2 * n_cons)  # every constraint starts 2 short
     finally:
         del dfs  # it closes over itself: break that cycle, so its cells go now
     return out, exhausted

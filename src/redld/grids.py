@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import _kernels as kern
+from ._kernels.pybits import _fold_domination
 from .graph import Graph
 from .solver import BudgetExceededError
 from .verify import DetectorSet, VerificationReport, _members, is_redld_set, share
@@ -188,43 +189,22 @@ _DFS_NODE_BUDGET = 5_000_000
 _DESCENT_COUNT = 100_000
 
 
-def _fold_constraints(kind: LatticeKind, w: int, h: int):
-    """Closed-neighborhood constraints of the infinite grid folded onto the
-    w x h domain: one constraint per vertex of a block on which every
-    neighborhood shape repeats, as (cell index, multiplicity) lists.
-
-    The block height doubles for HEX with odd h because the vertical edge
-    direction depends on the parity of x+y, which an odd vertical shift
-    flips.
-    """
-    block_h = 2 * h if kind is LatticeKind.HEX and h % 2 else h
-    constraints = []
-    for y in range(block_h):
-        for x in range(w):
-            mult: dict[int, int] = {}
-            for dx, dy in ((0, 0), *_neighbors(kind, x, y)):
-                c = ((y + dy) % h) * w + (x + dx) % w
-                mult[c] = mult.get(c, 0) + 1
-            constraints.append(list(mult.items()))
-    touch: list[list[tuple[int, int]]] = [[] for _ in range(w * h)]
-    for v, items in enumerate(constraints):
-        for c, m in items:
-            touch[c].append((v, m))
-    return len(constraints), touch
+def _steps(kind: LatticeKind):
+    """The neighbour steps of the cells with x + y even and with x + y odd."""
+    return _neighbors(kind, 0, 0), _neighbors(kind, 1, 0)
 
 
 def _dominating_candidates(
     kind: LatticeKind, w: int, h: int, count: int, node_budget: int
 ) -> tuple[list[int], bool]:
-    """Exactly-count subsets of the domain, cell (0,0) pinned, such that
-    every grid vertex keeps at least 2 detectors in its closed
-    neighborhood, as masks with bit y*w + x for cell (x, y).  Depth-first
-    in the kernel, pruned by folded domination and by the detector count
-    left to place; returns (candidates, True) when the walk exhausted the
-    domain, (prefix, False) when it ran out of node budget.
+    """The valid patterns of exactly count detectors on the w x h domain,
+    cell (0,0) pinned, as masks with bit y*w + x for cell (x, y), in the
+    order of the kernel's depth-first walk, which prunes by folded
+    domination and by the detector count left to place; returns
+    (patterns, True) when the walk exhausted the domain, (prefix, False)
+    when it ran out of node budget.
     """
-    _n_vertices, touch = _fold_constraints(kind, w, h)
-    return kern.dom_candidates(touch, count, node_budget)
+    return kern.dom_candidates(_steps(kind), w, h, count, node_budget)
 
 
 def _random_descents(
@@ -237,7 +217,7 @@ def _random_descents(
     and cardinality bounds, aborting on a dead end.  Returns the masks
     found, in the order found, leaving out those in `skip` and repeats."""
     n = w * h
-    n_vertices, touch = _fold_constraints(kind, w, h)
+    n_vertices, touch = _fold_domination(_steps(kind), w, h)
     base_open = [0] * n_vertices
     for items in touch:
         for v, m in items:
@@ -296,12 +276,13 @@ def pattern_search(
 
     Domains are scanned in order of area; cell (0,0) is pinned as a
     detector, which loses nothing up to translation.  Candidates come from
-    a depth-first walk that keeps only the subsets of exactly
-    min(floor(w*h*target), w*h) cells whose every vertex can still end up
-    2-dominated; its prunes cut no such subset.  Domains whose walk exceeds
-    the node budget fall back to seeded random descents through the same
-    space.  Each candidate, tiled over the verification torus, is checked
-    with the kernel's RED:LD predicate; the first that passes is returned.
+    the kernel's depth-first walk over the subsets of exactly
+    min(floor(w*h*target), w*h) cells, which emits only valid patterns; its
+    prunes cut none.  Domains whose walk exceeds the node budget add seeded
+    random descents through the same space.  The verification torus is built
+    only for a domain with a candidate: each candidate, tiled over it, is
+    checked with the kernel's RED:LD predicate, and the first that passes is
+    returned.
     None, returned only when every walk exhausted, proves that no pattern of
     density at most target_density exists on any domain up to max_period
     (adding detectors keeps a pattern valid).  When a walk ran out of budget

@@ -14,9 +14,9 @@ from redld.grids import (
     LatticeKind,
     PeriodicPattern,
     _dominating_candidates,
-    _fold_constraints,
     _near_pairs,
     _random_descents,
+    _steps,
     _tile_counts,
     _tiled_mask,
     _tiler,
@@ -206,8 +206,9 @@ def test_near_pairs_within_distance_2():
 
 def test_near_pair_scan_equals_full_check():
     # pairs_scan on the distance-2 pairs gives the verdict of the full
-    # characterization on every candidate mask, passing and failing alike:
-    # the counts of the searched densities and, for SQ, some denser ones
+    # characterization on 2-dominating masks, passing and failing alike: the
+    # walk's valid patterns and the masks of seeded random descents, at the
+    # counts of the searched densities and, for SQ, some denser ones
     verdicts = set()
     for kind, w, h, counts in ((LatticeKind.SQ, 5, 5, (10, 11, 12)),
                                (LatticeKind.KING, 5, 5, (6, 7)),
@@ -221,6 +222,8 @@ def test_near_pair_scan_equals_full_check():
         for count in counts:
             masks, exhausted = _dominating_candidates(kind, w, h, count, 10**7)
             assert exhausted
+            masks += _random_descents(kind, w, h, count, random.Random(count), 300,
+                                      skip=set(masks))
             for domain in masks:
                 mask = tile(domain)
                 verdict = kern.pairs_scan(ctx, us, vs, [mask]) == 0
@@ -266,19 +269,20 @@ GRID_SEARCHES = (
 
 def test_pattern_search_outputs_are_pinned():
     # the rendered results of the searches, then the masks of 300 seeded
-    # random descents on SQ 4x4 at 1/2 that skip every third walk candidate
+    # random descents on SQ 4x4 at 1/2 that skip every third pattern of the
+    # walk
     parts = []
     for kind, period, target in GRID_SEARCHES:
         p = pattern_search(LatticeKind(kind.upper()), period, Fraction(target))
         parts.append("None\n" if p is None else render_pattern(p))
     walk, exhausted = _dominating_candidates(LatticeKind.SQ, 4, 4, 8, 10**6)
-    assert exhausted and len(walk) == 310
+    assert exhausted and len(walk) == 54
     found = _random_descents(LatticeKind.SQ, 4, 4, 8, random.Random(5), 300,
                              skip=set(walk[::3]))
-    assert len(found) == 34
+    assert len(found) == 50
     parts += ["".join("#" if m >> c & 1 else "." for c in range(16)) + "\n" for m in found]
     digest = hashlib.sha256("".join(parts).encode()).hexdigest()
-    assert digest[:16] == "8dc27db7ec87ec2c"
+    assert digest[:16] == "5455ec2a6b9d7a06"
 
 
 def test_tiled_mask_matches_per_cell_tiling():
@@ -299,31 +303,16 @@ def test_tiled_mask_matches_per_cell_tiling():
                     assert _tiled_mask(kind, w, h, chosen) == want
 
 
-def _unpruned_walk(touch):
-    """Every subset with cell 0 that gives each touched constraint a total
-    of at least 2, of any size, in the kernels' walk order: cell i decided
-    at depth i, IN before OUT.  Nothing is pruned; each subset is walked to
-    its leaf and checked there."""
-    n = len(touch)
-    total = {v: 0 for items in touch for v, _m in items}
-    short = len(total)  # constraints with a total below 2
+def _walk_order(n):
+    """Every subset of n cells with cell 0, in the kernels' walk order: cell
+    i decided at depth i, IN before OUT."""
     out = []
-
-    def add(i, sign):
-        nonlocal short
-        for v, m in touch[i]:
-            before = total[v] < 2
-            total[v] += sign * m
-            short += (total[v] < 2) - before
 
     def walk(i, mask):
         if i == n:
-            if not short:
-                out.append(mask)
+            out.append(mask)
             return
-        add(i, 1)
         walk(i + 1, mask | 1 << i)
-        add(i, -1)
         if i > 0:
             walk(i + 1, mask)
 
@@ -332,35 +321,45 @@ def _unpruned_walk(touch):
 
 
 def test_dom_candidates_match_the_unpruned_walk():
-    # the count prune cuts no leaf: both kernels give the unpruned walk's
-    # masks in its order, on every domain of at most 12 cells and every count
+    # the removal definition is the oracle: on every domain of at most 12
+    # cells and at every count, both kernels give exactly the subsets of that
+    # size with cell 0 whose tiling passes is_redld_def on the probe torus,
+    # in walk order.  The oracle runs on the compiled kernel when it is built
+    # (the predicates of the two kernels agree, tests/test_binding.py), as
+    # the pure-Python one takes about 12 s on a 2-vCPU Xeon VM.
     kernels = [pybits] + ([ckern] if ckern else [])
-    domains = 0
+    oracle = ckern or pybits
+    domains = found = 0
     for kind in LatticeKind:
         for w in range(1, 13):
             for h in range(1, 12 // w + 1):
                 if kind is LatticeKind.HEX and w % 2:
                     continue
-                _n, touch = _fold_constraints(kind, w, h)
-                walk = _unpruned_walk(touch)
+                probe = PeriodicPattern(kind, w, h)
+                c_w, c_h = _tile_counts(probe, 8)
+                ctx = oracle.make_ctx(build_torus(probe, c_w, c_h)[0].adj)
+                tile = _tiler(w, h, c_w, c_h)
+                valid = [m for m in _walk_order(w * h) if oracle.is_redld_def(ctx, tile(m))]
                 for count in range(w * h + 1):
-                    want = ([m for m in walk if bin(m).count("1") == count], True)
+                    want = ([m for m in valid if bin(m).count("1") == count], True)
                     for kernel in kernels:
-                        assert kernel.dom_candidates(touch, count, 10**7) == want, \
+                        assert kernel.dom_candidates(_steps(kind), w, h, count, 10**7) == want, \
                             (kernel.BACKEND, kind, w, h, count)
                 domains += 1
+                found += len(valid)
     assert domains == 3 * 35 + 14  # HEX keeps the even widths
+    assert found == 24_256
 
 
 def test_sq_4x8_walk_exhausts_and_budget_cuts_are_prefixes(monkeypatch):
     full, exhausted = _dominating_candidates(LatticeKind.SQ, 4, 8, 14, _DFS_NODE_BUDGET)
-    assert exhausted and len(full) == 21
-    found = set()
+    assert exhausted and len(full) == 7
+    found = []
     for budget in (1, 1000, 5000, 20000):
         masks, exhausted = _dominating_candidates(LatticeKind.SQ, 4, 8, 14, budget)
         assert not exhausted and masks == full[:len(masks)]
-        found.add(len(masks))
-    assert len(found) == 4  # empty, then longer and longer prefixes
+        found.append(len(masks))
+    assert found == [0, 0, 2, 5]  # empty twice, then longer prefixes
 
     def no_descents(*args, **kwargs):
         raise AssertionError("a walk ran out of budget")
