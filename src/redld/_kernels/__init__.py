@@ -8,9 +8,10 @@ the predicates `is_ld`, `is_redld` and `is_redld_def` judge a mask;
 vertex of each automorphism orbit, the tree given by its rows and a mask
 of coloured vertices.
 
-`dom_candidates(steps, w, h, count, node_budget)` takes a grid as the
-neighbour steps of its cells with x + y even and odd, and returns the valid
-periodic patterns of `count` cells on the w x h domain: it folds the
+`dom_candidates(kind, w, h, count, node_budget)` takes a lattice by its
+`LatticeKind` name ("HEX", "TRI", "SQ" or "KING"), whose steps are those of
+`pybits.LATTICES` (C holds a copy), and returns the valid periodic patterns
+of `count` cells on the w x h domain of at most 2**9 cells: it folds the
 domination constraints, which prune its walk, and the pair conditions,
 which it checks at the leaves only, so that most domains never fold them
 and the walk's node count stays that of the domination walk.  A

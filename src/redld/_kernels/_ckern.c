@@ -13,7 +13,8 @@
  * is the walk of the grid candidate search, whose candidate lists and
  * budget-limited prefixes therefore come out in the same order.
  *
- * That walk takes the grid as its neighbour steps and the w x h domain, and
+ * That walk takes a lattice kind, whose neighbour steps it reads from
+ * LATTICES, a static twin of pybits.LATTICES, and the w x h domain, and
  * folds everything else itself: the closed-neighbourhood constraints, which
  * prune it, and conditions (ii)/(iii) of every vertex pair within distance 2,
  * which it tests at each leaf.  So every candidate it returns is a valid
@@ -24,8 +25,12 @@
  * walk, and a prototype that checked each condition at its last decided
  * cell walked fewer nodes but ran slower on the searched domains.
  *
- * The pair conditions (ii)/(iii) are written once, in pair_fails and
- * pairs_fail; the predicates, pairs_ok_core and dfs all call them.  One
+ * On a graph's context the pair conditions (ii)/(iii) are written once, in
+ * pair_fails and pairs_fail, which the predicates, pairs_ok_core and dfs call.
+ * The grid walk states them again, folded onto its domain, in pairs_hold (as
+ * pybits does in _pairs_hold): a cell there stands for all its translates, so
+ * N(u) ^ N(v) is a list of cells with multiplicities, which no context's rows
+ * express, and a leaf is judged on the infinite lattice without a torus.  One
  * difference in the work, not in the result: where pybits tests every vertex
  * pair, pairs_fail tests only pairs within distance 2 of each other, in the
  * predicates as in dfs, because once the domination test has passed a pair at
@@ -378,16 +383,34 @@ static Py_ssize_t rlk_pairs_scan(const rlk_ctx *c, int npairs, const int *us, co
 /* The most steps of a cell (KING's 8) and the most cells of a domain.  A
  * constraint's multiplicities sum to 1 + its vertex's steps, at most 9, so
  * the int totals of dom_state cannot overflow.  dom_dfs recurses once per
- * cell, in 128 bytes of stack a level (gcc 12 -O2, x86-64): 2^12 levels take
- * 512 KB, where a walk down 10^5 cells overflowed an 8 MB stack. */
+ * cell, in 128 bytes of stack a level (gcc 12 -O2, x86-64): 2^9 levels take
+ * 64 KB, where a walk down 10^5 cells overflowed an 8 MB stack; pybits, which
+ * recurses in Python, reaches 2^9 cells too. */
 #define MAX_STEPS 8
-#define MAX_CELLS (1L << 12)
+#define MAX_CELLS (1L << 9)
 
-/* the neighbour steps of the cells with x + y even (p = 0) and odd (p = 1) */
+/* A lattice: its LatticeKind name and the n neighbour steps of its cells
+ * with x + y even (p = 0) and odd (p = 1). */
 typedef struct {
-    int n[2];
-    int dx[2][MAX_STEPS], dy[2][MAX_STEPS];
-} rlk_steps;
+    int dx, dy;
+} rlk_step;
+
+typedef struct {
+    const char *name;
+    int n;
+    rlk_step step[2][MAX_STEPS];
+} rlk_lattice;
+
+/* pybits.LATTICES, step for step */
+#define SQ4 {1, 0}, {-1, 0}, {0, 1}, {0, -1}
+#define TRI6 SQ4, {1, 1}, {-1, -1}
+#define KING8 SQ4, {1, 1}, {1, -1}, {-1, 1}, {-1, -1}
+static const rlk_lattice LATTICES[] = {
+    {"HEX", 3, {{{1, 0}, {-1, 0}, {0, 1}}, {{1, 0}, {-1, 0}, {0, -1}}}},
+    {"TRI", 6, {{TRI6}, {TRI6}}},
+    {"SQ", 4, {{SQ4}, {SQ4}}},
+    {"KING", 8, {{KING8}, {KING8}}},
+};
 
 /* One pair condition, folded: the cells of u and v, whether u and v are
  * adjacent, and the len cells of N(u) ^ N(v) with their multiplicities. */
@@ -397,7 +420,7 @@ typedef struct {
 } dom_pair;
 
 typedef struct {
-    const rlk_steps *steps;
+    const rlk_lattice *lattice;
     int w, h, bw, bh; /* the domain, and the block that the constraints cover */
     int n, W, count, nomem;
     int exhausted; /* cleared when the node budget runs out */
@@ -413,19 +436,19 @@ typedef struct {
     size_t n_pairs, cap_pairs;
 } dom_state;
 
-static int has_step(const rlk_steps *s, int p, long long dx, long long dy)
+static int has_step(const rlk_lattice *s, int p, int dx, int dy)
 {
-    for (int j = 0; j < s->n[p]; j++)
-        if (s->dx[p][j] == dx && s->dy[p][j] == dy)
+    for (int j = 0; j < s->n; j++)
+        if (s->step[p][j].dx == dx && s->step[p][j].dy == dy)
             return 1;
     return 0;
 }
 
 /* the cell of the domain that grid vertex (x, y) folds onto */
-static int fold_cell(const dom_state *st, long long x, long long y)
+static int fold_cell(const dom_state *st, int x, int y)
 {
-    long long fx = x % st->w, fy = y % st->h;
-    return (int)((fy < 0 ? fy + st->h : fy) * st->w + (fx < 0 ? fx + st->w : fx));
+    int fx = x % st->w, fy = y % st->h;
+    return (fy < 0 ? fy + st->h : fy) * st->w + (fx < 0 ? fx + st->w : fx);
 }
 
 /* one more of cell c among the *k cells listed with their multiplicities */
@@ -446,11 +469,11 @@ static void tally(int *cell, int *mult, int *k, int c)
  * multiplicities; returns k. */
 static int fold_closed(const dom_state *st, int x, int y, int *cell, int *mult)
 {
-    const rlk_steps *s = st->steps;
+    const rlk_lattice *s = st->lattice;
     int p = (x + y) & 1, k = 0;
     tally(cell, mult, &k, fold_cell(st, x, y));
-    for (int j = 0; j < s->n[p]; j++)
-        tally(cell, mult, &k, fold_cell(st, (long long)x + s->dx[p][j], (long long)y + s->dy[p][j]));
+    for (int j = 0; j < s->n; j++)
+        tally(cell, mult, &k, fold_cell(st, x + s->step[p][j].dx, y + s->step[p][j].dy));
     return k;
 }
 
@@ -459,22 +482,22 @@ static int fold_closed(const dom_state *st, int x, int y, int *cell, int *mult)
  * pybits._fold_pairs folds them into st->pairs; 0, or RLK_NOMEM. */
 static int fold_pairs(dom_state *st)
 {
-    const rlk_steps *s = st->steps;
+    const rlk_lattice *s = st->lattice;
     for (int y = 0; y < st->bh; y++)
         for (int x = 0; x < st->bw; x++) {
             /* the offsets from u of its neighbours, then of the vertices two
              * steps away */
-            long long ox[MAX_STEPS * (MAX_STEPS + 1)], oy[MAX_STEPS * (MAX_STEPS + 1)];
-            int p = (x + y) & 1, k = 0, n_adj = s->n[p];
+            int ox[MAX_STEPS * (MAX_STEPS + 1)], oy[MAX_STEPS * (MAX_STEPS + 1)];
+            int p = (x + y) & 1, k = 0, n_adj = s->n;
             for (int a = 0; a < n_adj; a++) {
-                ox[k] = s->dx[p][a];
-                oy[k++] = s->dy[p][a];
+                ox[k] = s->step[p][a].dx;
+                oy[k++] = s->step[p][a].dy;
             }
             for (int a = 0; a < n_adj; a++) {
-                int q = (p + s->dx[p][a] + s->dy[p][a]) & 1;
-                for (int b = 0; b < s->n[q]; b++) {
-                    long long tx = (long long)s->dx[p][a] + s->dx[q][b];
-                    long long ty = (long long)s->dy[p][a] + s->dy[q][b];
+                int q = (p + s->step[p][a].dx + s->step[p][a].dy) & 1;
+                for (int b = 0; b < s->n; b++) {
+                    int tx = s->step[p][a].dx + s->step[q][b].dx;
+                    int ty = s->step[p][a].dy + s->step[q][b].dy;
                     int e = 0;
                     while (e < k && (ox[e] != tx || oy[e] != ty))
                         e++;
@@ -496,19 +519,20 @@ static int fold_pairs(dom_state *st)
                     st->cap_pairs = cap;
                 }
                 dom_pair *pc = st->pairs + st->n_pairs++;
-                int q = (int)((p + ox[e] + oy[e]) & 1);
+                int q = (p + ox[e] + oy[e]) & 1;
                 pc->u = fold_cell(st, x, y);
                 pc->v = fold_cell(st, x + ox[e], y + oy[e]);
                 pc->adj = e < n_adj;
                 pc->len = 0;
-                for (int a = 0; a < s->n[p]; a++)
-                    if (!has_step(s, q, s->dx[p][a] - ox[e], s->dy[p][a] - oy[e]))
+                for (int a = 0; a < s->n; a++)
+                    if (!has_step(s, q, s->step[p][a].dx - ox[e], s->step[p][a].dy - oy[e]))
                         tally(pc->cell, pc->mult, &pc->len,
-                              fold_cell(st, (long long)x + s->dx[p][a], (long long)y + s->dy[p][a]));
-                for (int b = 0; b < s->n[q]; b++)
-                    if (!has_step(s, p, ox[e] + s->dx[q][b], oy[e] + s->dy[q][b]))
+                              fold_cell(st, x + s->step[p][a].dx, y + s->step[p][a].dy));
+                for (int b = 0; b < s->n; b++)
+                    if (!has_step(s, p, ox[e] + s->step[q][b].dx, oy[e] + s->step[q][b].dy))
                         tally(pc->cell, pc->mult, &pc->len,
-                              fold_cell(st, x + ox[e] + s->dx[q][b], y + oy[e] + s->dy[q][b]));
+                              fold_cell(st, x + ox[e] + s->step[q][b].dx,
+                                        y + oy[e] + s->step[q][b].dy));
             }
         }
     return 0;
@@ -651,24 +675,20 @@ static int fold_domination(dom_state *st)
 }
 
 /* Every valid pattern of exactly `count` cells, cell 0 among them, on the
- * w x h domain of the grid whose cell (x, y) has the neighbour steps of
- * parity (x + y) & 1 (steps as the binding checks them: symmetric, at most
- * MAX_STEPS per cell; w * h <= MAX_CELLS).  On success returns 0, writes the
- * masks (ceil(w h / 64) words each, in walk order) to a buffer that *out
- * points to and the caller frees, their number to *n_out, and to *exhausted
- * 1 when the walk ended within node_budget nodes, 0 when it stopped early
- * with the masks found so far.  Returns RLK_NOMEM when an allocation fails,
- * with *out NULL. */
-static int rlk_dom_candidates(const rlk_steps *steps, int w, int h, int count,
+ * w x h domain of the lattice (w * h <= MAX_CELLS).  On success returns 0,
+ * writes the masks (ceil(w h / 64) words each, in walk order) to a buffer
+ * that *out points to and the caller frees, their number to *n_out, and to
+ * *exhausted 1 when the walk ended within node_budget nodes, 0 when it
+ * stopped early with the masks found so far.  Returns RLK_NOMEM when an
+ * allocation fails, with *out NULL. */
+static int rlk_dom_candidates(const rlk_lattice *lattice, int w, int h, int count,
                               long long node_budget, u64 **out, size_t *n_out, int *exhausted)
 {
     *out = NULL;
     *n_out = 0;
     *exhausted = 1;
-    int same = steps->n[0] == steps->n[1];
-    for (int j = 0; same && j < steps->n[0]; j++)
-        same = has_step(steps, 1, steps->dx[0][j], steps->dy[0][j]);
-    dom_state st = {.steps = steps, .w = w, .h = h, .n = w * h, .W = words(w * h),
+    int same = !memcmp(lattice->step[0], lattice->step[1], sizeof lattice->step[0]);
+    dom_state st = {.lattice = lattice, .w = w, .h = h, .n = w * h, .W = words(w * h),
                     .count = count, .exhausted = 1, .node_budget = node_budget};
     /* pybits._block: an odd extent doubles when the two parities' steps differ */
     st.bw = same || w % 2 == 0 ? w : 2 * w;
@@ -1321,9 +1341,10 @@ static const int *rlk_tree_orbits(rlk_tree *t)
  * a mask that is not an int raises TypeError; a mask that is negative or
  * names a vertex at n or above (a predicate's, a scan candidate, a forced
  * set of bnb) raises IndexError; an unknown mode, pair lists of two lengths,
- * a negative count, a domain below 1 x 1 or steps that are not a grid's for
- * dom_candidates, and a detector of mask_of outside 0 .. n - 1 raise
- * ValueError.  A tree's rows for tree_code and
+ * a negative count, a domain below 1 x 1 or a lattice kind that is not in
+ * LATTICES for dom_candidates, and a detector of mask_of outside 0 .. n - 1
+ * raise ValueError; a kind that is not a str raises TypeError, and a domain
+ * of more than MAX_CELLS cells OverflowError.  A tree's rows for tree_code and
  * tree_orbits that are not a tuple of tuples of ints raise TypeError, a
  * neighbour out of range IndexError, and rows that are not symmetric or not
  * a tree's ValueError.  The
@@ -1768,66 +1789,24 @@ done:
     return result;
 }
 
-/* steps as *s, with the checks of pybits._steps_arg in its order: 0, or -1
- * with an exception */
-static int steps_arg(PyObject *obj, rlk_steps *s)
+/* The lattice named kind, as pybits._lattice_arg finds it: NULL with
+ * TypeError for a kind that is not a str, or ValueError for a name that is
+ * not in LATTICES. */
+static const rlk_lattice *lattice_arg(PyObject *kind)
 {
-    PyObject *lists = PySequence_Tuple(obj);
-    if (!lists)
-        return -1;
-    int rc = -1;
-    if (PyTuple_GET_SIZE(lists) != 2) {
-        PyErr_SetString(PyExc_ValueError, "steps needs two step lists, for x + y even and odd");
-        goto done;
+    if (!PyUnicode_Check(kind)) {
+        PyErr_SetString(PyExc_TypeError, "kind must be a str");
+        return NULL;
     }
-    for (int p = 0; p < 2; p++) {
-        PyObject *list = PySequence_Tuple(PyTuple_GET_ITEM(lists, p));
-        if (!list)
-            goto done;
-        s->n[p] = 0;
-        for (Py_ssize_t j = 0; j < PyTuple_GET_SIZE(list); j++) {
-            PyObject *pair = PySequence_Tuple(PyTuple_GET_ITEM(list, j));
-            long dx = 0, dy = 0;
-            int bad = !pair;
-            if (!bad && PyTuple_GET_SIZE(pair) != 2) {
-                PyErr_SetString(PyExc_ValueError, "each step needs to be a pair");
-                bad = 1;
-            } else if (!bad) {
-                bad = int_arg(PyTuple_GET_ITEM(pair, 0), INT_MIN, INT_MAX, &dx) < 0 ||
-                      int_arg(PyTuple_GET_ITEM(pair, 1), INT_MIN, INT_MAX, &dy) < 0;
-            }
-            Py_XDECREF(pair);
-            if (!bad && ((dx == 0 && dy == 0) || has_step(s, p, dx, dy) || s->n[p] == MAX_STEPS)) {
-                PyErr_Format(PyExc_ValueError, "a cell takes at most %d distinct nonzero steps",
-                             MAX_STEPS);
-                bad = 1;
-            }
-            if (bad) {
-                Py_DECREF(list);
-                goto done;
-            }
-            s->dx[p][s->n[p]] = (int)dx;
-            s->dy[p][s->n[p]++] = (int)dy;
-        }
-        Py_DECREF(list);
-    }
-    for (int p = 0; p < 2; p++)
-        for (int j = 0; j < s->n[p]; j++) {
-            long long dx = s->dx[p][j], dy = s->dy[p][j];
-            if (!has_step(s, (int)((p + dx + dy) & 1), -dx, -dy)) {
-                PyErr_SetString(PyExc_ValueError,
-                                "each step needs its reverse at the cell it reaches");
-                goto done;
-            }
-        }
-    rc = 0;
-done:
-    Py_DECREF(lists);
-    return rc;
+    for (size_t k = 0; k < sizeof LATTICES / sizeof LATTICES[0]; k++)
+        if (PyUnicode_CompareWithASCIIString(kind, LATTICES[k].name) == 0)
+            return &LATTICES[k];
+    PyErr_Format(PyExc_ValueError, "unknown lattice kind %R", kind);
+    return NULL;
 }
 
 PyDoc_STRVAR(dom_candidates_doc,
-             "dom_candidates(steps, w, h, count, node_budget) -> (masks, exhausted)\n\n"
+             "dom_candidates(kind, w, h, count, node_budget) -> (masks, exhausted)\n\n"
              "The walk of pybits.dom_candidates: the valid patterns of count cells\n"
              "on the w x h domain.");
 
@@ -1838,7 +1817,6 @@ static PyObject *py_dom_candidates(PyObject *mod, PyObject *const *args, Py_ssiz
         return NULL;
     long count, w, h;
     long long node_budget;
-    rlk_steps steps;
     if (budget_arg(args[4], &node_budget) < 0 || int_arg(args[3], LONG_MIN, INT_MAX, &count) < 0)
         return NULL;
     if (count < 0) {
@@ -1855,13 +1833,14 @@ static PyObject *py_dom_candidates(PyObject *mod, PyObject *const *args, Py_ssiz
         PyErr_Format(PyExc_OverflowError, "a %ldx%ld domain is out of the kernel's range", w, h);
         return NULL;
     }
-    if (steps_arg(args[0], &steps) < 0)
+    const rlk_lattice *lattice = lattice_arg(args[0]);
+    if (!lattice)
         return NULL;
     int code, exhausted;
     size_t n_out;
     u64 *out;
     Py_BEGIN_ALLOW_THREADS
-    code = rlk_dom_candidates(&steps, (int)w, (int)h, (int)count, node_budget, &out, &n_out,
+    code = rlk_dom_candidates(lattice, (int)w, (int)h, (int)count, node_budget, &out, &n_out,
                               &exhausted);
     Py_END_ALLOW_THREADS
     if (code == RLK_NOMEM)

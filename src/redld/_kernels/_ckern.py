@@ -14,9 +14,10 @@ call into C, which checks its arguments there and raises the exceptions
 pybits.py raises.  The predicates and the tree functions keep the GIL;
 `brute_force_min`, `pairs_scan`, `dom_candidates` and `bnb` release it while
 they search.  A context is read-only once made, so several threads can use
-one at once.  `dom_candidates` folds a grid's constraints and pair
-conditions in C from its steps and domain, and returns only valid patterns,
-as pybits.dom_candidates says.
+one at once.  `dom_candidates` folds a lattice's constraints and pair
+conditions in C from its kind, whose steps C keeps as a copy of
+pybits.LATTICES, and its domain of at most 2**9 cells, and returns only
+valid patterns, as pybits.dom_candidates says.
 """
 
 from __future__ import annotations

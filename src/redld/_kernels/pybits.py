@@ -227,45 +227,32 @@ def pairs_scan(ctx: Ctx, us: list[int], vs: list[int], candidates) -> int:
     return -1
 
 
-# The most steps a cell may have (KING's 8), and the most cells of a domain.
-# A constraint's multiplicities sum to 1 + its vertex's steps, at most 9, so
-# the compiled walk's int totals cannot overflow.  The walk recurses once per
-# cell, and 2**12 levels keep the compiled one's stack within 512 KB (see
-# _ckern.c); this one stops at Python's recursion limit first, at about a
-# thousand cells.
-_MAX_STEPS = 8
-_MAX_CELLS = 2**12
+# The neighbour steps of each lattice's cells with x + y even and with x + y
+# odd, by LatticeKind name; HEX is the brick wall, whose vertical edge at
+# (x, y) points up when x + y is even.  _ckern.c holds a copy.
+_SQ = ((1, 0), (-1, 0), (0, 1), (0, -1))
+LATTICES = {
+    "HEX": (((1, 0), (-1, 0), (0, 1)), ((1, 0), (-1, 0), (0, -1))),
+    "TRI": ((*_SQ, (1, 1), (-1, -1)),) * 2,
+    "SQ": (_SQ, _SQ),
+    "KING": ((*_SQ, (1, 1), (1, -1), (-1, 1), (-1, -1)),) * 2,
+}
+
+# The most cells of a domain.  Both walks recurse once per cell; this one
+# stops at Python's recursion limit, at about a thousand cells, so 2**9 cells
+# are within reach of both, on the main thread and on a pool thread.
+_MAX_CELLS = 2**9
 
 
-def _steps_arg(steps) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """steps as two tuples of (dx, dy) steps, for the cells with x + y even
-    and odd, checked in the compiled kernel's order.  steps, each list and
-    each step are read once, so iterators work.  List by list and step by
-    step: two lists (ValueError), a step a pair (ValueError) of ints
-    (TypeError) in C's int range (OverflowError), and neither (0, 0), a
-    repeat nor the ninth of its list (ValueError).  Then every step needs its
-    reverse among the steps of the cell it reaches (ValueError): the grid is
-    an undirected graph, which the distance-2 argument needs."""
-    lists = tuple(steps)
-    if len(lists) != 2:
-        raise ValueError("steps needs two step lists, for x + y even and odd")
-    out = []
-    for cell_steps in lists:
-        got: list[tuple[int, int]] = []
-        for step in tuple(cell_steps):
-            pair = tuple(step)
-            if len(pair) != 2:
-                raise ValueError("each step needs to be a pair")
-            step = (_int_arg(pair[0], -2**31, 2**31 - 1), _int_arg(pair[1], -2**31, 2**31 - 1))
-            if step == (0, 0) or step in got or len(got) == _MAX_STEPS:
-                raise ValueError(f"a cell takes at most {_MAX_STEPS} distinct nonzero steps")
-            got.append(step)
-        out.append(tuple(got))
-    for p, cell_steps in enumerate(out):
-        for dx, dy in cell_steps:
-            if (-dx, -dy) not in out[(p + dx + dy) & 1]:
-                raise ValueError("each step needs its reverse at the cell it reaches")
-    return tuple(out)
+def _lattice_arg(kind) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The two step lists of the lattice named kind: TypeError for a kind
+    that is not a str, ValueError for a name that is not in LATTICES."""
+    if not isinstance(kind, str):
+        raise TypeError("kind must be a str")
+    try:
+        return LATTICES[kind]
+    except KeyError:
+        raise ValueError(f"unknown lattice kind {kind!r}") from None
 
 
 def _domain_arg(w, h) -> tuple[int, int]:
@@ -284,7 +271,7 @@ def _block(steps, w: int, h: int) -> tuple[int, int]:
     """The extents of a block of the w x h domain's translates on which every
     neighbourhood shape repeats: an odd extent doubles when the steps of the
     two parities of x + y differ (HEX), since a shift by it flips the parity."""
-    same = set(steps[0]) == set(steps[1])
+    same = steps[0] == steps[1]
     return (w if same or w % 2 == 0 else 2 * w), (h if same or h % 2 == 0 else 2 * h)
 
 
@@ -352,12 +339,13 @@ def _pairs_hold(pairs, mask: int) -> bool:
     return True
 
 
-def dom_candidates(steps, w: int, h: int, count: int,
+def dom_candidates(kind: str, w: int, h: int, count: int,
                    node_budget: int) -> tuple[list[int], bool]:
     """Masks of the exactly-count subsets of the w x h domain, bit y*w + x
     for cell (x, y), cell 0 among them, whose translation closure is a
-    RED:LD set of the infinite grid in which cell (x, y) has the neighbour
-    steps steps[(x + y) % 2]: the valid periodic patterns of the domain.
+    RED:LD set of the lattice named kind, in which cell (x, y) has the
+    neighbour steps LATTICES[kind][(x + y) % 2]: the valid periodic patterns
+    of the domain.
 
     The walk folds the closed-neighbourhood constraints onto the domain
     (_fold_domination): cell c adds m to constraint v for each (v, m) of its
@@ -382,14 +370,14 @@ def dom_candidates(steps, w: int, h: int, count: int,
     Returns (masks, True) when the walk exhausted the cells, or (the masks
     found so far, False) once it has spent node_budget nodes.  The
     arguments are checked in this order: the budget, count (an int in 0 ..
-    2**31 - 1), w and h (_domain_arg), then steps (_steps_arg).
+    2**31 - 1), w and h (_domain_arg), then kind (_lattice_arg).
     """
     _check_node_budget(node_budget)
     count = _int_arg(count, -2**63, 2**31 - 1)
     if count < 0:
         raise ValueError("count must be non-negative")
     w, h = _domain_arg(w, h)
-    steps = _steps_arg(steps)
+    steps = _lattice_arg(kind)
     n = w * h
     n_cons, touch = _fold_domination(steps, w, h)
     cnt = [0] * n_cons

@@ -213,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
         "construct, reduce, and search grid patterns.",
     )
     parser.add_argument("--format", choices=["text", "csv"], default="text")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed of the random descents that grid search adds on a "
+                        "domain whose walk ran out of its node budget (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check a detector set on a graph")

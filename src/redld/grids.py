@@ -10,6 +10,7 @@ disjoint traces of size at least 2, so only nearby pairs can collide.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -17,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import _kernels as kern
-from ._kernels.pybits import _fold_domination
+from ._kernels.pybits import _MAX_CELLS, LATTICES, _fold_domination
 from .graph import Graph
 from .solver import BudgetExceededError
 from .verify import DetectorSet, VerificationReport, _members, is_redld_set, share
@@ -28,24 +29,6 @@ class LatticeKind(Enum):
     TRI = "TRI"
     SQ = "SQ"
     KING = "KING"
-
-
-_STEPS = {
-    LatticeKind.SQ: ((1, 0), (-1, 0), (0, 1), (0, -1)),
-    LatticeKind.KING: (
-        (1, 0), (-1, 0), (0, 1), (0, -1),
-        (1, 1), (1, -1), (-1, 1), (-1, -1),
-    ),
-    LatticeKind.TRI: ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)),
-}
-
-
-def _neighbors(kind: LatticeKind, x: int, y: int):
-    if kind is LatticeKind.HEX:
-        # brick wall: the vertical edge at (x, y) points up when x+y is even
-        vert = (0, 1) if (x + y) % 2 == 0 else (0, -1)
-        return ((1, 0), (-1, 0), vert)
-    return _STEPS[kind]
 
 
 @dataclass(frozen=True)
@@ -119,13 +102,14 @@ def build_torus(pattern: PeriodicPattern, c_w: int, c_h: int) -> tuple[Graph, De
         raise ValueError("hexagonal torus extents must be even")
     # The rows go to Graph._from_adj unchecked, and they are valid: with
     # both extents at least 8, no two steps of a cell reach the same cell
-    # and no step comes back to it; every step set is closed under
-    # negation, so adjacency is symmetric; for HEX the even extents keep
-    # the parity of x+y across the wrap, so the vertical step of the cell
-    # reached points back.
+    # and no step comes back to it; every step has its reverse among the
+    # steps of the cell it reaches (tests/test_grids.py checks the table),
+    # so adjacency is symmetric; for HEX the even extents keep the parity of
+    # x+y across the wrap.
+    steps = LATTICES[kind.value]
     adj = tuple(
         tuple(sorted((y + dy) % big_h * big_w + (x + dx) % big_w
-                     for dx, dy in _neighbors(kind, x, y)))
+                     for dx, dy in steps[(x + y) & 1]))
         for y in range(big_h)
         for x in range(big_w)
     )
@@ -187,11 +171,8 @@ def _near_pairs(g: Graph) -> tuple[list[int], list[int]]:
 
 _DFS_NODE_BUDGET = 5_000_000
 _DESCENT_COUNT = 100_000
-
-
-def _steps(kind: LatticeKind):
-    """The neighbour steps of the cells with x + y even and with x + y odd."""
-    return _neighbors(kind, 0, 0), _neighbors(kind, 1, 0)
+# the largest period whose square domain the kernel's walk takes
+_MAX_PERIOD = math.isqrt(_MAX_CELLS)
 
 
 def _dominating_candidates(
@@ -204,7 +185,7 @@ def _dominating_candidates(
     (patterns, True) when the walk exhausted the domain, (prefix, False)
     when it ran out of node budget.
     """
-    return kern.dom_candidates(_steps(kind), w, h, count, node_budget)
+    return kern.dom_candidates(kind.value, w, h, count, node_budget)
 
 
 def _random_descents(
@@ -217,7 +198,7 @@ def _random_descents(
     and cardinality bounds, aborting on a dead end.  Returns the masks
     found, in the order found, leaving out those in `skip` and repeats."""
     n = w * h
-    n_vertices, touch = _fold_domination(_steps(kind), w, h)
+    n_vertices, touch = _fold_domination(LATTICES[kind.value], w, h)
     base_open = [0] * n_vertices
     for items in touch:
         for v, m in items:
@@ -287,7 +268,14 @@ def pattern_search(
     density at most target_density exists on any domain up to max_period
     (adding detectors keeps a pattern valid).  When a walk ran out of budget
     and no candidate passed, BudgetExceededError carries those walks' nodes.
+    A max_period that lists no domain (below 1, or 1 on HEX, whose widths
+    are even) or one whose largest domain the walk cannot take (above
+    _MAX_PERIOD) raises ValueError before any walk.
     """
+    if not 1 <= max_period <= _MAX_PERIOD:
+        raise ValueError(f"max_period must be in 1 .. {_MAX_PERIOD}, got {max_period}")
+    if kind is LatticeKind.HEX and max_period < 2:
+        raise ValueError("hexagonal domains have even widths: max_period must be at least 2")
     target = Fraction(target_density)
     rng = random.Random(seed)
     domains = [

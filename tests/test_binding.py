@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import redld._kernels as K
 import redld._kernels.pybits as py
 from redld.graph import build_path
-from redld.grids import LatticeKind, _steps
+from redld.grids import LatticeKind
 from redld.trees import prufer_decode
 
 try:
@@ -313,92 +313,46 @@ def test_backends_search_the_same_way(args):
     assert outcome(ck) == outcome(py)
 
 
-# How a test hands steps and its lists to dom_candidates, as (steps, each
-# list): made afresh per call, as the walk reads an iterator once.
-STEPS_CONTAINERS = {
-    "lists": (list, list),
-    "tuples": (tuple, tuple),
-    "iterator lists": (list, iter),
-    "iterator": (iter, list),
-}
-
-GRID_STEPS = [_steps(kind) for kind in LatticeKind]
-
-
-def make_steps(lists, container):
-    # a list that is no list is a fault, handed in as it is
-    outer, inner = STEPS_CONTAINERS[container]
-    return outer([inner(lst) if isinstance(lst, list) else lst for lst in lists])
+# Kinds that are no str, and strs that name no lattice
+BAD_KINDS = (None, 5, 1.0, b"SQ", LatticeKind.SQ, ["SQ"], "sq", "", "SQ\0", "KINGS", "H\u00c9X")
 
 
 @st.composite
 def dom_arguments(draw):
-    """The steps of a grid, or a random symmetric set of up to 8 steps for
-    both parities, on a domain of up to 3 x 3 cells, with a count and a node
-    budget that may cut the walk; then, now and then, one fault: a step that
-    is no pair or no sequence, a coordinate out of range or no int, a zero,
-    repeated, ninth or unpaired step, a step list that is no sequence, one
-    list or three, or a bad w, h, count or budget.  A valid domain stays
-    small, so that the pure-Python walk stays quick."""
-    if draw(st.booleans()):
-        lists = [list(steps) for steps in draw(st.sampled_from(GRID_STEPS))]
-    else:
-        half = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2))
-                             .filter(lambda d: d != (0, 0)), max_size=4))
-        both = list(dict.fromkeys(d for dx, dy in half for d in ((dx, dy), (-dx, -dy))))
-        lists = [both, list(both)]
+    """A lattice's name on a domain of up to 3 x 3 cells, with a count and a
+    node budget that may cut the walk; then, now and then, one fault: a bad
+    kind, w, h, count or budget.  A valid domain stays small, so that the
+    pure-Python walk stays quick."""
+    kind = draw(st.sampled_from([k.value for k in LatticeKind]))
     w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     count = draw(st.integers(0, w * h + 1) | st.integers(w * h // 2, w * h))  # dense ones pass
     budget = draw(st.sampled_from((1, 5, 40, 10**6)))
-    fault = draw(st.sampled_from((None, None, None, "step", "coordinate", "zero", "repeat",
-                                  "ninth", "unpaired", "list", "lists", "w", "h", "count",
-                                  "budget")))
-    p = draw(st.integers(0, 1))
-    k = draw(st.integers(0, len(lists[p])))
-    if fault == "step":
-        lists[p].insert(k, draw(st.sampled_from(((0,), (0, 1, 2), (), 5, None, "ab", [0, 1, 2]))))
-    elif fault == "coordinate":
-        bad = draw(st.sampled_from((-2**31 - 1, 2**31, 2**63, -2**63 - 1, 2**70, 1.0, None, "1")))
-        lists[p].insert(k, draw(st.sampled_from(((bad, 1), (1, bad), [bad, 0]))))
-    elif fault == "zero":
-        lists[p].insert(k, (0, 0))
-    elif fault == "repeat" and lists[p]:
-        lists[p].insert(k, lists[p][0])
-    elif fault == "ninth":
-        lists[p] += [(dx, 3) for dx in range(-4, 5)]
-    elif fault == "unpaired" and lists[p]:
-        del lists[p][k - 1]
-    elif fault == "list":
-        lists[p] = draw(st.sampled_from((5, None)))
-    elif fault == "lists":
-        lists = lists[:1] if p else lists + [[]]
+    fault = draw(st.sampled_from((None, None, None, "kind", "w", "h", "count", "budget")))
+    if fault == "kind":
+        kind = draw(st.sampled_from(BAD_KINDS))
     elif fault in ("w", "h"):
-        bad = draw(st.sampled_from((0, -1, 2**31, 2**63, 2**70, 1.0, None, 2**12 + 1)))
+        bad = draw(st.sampled_from((0, -1, 2**31, 2**63, 2**70, 1.0, None, 2**9 + 1)))
         w, h = (bad, h) if fault == "w" else (w, bad)
     elif fault == "count":
         count = draw(st.sampled_from((-1, 2**31, 2**63, 1.0, None)))
     elif fault == "budget":
         budget = draw(st.sampled_from((2**63, -2**63 - 1, 1.0, None)))
-    return lists, w, h, count, budget, draw(st.sampled_from(sorted(STEPS_CONTAINERS)))
+    return kind, w, h, count, budget
 
 
 @needs_c
 @settings(max_examples=500, deadline=None)
 @given(args=dom_arguments())
-@example(args=([[(1, 0), (-1, 0)], [(1, 0), (-1, 0)]], 3, 1, 2, 100, "iterator"))
-@example(args=([[(0, 1), (0, -1)], [(0, 1)]], 1, 2, 1, 100, "iterator lists"))
-@example(args=([[(0, 1.0)], [(0, -1)]], 1, 1, 1, 100, "lists"))
-@example(args=([[(1, 0, 2)], []], 1, 1, 1, 100, "lists"))
-@example(args=([[(0, 2**40)], []], 1, 1, 1, 100, "lists"))
-@example(args=([[(2**40, 2**70)], []], 1, 1, 1, 100, "lists"))
-@example(args=([[], []], 2**6, 2**6 + 1, 1, 100, "lists"))
+@example(args=("HEX", 3, 1, 2, 100))
+@example(args=("HEX", 1, 3, 2, 100))
+@example(args=(LatticeKind.SQ, 1, 1, 1, 100))
+@example(args=("sq", 1, 1, 1, 100))
+@example(args=(None, 2**4, 2**5 + 1, 1, 100))
 def test_backends_walk_the_same_way(args):
     # the same (masks, exhausted), or the same exception type and message
-    lists, w, h, count, budget, container = args
-
     def outcome(kern):
         try:
-            return kern.dom_candidates(make_steps(lists, container), w, h, count, budget)
+            return kern.dom_candidates(*args)
         except Exception as exc:
             return type(exc), str(exc)
 
@@ -456,12 +410,11 @@ def test_c_functions_reject_bad_arguments():
         ck.bnb(ctx, K.MODE_REDLD_DEF, 0, 0, 3, 0, 0, -1.0)
     with pytest.raises(ValueError, match="differ in length"):
         ck.pairs_scan(ctx, [0, 1], [2], [0b111])
-    for steps, error in (([[(0,)], []], ValueError), ([[("a", 1)], []], TypeError),
-                         ([5, []], TypeError), ([[5], []], TypeError), ([[(1, 0)], []], ValueError)):
+    for kind, error in ((5, TypeError), (LatticeKind.SQ, TypeError), ("sq", ValueError)):
         with pytest.raises(error):
-            ck.dom_candidates(steps, 1, 1, 1, 100)
+            ck.dom_candidates(kind, 1, 1, 1, 100)
     with pytest.raises(TypeError):
-        ck.dom_candidates(([], []), 1, 1, 1)
+        ck.dom_candidates("SQ", 1, 1, 1)
     for fn in (ck.tree_code, ck.tree_orbits):
         with pytest.raises(TypeError):
             fn(((1,), (0,)))
@@ -571,19 +524,19 @@ def test_calls_leave_no_reference_behind():
     mask = (1 << n) - 1 - (1 << 64) - (1 << 100)
     wide = mask | 1 << n
     us, vs, cands, bad_cands = (0, 64), (1, 65), (mask, 0), (mask, wide)
-    sq = ((1, 0), (-1, 0), (0, 1), (0, -1))
-    steps = (sq, sq)
+    # made at run time, so that each is a str of its own and not a constant
+    kind, bad_kind = "".join(["S", "Q"]), "".join(["s", "q"])
     detectors, bad_detectors = (0, 64, 129, 64), (0, 64, n)
     cycle, list_rows = ((1, 2), (0, 2), (0, 1)), ([1], (0,))
     watched = (adj, adj[0], bad_adj, ctx, pctx, small, mask, wide, us, vs, cands, bad_cands,
-               steps, sq, sq[0], detectors, bad_detectors, cycle, list_rows)
+               kind, bad_kind, detectors, bad_detectors, cycle, list_rows)
     calls = (
         lambda k, c, s: k.make_ctx(adj).n,
         lambda k, c, s: (k.is_ld(c, mask), k.is_redld(c, mask), k.is_redld_def(s, 0b110111)),
         lambda k, c, s: k.pairs_scan(c, us, vs, cands),
         lambda k, c, s: k.bnb(c, K.MODE_REDLD, mask, 0, n, 0, 3, 0.0),
         lambda k, c, s: k.brute_force_min(s, K.MODE_REDLD),
-        lambda k, c, s: k.dom_candidates(steps, 4, 2, 4, 100),
+        lambda k, c, s: k.dom_candidates(kind, 4, 2, 4, 100),
         lambda k, c, s: (k.mask_of(n, detectors), k.mask_of(6, iter(detectors[:1]))),
         lambda k, c, s: (k.tree_code(adj, mask), k.tree_orbits(adj, mask)),
     )
@@ -595,9 +548,8 @@ def test_calls_leave_no_reference_behind():
         lambda: ck.bnb(ctx, K.MODE_REDLD, wide, 0, n, 0, 3, 0.0),
         lambda: ck.mask_of(n, bad_detectors),
         lambda: ck.mask_of(n, (0, None)),
-        lambda: ck.dom_candidates((sq + sq[:1], sq), 4, 2, 4, 100),
-        lambda: ck.dom_candidates(((sq[0], (1, 2, 3)), sq), 4, 2, 4, 100),
-        lambda: ck.dom_candidates((sq[:3], sq), 4, 2, 4, 100),
+        lambda: ck.dom_candidates(bad_kind, 4, 2, 4, 100),
+        lambda: ck.dom_candidates(detectors, 4, 2, 4, 100),
         lambda: ck.tree_code(cycle, 0),
         lambda: ck.tree_orbits(adj, wide),
         lambda: ck.tree_code(bad_adj, 0),

@@ -310,6 +310,15 @@ def test_grid_input_errors_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, ["grid", "search", "sq", "3", "1/0"])
     assert (code, out) == (2, "")
     assert "error: target density '1/0'" in err
+    # a period that lists no domain, or whose largest domain the walk cannot
+    # take, is an input error, not a search that found nothing
+    for kind, period, message in (("sq", "0", "max_period must be in 1 .. 22, got 0"),
+                                  ("sq", "23", "max_period must be in 1 .. 22, got 23"),
+                                  ("hex", "1", "hexagonal domains have even widths: "
+                                                "max_period must be at least 2")):
+        code, out, err = run(capsys, ["grid", "search", kind, period, "1/2"])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == f"error: {message}"
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):

@@ -16,7 +16,6 @@ from redld.grids import (
     _dominating_candidates,
     _near_pairs,
     _random_descents,
-    _steps,
     _tile_counts,
     _tiled_mask,
     _tiler,
@@ -194,6 +193,9 @@ def test_search_above_density_one_finds_the_full_pattern():
     p = pattern_search(LatticeKind.SQ, 2, Fraction(2))
     assert p == PeriodicPattern(LatticeKind.SQ, 1, 1, frozenset([(0, 0)]))
     assert verify_periodic(p).ok
+    # the largest period, whose 22 x 22 domain is the walk's largest square,
+    # is taken; the 1x1 domain still comes first
+    assert pattern_search(LatticeKind.SQ, 22, Fraction(2)) == p
 
 
 def test_near_pairs_within_distance_2():
@@ -230,6 +232,19 @@ def test_near_pair_scan_equals_full_check():
                 assert verdict == kern.is_redld(ctx, mask)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_lattice_steps_make_undirected_grids():
+    # the kernels' walks and build_torus take their steps from this table
+    # unchecked: at most 8 distinct nonzero steps for each parity of x + y,
+    # each with its reverse among the steps of the cell it reaches
+    assert sorted(pybits.LATTICES) == sorted(kind.value for kind in LatticeKind)
+    for parities in pybits.LATTICES.values():
+        assert len(parities) == 2
+        for p, steps in enumerate(parities):
+            assert (0, 0) not in steps and len(set(steps)) == len(steps) <= 8
+            for dx, dy in steps:
+                assert (-dx, -dy) in parities[(p + dx + dy) & 1]
 
 
 def test_torus_adjacency_matches_checked_build():
@@ -343,7 +358,7 @@ def test_dom_candidates_match_the_unpruned_walk():
                 for count in range(w * h + 1):
                     want = ([m for m in valid if bin(m).count("1") == count], True)
                     for kernel in kernels:
-                        assert kernel.dom_candidates(_steps(kind), w, h, count, 10**7) == want, \
+                        assert kernel.dom_candidates(kind.value, w, h, count, 10**7) == want, \
                             (kernel.BACKEND, kind, w, h, count)
                 domains += 1
                 found += len(valid)

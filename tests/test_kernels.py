@@ -3,6 +3,7 @@ agree bit for bit (verdicts, optima, witnesses, and search node counts)."""
 
 import importlib
 import random
+import re
 from concurrent.futures import ThreadPoolExecutor
 import sys
 import sysconfig
@@ -16,7 +17,7 @@ import redld._kernels as K
 import redld._kernels.pybits as py
 from redld._kernels import _build
 from redld.graph import Graph
-from redld.grids import LatticeKind, _steps
+from redld.grids import LatticeKind
 from redld.satreduce import SatInstance, build_reduction
 from redld.solver import _ld_lower_bound, _redld_lower_bound
 
@@ -253,8 +254,8 @@ def test_dom_candidates_agree():
             for target in targets:
                 count = w * h * target.numerator // target.denominator
                 for budget in (1, 37, 10_000):
-                    got = py.dom_candidates(_steps(kind), w, h, count, budget)
-                    assert got == ck.dom_candidates(_steps(kind), w, h, count, budget)
+                    got = py.dom_candidates(kind.value, w, h, count, budget)
+                    assert got == ck.dom_candidates(kind.value, w, h, count, budget)
                     kinds["found"] += bool(got[0])
                     kinds["exhausted" if got[1] else "prefix"] += bool(got[0])
     # patterns found, walks exhausted with patterns, budget-cut prefixes
@@ -270,70 +271,50 @@ def test_dom_candidates_agree_beyond_64_cells():
              (LatticeKind.KING, 53), (LatticeKind.KING, 56)]
     high = low = 0
     for kind, count in cases:
-        got = py.dom_candidates(_steps(kind), 9, 8, count, 3000)
-        assert got == ck.dom_candidates(_steps(kind), 9, 8, count, 3000)
+        got = py.dom_candidates(kind.value, 9, 8, count, 3000)
+        assert got == ck.dom_candidates(kind.value, 9, 8, count, 3000)
         assert not got[1]
         high += sum(1 for m in got[0] if m >> 64)
         low += sum(1 for m in got[0] if not m >> 64)
     assert high >= 10 and low >= 10
 
 
-SQ_STEPS = _steps(LatticeKind.SQ)
-# the steps of a grid with no edges, where no vertex can be 2-dominated, and
-# as many steps as a cell may have
-NO_STEPS = ((), ())
-EIGHT_STEPS = tuple((k, 0) for k in range(-4, 5) if k)
+@pytest.mark.parametrize("kern", [py, pytest.param(ck, marks=needs_c)],
+                         ids=["py", "c"])
+def test_dom_candidates_reject_bad_input(kern):
+    assert kern.dom_candidates("SQ", 2, 2, 1, 100) == ([], True)
+    assert kern.dom_candidates("SQ", 1, 1, 1, 100) == ([1], True)
+    assert kern.dom_candidates("SQ", 2**4, 2**5, 2**9 + 1, 100) == ([], True)
+    with pytest.raises(ValueError, match="count must be non-negative"):
+        kern.dom_candidates("SQ", 2, 2, -1, 100)
+    for w, h in ((0, 2), (2, 0), (-1, 1)):
+        with pytest.raises(ValueError, match="^the domain needs w >= 1 and h >= 1$"):
+            kern.dom_candidates("SQ", w, h, 1, 100)
+    with pytest.raises(OverflowError, match="^2147483648 is out of the kernel's range$"):
+        kern.dom_candidates("SQ", 2**31, 1, 1, 100)
+    for w, h in ((2**4, 2**5 + 1), (2**9 + 1, 1), (2**31 - 1, 2**31 - 1)):
+        with pytest.raises(OverflowError, match=f"^a {w}x{h} domain is out of the kernel's range$"):
+            kern.dom_candidates("SQ", w, h, 1, 100)
+    # the kind is checked last, and is the name of a LatticeKind, not one
+    with pytest.raises(ValueError, match="^the domain needs"):
+        kern.dom_candidates(None, 0, 1, 1, 100)
+    for kind in (None, 5, b"SQ", LatticeKind.SQ, ("SQ",)):
+        with pytest.raises(TypeError, match="^kind must be a str$"):
+            kern.dom_candidates(kind, 2, 2, 1, 100)
+    for kind in ("sq", "", "SQ\0", "KINGS", "Sq", "H\u00c9X"):
+        with pytest.raises(ValueError, match=f"^unknown lattice kind {re.escape(repr(kind))}$"):
+            kern.dom_candidates(kind, 2, 2, 1, 100)
 
 
 @pytest.mark.parametrize("kern", [py, pytest.param(ck, marks=needs_c)],
                          ids=["py", "c"])
-def test_dom_candidates_reject_bad_input(kern):
-    assert kern.dom_candidates(SQ_STEPS, 2, 2, 1, 100) == ([], True)
-    assert kern.dom_candidates(SQ_STEPS, 1, 1, 1, 100) == ([1], True)
-    assert kern.dom_candidates(NO_STEPS, 3, 1, 1, 100) == ([], True)
-    assert kern.dom_candidates((EIGHT_STEPS,) * 2, 2, 2, 1, 100) == ([], True)
-    assert kern.dom_candidates(SQ_STEPS, 2**6, 2**6, 2**12 + 1, 100) == ([], True)
-    # steps, each list and each step are read once, so iterators work
-    assert kern.dom_candidates(iter([iter(SQ_STEPS[0]), (iter(s) for s in SQ_STEPS[1])]),
-                               1, 1, 1, 100) == ([1], True)
-    with pytest.raises(ValueError, match="count must be non-negative"):
-        kern.dom_candidates(SQ_STEPS, 2, 2, -1, 100)
-    for w, h in ((0, 2), (2, 0), (-1, 1)):
-        with pytest.raises(ValueError, match="^the domain needs w >= 1 and h >= 1$"):
-            kern.dom_candidates(SQ_STEPS, w, h, 1, 100)
-    with pytest.raises(OverflowError, match="^2147483648 is out of the kernel's range$"):
-        kern.dom_candidates(SQ_STEPS, 2**31, 1, 1, 100)
-    for w, h in ((2**6, 2**6 + 1), (2**12 + 1, 1), (2**31 - 1, 2**31 - 1)):
-        with pytest.raises(OverflowError, match=f"^a {w}x{h} domain is out of the kernel's range$"):
-            kern.dom_candidates(SQ_STEPS, w, h, 1, 100)
-    too_many = "^a cell takes at most 8 distinct nonzero steps$"
-    for bad, error, match in (
-        (SQ_STEPS[:1], ValueError, "^steps needs two step lists"),
-        (SQ_STEPS * 2, ValueError, "^steps needs two step lists"),
-        ((((1, 0, 0),),) * 2, ValueError, "^each step needs to be a pair$"),
-        ((((1.0, 0),),) * 2, TypeError, None),
-        ((((0, 2**31),),) * 2, OverflowError, "^2147483648 is out of the kernel's range$"),
-        ((((0, 0),),) * 2, ValueError, too_many),
-        ((SQ_STEPS[0] + ((1, 0),),) * 2, ValueError, too_many),
-        ((EIGHT_STEPS + ((0, 1),),) * 2, ValueError, too_many),
-        ((((1, 0),),) * 2, ValueError, "^each step needs its reverse at the cell it reaches$"),
-        # a vertical step flips the parity of x + y: (0, 1) at an even cell
-        # needs (0, -1) at the odd one it reaches
-        ((((0, 1), (0, -1)), ((0, 1),)), ValueError, "^each step needs its reverse"),
-        ((((0, 1),), ((0, 1),)), ValueError, "^each step needs its reverse"),
-    ):
-        with pytest.raises(error, match=match):
-            kern.dom_candidates(bad, 2, 2, 1, 100)
-
-
-@needs_c
-def test_c_walk_goes_as_deep_as_the_largest_domain():
-    # the walk recurses once per cell: down all 2**12 cells of the largest
+def test_walk_goes_as_deep_as_the_largest_domain(kern):
+    # the walk recurses once per cell: down all 2**9 cells of the largest
     # domain, on the main thread's stack and on a thread's, and back
     def full_walk():
-        return ck.dom_candidates(SQ_STEPS, 2**12, 1, 2**12, 10**6)
+        return kern.dom_candidates("SQ", 2**9, 1, 2**9, 10**6)
 
-    want = ([2**2**12 - 1], True)
+    want = ([2**2**9 - 1], True)
     assert full_walk() == want
     with ThreadPoolExecutor(1) as pool:
         assert pool.submit(full_walk).result(timeout=60) == want
@@ -352,11 +333,11 @@ def test_backends_reject_the_same_node_budgets(kern):
         with pytest.raises(error, match=match):
             kern.bnb(ctx, K.MODE_REDLD, 0, 0, 3, 0, budget, 0.0)
         with pytest.raises(error, match=match):
-            kern.dom_candidates(SQ_STEPS, 2, 2, 1, budget)
+            kern.dom_candidates("SQ", 2, 2, 1, budget)
     # the ends of the range are taken: no limit, and a stop at the first node
     assert kern.bnb(ctx, K.MODE_REDLD, 0, 0, 3, 0, 2**63 - 1, 0.0) == (0, 3, 0b111, 1)
     assert kern.bnb(ctx, K.MODE_REDLD, 0, 0, 3, 0, -2**63, 0.0) == (2, -1, 0, 1)
-    assert kern.dom_candidates(SQ_STEPS, 2, 2, 1, 2**63 - 1) == ([], True)
+    assert kern.dom_candidates("SQ", 2, 2, 1, 2**63 - 1) == ([], True)
 
 
 @pytest.mark.parametrize("kern", [py, pytest.param(ck, marks=needs_c)],
@@ -418,7 +399,7 @@ def test_backends_reject_the_same_bad_input(kern):
             kern.bnb(ctx, K.MODE_REDLD, 0, 0, cap, stop_at, 0, 0.0)
     for count in (1.0, 0.5):
         with pytest.raises(TypeError):
-            kern.dom_candidates(SQ_STEPS, 1, 1, count, 100)
+            kern.dom_candidates("SQ", 1, 1, count, 100)
     # a size or count past the C kernel's ints: cap + 1 must fit one, and a
     # value past a 64-bit long does not convert
     for cap, stop_at, count, bad in ((2**31 - 1, 0, 2**31, 2**31 - 1), (2**31, 0, 2**31, 2**31),
@@ -427,19 +408,19 @@ def test_backends_reject_the_same_bad_input(kern):
         with pytest.raises(OverflowError, match=rf"^{bad} is out of the kernel's range$"):
             kern.bnb(ctx, K.MODE_REDLD, 0, 0, cap, stop_at, 0, 0.0)
         with pytest.raises(OverflowError, match=rf"^{count} is out of the kernel's range$"):
-            kern.dom_candidates(SQ_STEPS, 1, 1, count, 100)
+            kern.dom_candidates("SQ", 1, 1, count, 100)
     for big in (2**63, -2**63 - 1, 2**70):
         for call in (lambda: kern.bnb(ctx, K.MODE_REDLD, 0, 0, big, 0, 0, 0.0),
                      lambda: kern.bnb(ctx, K.MODE_REDLD, 0, 0, 3, big, 0, 0.0),
-                     lambda: kern.dom_candidates(SQ_STEPS, 1, 1, big, 100),
-                     lambda: kern.dom_candidates(SQ_STEPS, big, 1, 1, 100),
-                     lambda: kern.dom_candidates(SQ_STEPS, 1, big, 1, 100)):
+                     lambda: kern.dom_candidates("SQ", 1, 1, big, 100),
+                     lambda: kern.dom_candidates("SQ", big, 1, 1, 100),
+                     lambda: kern.dom_candidates("SQ", 1, big, 1, 100)):
             with pytest.raises(OverflowError, match="^Python int too large to convert to C long$"):
                 call()
     # the ends of the ranges are taken
     assert kern.bnb(ctx, K.MODE_REDLD, 0, 0, 2**31 - 2, 2**31 - 1, 0, 0.0)[:2] == (0, 3)
     assert kern.bnb(ctx, K.MODE_REDLD, 0, 0, -2**31, -2**31, 0, 0.0)[:2] == (1, -1)
-    assert kern.dom_candidates(SQ_STEPS, 1, 1, 2**31 - 1, 100) == ([], True)
+    assert kern.dom_candidates("SQ", 1, 1, 2**31 - 1, 100) == ([], True)
 
 
 def test_pairs_scan_checks_domination_too():

@@ -112,6 +112,30 @@ def test_classifier_outputs_are_pinned():
     assert digest.hexdigest()[:16] == "3ed67c6e442701eb"
 
 
+def test_verified_candidates_of_minimum_family_trees_are_one_set():
+    # classify_tmin keeps the first candidate of the bound's size that
+    # verifies.  On every minimum-family tree with n = 1 (mod 3) and
+    # 7 <= n <= 19, once per canonical code and relabelled, the candidates
+    # that count are one and the same set, so the rule cannot depend on the
+    # candidates' order there
+    rng = random.Random(96)
+    checked = 0
+    for n in range(7, 20, 3):
+        bound, codes = tree_lower_bound(n), set()
+        for g, _s in tmin_representatives(n):
+            code = canonical_code(g)
+            if code in codes:
+                continue
+            codes.add(code)
+            g = relabel(g, rng)
+            counted = {frozenset(c) for c in trees._extremal_cls1(trees._adj_dict(g))
+                       if len(c) == bound and is_redld_set(g, c).ok}
+            assert len(counted) == 1, g.edges()
+            checked += 1
+        assert codes == set(enumerate_tmin(n))
+    assert checked == 3136
+
+
 @pytest.mark.parametrize("n, edges, witness", [
     # residual of 4: P_4 is its own residual
     (4, [(0, 1), (1, 2), (2, 3)], range(4)),
