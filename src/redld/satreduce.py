@@ -36,10 +36,8 @@ _GADGET_EDGES = [
 ]
 _GADGET_NAMES = ["a", "a'", "b", "b'", "c", "c'", "d", "d'", "x", "xbar", "y", "z"]
 # The sorted neighbour offsets of each gadget vertex.
-_GADGET_ROWS = tuple(
-    tuple(sorted([v for u, v in _GADGET_EDGES if u == a] + [u for u, v in _GADGET_EDGES if v == a]))
-    for a in range(12)
-)
+_GADGET_ROWS = tuple(tuple(sorted(u + v - a for u, v in _GADGET_EDGES if a in (u, v)))
+                     for a in range(12))
 
 OFF_X, OFF_XBAR, OFF_Y, OFF_Z = 8, 9, 10, 11
 
@@ -50,14 +48,19 @@ class SatInstance:
     clauses: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        if type(self.n_vars) is not int:  # bools too
+            raise TypeError(f"n_vars must be an int, got {self.n_vars!r}")
         if self.n_vars < 1:
             raise ValueError("need at least one variable")
         for cl in self.clauses:
             if len(cl) != 3:
                 raise ValueError(f"clause {cl} does not have 3 literals")
-            if any(lit == 0 or abs(lit) > self.n_vars for lit in cl):
+            if set(map(type, cl)) != {int}:  # bools too
+                raise TypeError(f"clause {cl} holds a literal that is not an int")
+            variables = set(map(abs, cl))
+            if 0 in variables or max(variables) > self.n_vars:
                 raise ValueError(f"literal out of range in clause {cl}")
-            if len({abs(lit) for lit in cl}) != 3:
+            if len(variables) != 3:
                 raise ValueError(f"repeated variable in clause {cl}")
 
 
@@ -67,6 +70,8 @@ def parse_dimacs_cnf(text: str) -> SatInstance:
     literals: list[int] = []
     for raw in text.splitlines():
         line = raw.strip()
+        if line.startswith("%"):  # SATLIB's end of clause data
+            break
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
@@ -109,45 +114,42 @@ class ReductionArtifact:
     clause_vertex: dict[int, int]
 
 
-def _literal_vertex(lit: int) -> int:
-    base = 12 * (abs(lit) - 1)
-    return base + (OFF_X if lit > 0 else OFF_XBAR)
+def _wiring(phi: SatInstance) -> tuple[list[list[int]], int, int]:
+    """The reduction's sorted adjacency rows, its forced mask and K."""
+    n = phi.n_vars
+    rows: list[list[int]] = []
+    forced = 0
+    for i in range(n):
+        base = 12 * i
+        rows.extend([base + off for off in row] for row in _GADGET_ROWS)
+        forced |= 0xFF << base
+    for j, clause in enumerate(phi.clauses):
+        base = 12 * n + 3 * j
+        d1, d2, cj = base, base + 1, base + 2
+        # The literals are of distinct variables and below every clause
+        # vertex, and clauses come in vertex order: appending c_j keeps each
+        # literal's row sorted, and d2 ends c_j's row.
+        lits = sorted(12 * (abs(lit) - 1) + (OFF_X if lit > 0 else OFF_XBAR) for lit in clause)
+        for v in lits:
+            rows[v].append(cj)
+        rows.extend([[d2], [d1, cj], [*lits, d2]])
+        forced |= 3 << base
+    return rows, forced, 9 * n + 2 * len(phi.clauses)
 
 
 def build_reduction(phi: SatInstance) -> ReductionArtifact:
     """Build the reduction graph: 12N+3M vertices, 13N+5M edges, K=9N+2M."""
     n, m = phi.n_vars, len(phi.clauses)
-    rows: list[list[int]] = []
-    labels: list[str] = []
-    forced: list[int] = []
-    var_true: dict[int, int] = {}
-    var_false: dict[int, int] = {}
-    for i in range(n):
-        base = 12 * i
-        rows.extend([base + off for off in row] for row in _GADGET_ROWS)
-        labels.extend(f"{name}_{i + 1}" for name in _GADGET_NAMES)
-        forced.extend(range(base, base + 8))
-        var_true[i + 1] = base + OFF_X
-        var_false[i + 1] = base + OFF_XBAR
-    clause_vertex: dict[int, int] = {}
-    for j, clause in enumerate(phi.clauses):
-        base = 12 * n + 3 * j
-        d1, d2, cj = base, base + 1, base + 2
-        labels.extend([f"d1_{j + 1}", f"d2_{j + 1}", f"c_{j + 1}"])
-        # The literals are of distinct variables and below every clause
-        # vertex, and clauses come in vertex order: appending c_j keeps each
-        # literal's row sorted, and d2 ends c_j's row.
-        lits = sorted(_literal_vertex(lit) for lit in clause)
-        for v in lits:
-            rows[v].append(cj)
-        rows.extend([[d2], [d1, cj], [*lits, d2]])
-        forced.extend([d1, d2])
-        clause_vertex[j + 1] = cj
+    rows, forced, k = _wiring(phi)
+    labels = [f"{name}_{i}" for i in range(1, n + 1) for name in _GADGET_NAMES]
+    labels += [f"{name}_{j}" for j in range(1, m + 1) for name in ("d1", "d2", "c")]
     g = Graph._from_adj(tuple(map(tuple, rows)), tuple(labels))
     assert g.edge_count() == 13 * n + 5 * m
+    vs = range(1, n + 1)
     return ReductionArtifact(
-        phi, g, 9 * n + 2 * m, DetectorSet(forced), var_true, var_false, clause_vertex
-    )
+        phi, g, k, DetectorSet(_members(forced)),
+        {i: 12 * (i - 1) + OFF_X for i in vs}, {i: 12 * (i - 1) + OFF_XBAR for i in vs},
+        {j: 12 * n + 3 * j - 1 for j in range(1, m + 1)})
 
 
 def assignment_to_detectors(art: ReductionArtifact, assignment: dict[int, bool]) -> DetectorSet:
@@ -164,22 +166,20 @@ def extract_assignment(art: ReductionArtifact, s) -> dict[int, bool]:
     members = set(s)
     if len(members) != art.k:
         raise ValueError(f"expected a set of size {art.k}, got {len(members)}")
-    return {
-        i: art.var_true[i] in members
-        for i in range(1, art.instance.n_vars + 1)
-    }
+    return {i: art.var_true[i] in members for i in range(1, art.instance.n_vars + 1)}
 
 
 def decide_via_redld(
     phi: SatInstance, budget: Optional[SolveBudget] = None
 ) -> tuple[bool, Optional[dict[int, bool]]]:
     """Satisfiability via detector-set feasibility at cap K on the reduction."""
-    art = build_reduction(phi)
-    mask = _BudgetClock(budget).find(
-        art.graph.kernel_ctx(), kern.MODE_REDLD, art.forced.mask(), 0, art.k)
+    rows, forced, k = _wiring(phi)
+    mask = _BudgetClock(budget).find(kern.make_ctx(rows), kern.MODE_REDLD, forced, 0, k)
     if mask is None:
         return False, None
-    return True, extract_assignment(art, _members(mask))
+    if mask.bit_count() != k:
+        raise ValueError(f"expected a set of size {k}, got {mask.bit_count()}")
+    return True, {i: bool(mask >> (12 * (i - 1) + OFF_X) & 1) for i in range(1, phi.n_vars + 1)}
 
 
 def render_roles(art: ReductionArtifact) -> str:

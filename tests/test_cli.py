@@ -240,19 +240,37 @@ def test_reduce_solve(tmp_path, capsys):
     assert out == "UNSAT\n"
 
 
-def test_reduce_solve_builds_the_reduction_once(tmp_path, capsys, monkeypatch):
-    built = []
-    real = satreduce.build_reduction
+def test_reduce_solve_builds_the_rows_once(tmp_path, capsys, monkeypatch):
+    # --solve searches the bare rows: no labelled reduction is built
+    wired, built = [], []
+    real_wiring, real_build = satreduce._wiring, satreduce.build_reduction
 
-    def counted(phi):
+    def counted_wiring(phi):
+        wired.append(phi)
+        return real_wiring(phi)
+
+    def counted_build(phi):
         built.append(phi)
-        return real(phi)
+        return real_build(phi)
 
-    monkeypatch.setattr(satreduce, "build_reduction", counted)
+    monkeypatch.setattr(satreduce, "_wiring", counted_wiring)
+    monkeypatch.setattr(satreduce, "build_reduction", counted_build)
     cnf = tmp_path / "phi.cnf"
     cnf.write_text(P7_CNF)
     code, out, _ = run(capsys, ["reduce", "--solve", str(cnf)])
-    assert (code, out.splitlines()[0], len(built)) == (0, "SAT", 1)
+    assert (code, out.splitlines()[0], len(wired), len(built)) == (0, "SAT", 1, 0)
+    code, out, _ = run(capsys, ["reduce", str(cnf)])
+    assert (code, out.splitlines()[0], len(wired), len(built)) == (0, "# K=31", 2, 1)
+
+
+def test_reduce_reads_a_satlib_tail(tmp_path, capsys):
+    # SATLIB's uf/uuf files end their clause data with a "%" line and a "0"
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text(P7_CNF + "%\n0\n\n")
+    code, out, _ = run(capsys, ["reduce", "--solve", str(cnf)])
+    assert (code, out.splitlines()[0]) == (0, "SAT")
+    code, out, _ = run(capsys, ["reduce", str(cnf)])
+    assert (code, out.splitlines()[0]) == (0, "# K=31")
 
 
 def test_reduce_bad_cnf(tmp_path, capsys):

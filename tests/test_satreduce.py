@@ -1,8 +1,11 @@
+import hashlib
 import random
 from itertools import combinations_with_replacement, product
 
 import pytest
 
+from redld import satreduce
+from redld.cli import main
 from redld.graph import Graph
 from redld.satreduce import (
     SatInstance,
@@ -35,6 +38,28 @@ def test_parse_dimacs():
     phi = parse_dimacs_cnf(CNF)
     assert phi.n_vars == 4
     assert phi.clauses == ((1, -2, 3), (-1, 2, 4))
+
+
+def test_parse_stops_at_a_percent_line():
+    # SATLIB's uf/uuf files end their clause data with "%" and then "0"
+    phi = parse_dimacs_cnf(CNF + "%\n0\n\n")
+    assert phi.clauses == ((1, -2, 3), (-1, 2, 4))
+    assert parse_dimacs_cnf("p cnf 3 1\n1 2 3 0\n% 4 5 6 0\n7 8 9 0\n").clauses == ((1, 2, 3),)
+    with pytest.raises(ValueError, match="header promises 3 clauses, found 2"):
+        parse_dimacs_cnf(CNF.replace("p cnf 4 2", "p cnf 4 3") + "%\n0\n")
+    with pytest.raises(ValueError, match="missing 'p cnf' header"):
+        parse_dimacs_cnf("%\n" + CNF)
+
+
+def test_instance_rejects_what_is_not_an_int():
+    with pytest.raises(TypeError, match="literal that is not an int"):
+        SatInstance(3, ((1, 2, 3.0),))
+    with pytest.raises(TypeError, match="literal that is not an int"):
+        SatInstance(3, ((True, 2, 3),))
+    with pytest.raises(TypeError, match="n_vars must be an int, got True"):
+        SatInstance(True, ())
+    with pytest.raises(TypeError, match="n_vars must be an int, got 3.0"):
+        SatInstance(3.0, ((1, 2, 3),))
 
 
 def test_parse_rejects_bad_input():
@@ -163,10 +188,9 @@ def test_decide_budget_reads_like_the_solver():
     assert decide_via_redld(phi, SolveBudget(max_seconds=30)) == decide_via_redld(phi)
 
 
-def test_reduction_adjacency_matches_checked_build():
-    # the unchecked adjacency rows equal what the checked constructor makes
-    # of the same edges: the acceptance formulas, then 8-variable formulas
-    # at 4.3 clauses per variable, where literals recur across clauses
+def wiring_formulas():
+    """The acceptance formulas, then 8-variable formulas at 4.3 clauses per
+    variable, where literals recur across clauses."""
     signs = [(s1, 2 * s2, 3 * s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
     formulas = [SatInstance(3, tuple(chosen))
                 for m in range(4) for chosen in combinations_with_replacement(signs, m)]
@@ -182,8 +206,42 @@ def test_reduction_adjacency_matches_checked_build():
     for _ in range(50):
         nv = rng.randint(3, 5)
         formulas.append(random_formula(nv, rng.randint(1, 6)))
-    formulas += [random_formula(8, 34) for _ in range(8)]
-    for phi in formulas:
+    return formulas + [random_formula(8, 34) for _ in range(8)]
+
+
+def test_reduction_adjacency_matches_checked_build():
+    # the unchecked adjacency rows equal what the checked constructor makes
+    # of the same edges
+    for phi in wiring_formulas():
         g = build_reduction(phi).graph
         checked = Graph(g.n, g.edges(), g.labels)
         assert g.adj == checked.adj and g.labels == checked.labels
+
+
+def test_decide_wiring_is_the_reduction():
+    # decide_via_redld searches the bare rows, forced mask and K; they are
+    # the labelled reduction's, and the forced vertices are a-d' of each
+    # gadget and d1, d2 of each clause block
+    for phi in wiring_formulas():
+        n, m = phi.n_vars, len(phi.clauses)
+        rows, forced, k = satreduce._wiring(phi)
+        art = build_reduction(phi)
+        assert tuple(map(tuple, rows)) == art.graph.adj
+        assert (forced, k) == (art.forced.mask(), art.k) == (
+            sum(0xFF << 12 * i for i in range(n)) + sum(3 << 12 * n + 3 * j for j in range(m)),
+            9 * n + 2 * m)
+
+
+def test_reduce_stdout_is_pinned(tmp_path, capsys):
+    # sha256 prefixes of `reduce` and `reduce --solve` (exit code, then
+    # stdout) over the formulas above; both backends give them
+    cnf = tmp_path / "phi.cnf"
+    for flags, want in ((["reduce"], "e94064c36cbc3090"),
+                        (["reduce", "--solve"], "db67976429bcd7bf")):
+        digest = hashlib.sha256()
+        for phi in wiring_formulas():
+            cnf.write_text(f"p cnf {phi.n_vars} {len(phi.clauses)}\n"
+                           + "".join(" ".join(map(str, cl)) + " 0\n" for cl in phi.clauses))
+            code = main([*flags, str(cnf)])
+            digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+        assert digest.hexdigest()[:16] == want
