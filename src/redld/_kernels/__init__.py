@@ -1,9 +1,11 @@
 """Kernel backend selection: compiled extension when available, else pure Python.
 
 Both backends have the same entry points: `make_ctx` builds a graph's
-context; `mask_of` turns an iterable of vertices into a mask, range-checked;
-the predicates `is_ld`, `is_redld` and `is_redld_def` judge a mask;
-`brute_force_min`, `pairs_scan`, `dom_candidates` and `bnb` search; and
+context; `mask_of` turns an iterable of vertices into a mask, range-checked
+(C reads a list or tuple of ints below 64 in place, anything else item by
+item, with the same results and errors); the predicates `is_ld`, `is_redld`
+and `is_redld_def` judge a mask; `brute_force_min` (at most 64 vertices),
+`pairs_scan`, `dom_candidates` and `bnb` search; and
 `tree_code` and `tree_orbits` give a tree's canonical code and the least
 vertex of each automorphism orbit, the tree given by its rows and a mask
 of coloured vertices.

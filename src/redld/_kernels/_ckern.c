@@ -52,10 +52,12 @@
  * Vertex sets are arrays of W = ceil(n / 64) 64-bit words, vertex v at bit
  * v & 63 of word v >> 6.  In Python they are ints, bit v for vertex v; the
  * binding converts them in mask_words and words_int, and builds them from
- * vertex lists in mask_of.  The helpers of the branch and bound take W as an
- * argument, and its search is built twice from one body: dfs_1, where W is
- * the literal 1 (n <= 64) and every word loop folds down to one word, and
- * dfs_w for any W.
+ * vertex lists in mask_of, which reads a list or tuple of ints below 64 in
+ * place.  The helpers of the predicates and of the branch and bound take W
+ * as an argument, and each is built twice from one body: valid_1 and dfs_1,
+ * where W is the literal 1 (n <= 64) and every word loop folds down to one
+ * word, and valid_w and dfs_w for any W.  Brute force takes at most 64
+ * vertices and steps its subsets inside one word, judged by valid_1.
  *
  * A context is written once by ctx_fill, in make_ctx, and is only read
  * afterwards.  Every other entry point allocates its scratch per call, so
@@ -263,7 +265,7 @@ ALWAYS_INLINE int pairs_fail(const rlk_ctx *c, int W, int mode, const u64 *in, c
 /* ---- predicates --------------------------------------------------------- */
 
 /* Predicates take scratch of 2 rows of W words: the complement of the set,
- * and the set less one detector in is_redld_def_core. */
+ * and the set less one detector in redld_def. */
 static u64 *scratch_new(const rlk_ctx *c)
 {
     return malloc(2 * (size_t)c->W * sizeof(u64));
@@ -280,71 +282,81 @@ ALWAYS_INLINE int characterized(const rlk_ctx *c, int W, int mode, const u64 *s,
 }
 
 /* LD, and still LD after removing any one detector */
-static int is_redld_def_core(const rlk_ctx *c, const u64 *s, u64 *scratch)
+ALWAYS_INLINE int redld_def(const rlk_ctx *c, int W, const u64 *s, u64 *scratch)
 {
-    if (!characterized(c, c->W, MODE_LD, s, scratch))
+    if (!characterized(c, W, MODE_LD, s, scratch))
         return 0;
-    u64 *sm = scratch + c->W; /* characterized uses the first row only */
-    for (int v = 0; v < c->n; v++) {
-        if (!get(s, v))
-            continue;
-        memcpy(sm, s, c->W * sizeof(u64));
-        sm[v >> 6] ^= (u64)1 << (v & 63);
-        if (!characterized(c, c->W, MODE_LD, sm, scratch))
-            return 0;
-    }
+    u64 *sm = scratch + W; /* characterized uses the first row only */
+    for (int w = 0; w < W; w++)
+        for (u64 m = s[w]; m; m &= m - 1) {
+            memcpy(sm, s, W * sizeof(u64));
+            sm[w] ^= m & -m;
+            if (!characterized(c, W, MODE_LD, sm, scratch))
+                return 0;
+        }
     return 1;
+}
+
+/* The verdict of `mode` on s, built twice from one body, as dfs is: valid_1
+ * for a single word (n <= 64), where W is the literal 1, and valid_w for any
+ * W.  valid picks one by the context's width. */
+ALWAYS_INLINE int valid_body(const rlk_ctx *c, int W, int mode, const u64 *s, u64 *scratch)
+{
+    return mode == MODE_REDLD_DEF ? redld_def(c, W, s, scratch)
+                                  : characterized(c, W, mode, s, scratch);
+}
+
+static int valid_1(const rlk_ctx *c, int mode, const u64 *s, u64 *scratch)
+{
+    return valid_body(c, 1, mode, s, scratch);
+}
+
+static int valid_w(const rlk_ctx *c, int mode, const u64 *s, u64 *scratch)
+{
+    return valid_body(c, c->W, mode, s, scratch);
 }
 
 static int valid(const rlk_ctx *c, int mode, const u64 *s, u64 *scratch)
 {
-    return mode == MODE_REDLD_DEF ? is_redld_def_core(c, s, scratch)
-                                  : characterized(c, c->W, mode, s, scratch);
+    return c->W == 1 ? valid_1(c, mode, s, scratch) : valid_w(c, mode, s, scratch);
 }
 
 /* ---- brute force -------------------------------------------------------- */
 
-/* Minimum valid set by cardinality then lexicographic order: returns its
- * size and writes it to out (W words), or returns -1 when no subset is
- * valid. */
+/* The k-subset after m (0 <= k < n) of the n <= 64 vertices in `full`, in
+ * lexicographic order, the order in which itertools.combinations(range(n),
+ * k) lists them, or 0 when m is the last.  The vertices above h, the highest
+ * vertex not in m, all lie in m, as a block of some t; the next subset moves
+ * p, the highest member below h, up by one and puts the block right after
+ * it.  Every shift is below 64: h <= 63, p < h, and the block's t + 1 bits
+ * end at p + t + 1 <= n - 1. */
+static u64 next_subset(u64 m, u64 full)
+{
+    int h = 63 - __builtin_clzll(full & ~m);
+    u64 below = m & (((u64)1 << h) - 1), block = m >> h >> 1; /* block = 2^t - 1 */
+    if (!below)
+        return 0;
+    int p = 63 - __builtin_clzll(below);
+    return (m & (((u64)1 << p) - 1)) | (block << 1 | 1) << (p + 1);
+}
+
+/* Minimum valid set of a context of n <= 64 vertices by cardinality then
+ * lexicographic order: returns its size and writes it to *out, or returns
+ * -1 when no subset is valid.  Each subset is one word, stepped in place. */
 static int rlk_brute_force_min(const rlk_ctx *c, int mode, u64 *out)
 {
-    int n = c->n, W = c->W, found = -1;
-    u64 *s = malloc(W * sizeof(u64)), *scratch = scratch_new(c);
-    int *idx = malloc((size_t)n * sizeof(int));
-    if (!s || !scratch || !idx) {
-        free(s);
-        free(scratch);
-        free(idx);
-        return RLK_NOMEM;
-    }
-    for (int k = 0; k <= n && found < 0; k++) {
-        for (int i = 0; i < k; i++)
-            idx[i] = i;
-        for (;;) {
-            memset(s, 0, W * sizeof(u64));
-            for (int i = 0; i < k; i++)
-                set(s, idx[i]);
-            if (valid(c, mode, s, scratch)) {
-                memcpy(out, s, W * sizeof(u64));
-                found = k;
-                break;
+    int n = c->n;
+    u64 full = n == 64 ? ~(u64)0 : ((u64)1 << n) - 1, scratch[2];
+    for (int k = 0; k <= n; k++) {
+        u64 s = k == 64 ? ~(u64)0 : ((u64)1 << k) - 1;
+        do {
+            if (valid_1(c, mode, &s, scratch)) {
+                *out = s;
+                return k;
             }
-            /* next combination in lexicographic order */
-            int i = k - 1;
-            while (i >= 0 && idx[i] == i + n - k)
-                i--;
-            if (i < 0)
-                break;
-            idx[i]++;
-            for (int j = i + 1; j < k; j++)
-                idx[j] = idx[j - 1] + 1;
-        }
+        } while (k < n && (s = next_subset(s, full)));
     }
-    free(scratch);
-    free(idx);
-    free(s);
-    return found;
+    return -1;
 }
 
 /* ---- localized pair checks ---------------------------------------------- */
@@ -1342,9 +1354,10 @@ static const int *rlk_tree_orbits(rlk_tree *t)
  * names a vertex at n or above (a predicate's, a scan candidate, a forced
  * set of bnb) raises IndexError; an unknown mode, pair lists of two lengths,
  * a negative count, a domain below 1 x 1 or a lattice kind that is not in
- * LATTICES for dom_candidates, and a detector of mask_of outside 0 .. n - 1
- * raise ValueError; a kind that is not a str raises TypeError, and a domain
- * of more than MAX_CELLS cells OverflowError.  A tree's rows for tree_code and
+ * LATTICES for dom_candidates, a detector of mask_of outside 0 .. n - 1, and
+ * a context of more than 64 vertices for brute_force_min raise ValueError; a
+ * kind that is not a str raises TypeError, and a domain of more than
+ * MAX_CELLS cells OverflowError.  A tree's rows for tree_code and
  * tree_orbits that are not a tuple of tuples of ints raise TypeError, a
  * neighbour out of range IndexError, and rows that are not symmetric or not
  * a tree's ValueError.  The
@@ -1644,16 +1657,43 @@ static PyObject *py_is_redld_def(PyObject *mod, PyObject *const *args, Py_ssize_
 PyDoc_STRVAR(mask_of_doc, "mask_of(n, vertices) -> int\n\n"
              "The mask of the vertices, read once, each an int in 0 .. n - 1.");
 
-/* Items are read with the iterator protocol, one at a time, so the first bad
- * item raises before a later one is read, as in pybits.mask_of.  Each is
- * range-checked as an int before its bit is set: the words grow to the
- * highest vertex seen, never to one out of range. */
+/* The mask of an exact list or tuple whose items are all exact ints naming
+ * vertices below 64, read in place into *m: 1, or 0 for any other input, at
+ * its first item that is not such an int.  Reading such items runs no
+ * Python code, so nothing can resize the list while it is read. */
+static int small_mask(PyObject *seq, long n, u64 *m)
+{
+    if (!PyList_CheckExact(seq) && !PyTuple_CheckExact(seq))
+        return 0;
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    long below = n < 64 ? n : 64;
+    *m = 0;
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
+        int overflow;
+        long v = PyLong_CheckExact(items[i]) ? PyLong_AsLongAndOverflow(items[i], &overflow) : -1;
+        if (v < 0 || v >= below) /* an exact int never raises here; overflow gives -1 */
+            return 0;
+        *m |= (u64)1 << v;
+    }
+    return 1;
+}
+
+/* A list or tuple of small vertices is read in place by small_mask.  Any
+ * other input, or one that small_mask turns down, is read from its first
+ * item with the iterator protocol, one item at a time, so the first bad
+ * item raises before a later one is read, as in pybits.mask_of: small_mask
+ * turns down every item that could raise.  Each is range-checked as an int
+ * before its bit is set: the words grow to the highest vertex seen, never
+ * to one out of range. */
 static PyObject *py_mask_of(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)mod;
     long n;
     if (!nargs_ok("mask_of", nargs, 2) || int_arg(args[0], 0, INT_MAX - 63, &n) < 0)
         return NULL;
+    u64 small;
+    if (small_mask(args[1], n, &small))
+        return PyLong_FromUnsignedLongLong(small);
     PyObject *it = PyObject_GetIter(args[1]), *item, *result = NULL;
     if (!it)
         return NULL;
@@ -1700,7 +1740,8 @@ done:
 }
 
 PyDoc_STRVAR(brute_force_min_doc, "brute_force_min(ctx, mode) -> (size, mask)\n\n"
-             "Minimum valid set by cardinality then lexicographic order, or (-1, 0).");
+             "Minimum valid set by cardinality then lexicographic order, or (-1, 0);\n"
+             "at most 64 vertices.");
 
 static PyObject *py_brute_force_min(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1713,24 +1754,15 @@ static PyObject *py_brute_force_min(PyObject *mod, PyObject *const *args, Py_ssi
     int mode = mode_arg(args[1], MODE_REDLD_DEF), size;
     if (mode < 0)
         return NULL;
-    u64 *out = PyMem_Malloc((size_t)c->W * sizeof(u64));
-    if (!out)
-        return PyErr_NoMemory();
-    Py_BEGIN_ALLOW_THREADS
-    size = rlk_brute_force_min(c, mode, out);
-    Py_END_ALLOW_THREADS
-    PyObject *result = NULL;
-    if (size == RLK_NOMEM)
-        PyErr_NoMemory();
-    else if (size < 0)
-        result = Py_BuildValue("(ii)", -1, 0);
-    else {
-        PyObject *mask = words_int(out, c->W);
-        if (mask)
-            result = Py_BuildValue("(iN)", size, mask);
+    if (c->n > 64) {
+        PyErr_SetString(PyExc_ValueError, "brute force takes at most 64 vertices");
+        return NULL;
     }
-    PyMem_Free(out);
-    return result;
+    u64 out = 0;
+    Py_BEGIN_ALLOW_THREADS
+    size = rlk_brute_force_min(c, mode, &out);
+    Py_END_ALLOW_THREADS
+    return Py_BuildValue("(iK)", size, (unsigned long long)out);
 }
 
 PyDoc_STRVAR(pairs_scan_doc, "pairs_scan(ctx, us, vs, candidates) -> int\n\n"

@@ -6,6 +6,10 @@ This module builds the extension next to its source on first import (see
 `_build.py`), loads it without entering it in `sys.modules`, and re-exports
 its functions.  When it cannot be built or loaded, importing this module
 raises ImportError and backend selection falls back to the pure-Python kernel.
+The predicates and branch and bound have a build for one 64-bit word, which
+every graph of at most 64 vertices uses; brute force, which takes at most 64
+vertices, steps its subsets inside that word.  `mask_of` reads a list or
+tuple of ints below 64 in place, and any other input item by item.
 
 Every kernel name here (`make_ctx`, `mask_of`, `is_ld`, `is_redld`,
 `is_redld_def`, `brute_force_min`, `pairs_scan`, `dom_candidates`, `bnb`,

@@ -187,9 +187,14 @@ def _check_node_budget(node_budget) -> None:
 def brute_force_min(ctx: Ctx, mode: int) -> tuple[int, int]:
     """Minimum valid set by cardinality then lexicographic order.
 
-    Returns (size, mask), or (-1, 0) when no subset is valid.
+    Returns (size, mask), or (-1, 0) when no subset is valid.  The subsets
+    are those of itertools.combinations, in its order, which the compiled
+    kernel steps through in one 64-bit word: both take at most 64 vertices
+    (ValueError), checked after the mode.
     """
     _check_mode(mode, (MODE_LD, MODE_REDLD, MODE_REDLD_DEF))
+    if ctx.n > 64:
+        raise ValueError("brute force takes at most 64 vertices")
     pred = (is_ld, is_redld, is_redld_def)[mode]
     n = ctx.n
     for k in range(n + 1):

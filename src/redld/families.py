@@ -27,6 +27,9 @@ from .verify import DetectorSet
 
 # Largest k-ary tree worth materializing; the deepest table rows reach ~3*10^8 vertices.
 _KARY_BUILD_CAP = 5000
+# Most vertices of a path, cycle or ladder that is built: 10^5 vertices take
+# about 0.3 s and 50 MB (CPython 3.11), and the time and memory grow linearly.
+_LINEAR_BUILD_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -57,10 +60,13 @@ class DensityConstant:
 
 
 def redld_path(n: int) -> FamilyValue:
-    """Optimum ceil((2n+2)/3) on the n-vertex path, with witness."""
+    """Optimum ceil((2n+2)/3) on the n-vertex path, with witness up to
+    _LINEAR_BUILD_CAP vertices."""
     if n < 2:
         raise ValueError("path needs n >= 2")
     opt = tree_lower_bound(n)
+    if n > _LINEAR_BUILD_CAP:
+        return FamilyValue("path", (n,), opt)
     g = build_path(n)
     members = {i - 1 for i in range(1, n + 1) if i % 3 != 0}
     members.update({n - 2, n - 1})
@@ -70,27 +76,32 @@ def redld_path(n: int) -> FamilyValue:
 
 
 def redld_cycle(n: int) -> FamilyValue:
-    """Optimum n for n <= 4, else ceil(2n/3), with witness."""
+    """Optimum n for n <= 4, else ceil(2n/3), with witness up to
+    _LINEAR_BUILD_CAP vertices."""
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    g = build_cycle(n)
     if n <= 4:
-        return FamilyValue("cycle", (n,), n, g, DetectorSet(range(n)))
+        return FamilyValue("cycle", (n,), n, build_cycle(n), DetectorSet(range(n)))
     opt = -(-2 * n // 3)
+    if n > _LINEAR_BUILD_CAP:
+        return FamilyValue("cycle", (n,), opt)
     s = DetectorSet(i - 1 for i in range(1, n + 1) if i % 3 != 0)
     assert len(s) == opt
-    return FamilyValue("cycle", (n,), opt, g, s)
+    return FamilyValue("cycle", (n,), opt, build_cycle(n), s)
 
 
 def redld_ladder(k: int) -> FamilyValue:
     """Optimum k+1 (k odd) or k+2 (k even) on P_k x P_2.
 
     Witness: every vertex in an odd-numbered column, plus both vertices of
-    the last column.
+    the last column, built while the ladder's 2k vertices are at most
+    _LINEAR_BUILD_CAP.
     """
     if k < 1:
         raise ValueError("ladder needs k >= 1")
     opt = k + 1 if k % 2 == 1 else k + 2
+    if 2 * k > _LINEAR_BUILD_CAP:
+        return FamilyValue("ladder", (k,), opt)
     g = build_ladder(k)
     members = set()
     for col in range(k):

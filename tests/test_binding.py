@@ -125,6 +125,51 @@ def test_mask_of_reads_vertices_once(kern):
         kern.mask_of(5, 3)
 
 
+class Vertex(int):
+    """An int subclass, which the C kernel reads through its iterator path."""
+
+
+def mask_of_cases():
+    """(n, make the input) pairs: each kind of container, the items that a
+    list or tuple of small ints read in place turns down, and inputs with two
+    bad items, of which the first is the one to report."""
+    cases = [(n, lambda kind=kind: kind([3, 0, 63, 3])) for n in (64, 130)
+             for kind in (list, tuple, set, lambda xs: (x for x in xs))]
+    cases += [(70, lambda: range(70)), (64, lambda: range(3, 64, 7)), (64, lambda: []),
+              (64, lambda: ())]
+    items = [True, Vertex(5), 64, 127, 2**70, -1, -2**70, 4.0, None]
+    if np is not None:
+        items.append(np.int64(7))
+    for n in (1, 5, 63, 64, 65, 130):
+        for item in items + [n, n - 1]:
+            for kind in (list, tuple):
+                cases.append((n, lambda item=item, kind=kind: kind([0, item, 0])))
+    for n in (5, 64):
+        for first, second in ((70, -1), (-1, 70), (n, 2**70), (4.0, 99), (99, None), (True, 99)):
+            for kind in (list, tuple):
+                cases.append((n, lambda a=first, b=second, kind=kind: kind([1, a, b])))
+    return cases
+
+
+@pytest.mark.parametrize("kern", KERNELS, ids=IDS)
+def test_mask_of_agrees_by_input_kind(kern):
+    # the same int, or the same exception type and message, as pybits gives;
+    # pybits says the mask is the OR of 1 << v over the items in order, and
+    # names the first bad item
+    def outcome(k, n, make):
+        try:
+            return k.mask_of(n, make())
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    outcomes = [outcome(kern, n, make) for n, make in mask_of_cases()]
+    assert outcomes == [outcome(py, n, make) for n, make in mask_of_cases()]
+    assert outcomes[:2] == [1 << 63 | 0b1001] * 2
+    assert (ValueError, "detector 70 out of range for n=5") in outcomes
+    assert (ValueError, "detector -1 out of range for n=64") in outcomes
+    assert 1 << 64 | 1 in outcomes and 1 << 5 | 1 in outcomes
+
+
 # Items of every kind a caller may hand in as a detector: vertex ids in and
 # out of range of every n tried, past 64 bits, bools, numpy ints (what
 # np.flatnonzero gives), and items that are no int at all.
@@ -139,7 +184,8 @@ DETECTOR_ITEMS = st.one_of(
     *((st.integers(-3, 135).map(np.int64), st.integers(0, 255).map(np.uint8))
       if np is not None else ()),
 )
-CONTAINERS = {"list": list, "generator": lambda items: (v for v in items), "set": set}
+CONTAINERS = {"list": list, "tuple": tuple, "generator": lambda items: (v for v in items),
+              "set": set}
 
 
 @needs_c
@@ -527,9 +573,12 @@ def test_calls_leave_no_reference_behind():
     # made at run time, so that each is a str of its own and not a constant
     kind, bad_kind = "".join(["S", "Q"]), "".join(["s", "q"])
     detectors, bad_detectors = (0, 64, 129, 64), (0, 64, n)
+    # read in place, and turned down there then read item by item (9 >= 6)
+    small_detectors, bad_small = [0, 5, 3, 5], [0, 9]
     cycle, list_rows = ((1, 2), (0, 2), (0, 1)), ([1], (0,))
     watched = (adj, adj[0], bad_adj, ctx, pctx, small, mask, wide, us, vs, cands, bad_cands,
-               kind, bad_kind, detectors, bad_detectors, cycle, list_rows)
+               kind, bad_kind, detectors, bad_detectors, small_detectors, bad_small, cycle,
+               list_rows)
     calls = (
         lambda k, c, s: k.make_ctx(adj).n,
         lambda k, c, s: (k.is_ld(c, mask), k.is_redld(c, mask), k.is_redld_def(s, 0b110111)),
@@ -537,7 +586,8 @@ def test_calls_leave_no_reference_behind():
         lambda k, c, s: k.bnb(c, K.MODE_REDLD, mask, 0, n, 0, 3, 0.0),
         lambda k, c, s: k.brute_force_min(s, K.MODE_REDLD),
         lambda k, c, s: k.dom_candidates(kind, 4, 2, 4, 100),
-        lambda k, c, s: (k.mask_of(n, detectors), k.mask_of(6, iter(detectors[:1]))),
+        lambda k, c, s: (k.mask_of(n, detectors), k.mask_of(6, iter(detectors[:1])),
+                         k.mask_of(6, small_detectors)),
         lambda k, c, s: (k.tree_code(adj, mask), k.tree_orbits(adj, mask)),
     )
     raising = (
@@ -548,6 +598,7 @@ def test_calls_leave_no_reference_behind():
         lambda: ck.bnb(ctx, K.MODE_REDLD, wide, 0, n, 0, 3, 0.0),
         lambda: ck.mask_of(n, bad_detectors),
         lambda: ck.mask_of(n, (0, None)),
+        lambda: ck.mask_of(6, bad_small),
         lambda: ck.dom_candidates(bad_kind, 4, 2, 4, 100),
         lambda: ck.dom_candidates(detectors, 4, 2, 4, 100),
         lambda: ck.tree_code(cycle, 0),

@@ -152,6 +152,15 @@ def test_family_path(capsys):
     assert lines[2] == "labels: v_1 v_2 v_4 v_5 v_7 v_8 v_9"
 
 
+def test_family_past_the_build_cap_prints_the_optimum_only(capsys):
+    # a path, cycle or ladder past the build cap is not built: the exact
+    # optimum is printed at once, with no witness line
+    huge = 10**20
+    for family, want in (("path", -(-(2 * huge + 2) // 3)), ("cycle", -(-2 * huge // 3)),
+                         ("ladder", huge + 2)):
+        assert run(capsys, ["family", family, str(huge)])[:2] == (0, f"optimum: {want}\n")
+
+
 def test_family_param_count(capsys):
     code, _, err = run(capsys, ["family", "kary"])
     assert code == 2

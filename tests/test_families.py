@@ -1,7 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
 
+from redld import families
 from redld.families import (
     density_constants,
     kary_order,
@@ -72,6 +74,25 @@ def test_ladder_table():
 def test_ladder_matches_solver():
     for k in range(1, 9):
         assert redld_ladder(k).optimum == min_redld(redld_ladder(k).graph).optimum
+
+
+def test_linear_families_past_the_build_cap_give_the_value_only(monkeypatch):
+    # past _LINEAR_BUILD_CAP vertices the exact optimum comes back at once,
+    # with no graph or witness, as redld_kary does past its cap
+    huge = 10**20
+    start = time.perf_counter()
+    values = [redld_path(huge), redld_cycle(huge), redld_ladder(huge)]
+    assert time.perf_counter() - start < 1.0
+    assert [fv.optimum for fv in values] == [-(-(2 * huge + 2) // 3), -(-2 * huge // 3), huge + 2]
+    assert all(fv.graph is None and fv.construction is None for fv in values)
+    # the cap counts vertices: a ladder on k columns has 2k
+    monkeypatch.setattr(families, "_LINEAR_BUILD_CAP", 12)
+    for build, table, inside, past in ((redld_path, PATH, 12, 13), (redld_cycle, CYCLE, 12, 13),
+                                       (redld_ladder, LADDER, 6, 7)):
+        fv = build(inside)
+        assert fv.graph.n == 12 and is_redld_set(fv.graph, fv.construction).ok
+        fv = build(past)
+        assert (fv.optimum, fv.graph, fv.construction) == (table[past], None, None)
 
 
 def test_param_validation():

@@ -20,6 +20,7 @@ from redld.graph import Graph
 from redld.grids import LatticeKind
 from redld.satreduce import SatInstance, build_reduction
 from redld.solver import _ld_lower_bound, _redld_lower_bound
+from redld.trees import random_tree
 
 try:
     import redld._kernels._ckern as ck
@@ -69,13 +70,40 @@ def test_predicates_agree():
 
 @needs_c
 def test_brute_force_agrees():
+    # the same (size, mask) in all three modes: C steps its subsets in one
+    # word, pybits takes them from itertools.combinations, in the order the
+    # oracle is defined by.  Random graphs and trees up to n = 12, and graphs
+    # with no valid set in the RED:LD modes: (-1, 0) after every subset
     rng = random.Random(2)
-    for _ in range(25):
-        n = rng.randint(2, 9)
-        adj = random_adj(n, rng.uniform(0.2, 0.7), rng)
+    graphs = [random_adj(rng.randint(2, 9), rng.uniform(0.2, 0.7), rng) for _ in range(25)]
+    graphs += [random_adj(rng.randint(10, 12), rng.uniform(0.15, 0.7), rng) for _ in range(40)]
+    graphs += [random_tree(rng.randint(2, 12), rng).adj for _ in range(60)]
+    graphs += [[[]], [[], []], [[1], [0], []], [*random_adj(11, 0.3, rng), []]]
+    for adj in graphs:
+        cp, cc = py.make_ctx(adj), ck.make_ctx(adj)
         for mode in (K.MODE_LD, K.MODE_REDLD, K.MODE_REDLD_DEF):
-            assert py.brute_force_min(py.make_ctx(adj), mode) == \
-                ck.brute_force_min(ck.make_ctx(adj), mode)
+            assert py.brute_force_min(cp, mode) == ck.brute_force_min(cc, mode), (adj, mode)
+
+
+@needs_c
+def test_brute_force_fills_the_word():
+    # the C subsets fill all 64 bits of their word: no LD set of k <= 5 of
+    # 64 vertices exists (its 64 - k non-detectors need distinct nonempty
+    # traces, at most 2**k - 1), so brute force steps through all 8.3M of
+    # them, then through the 6-sets in lexicographic order, where A is the
+    # first that is LD: the 58 6-sets before it, (0, 1, 2, 3, 4, x), are not.
+    # CI runs this under UBSan, which checks every shift and bit scan at n = 64
+    A = (0, 1, 2, 3, 4, 63)
+    traces = [c for k in range(1, 7) for c in combinations(A, k)]
+    adj = [set() for _ in range(64)]
+    for v, trace in zip(range(5, 63), traces):
+        for d in trace:
+            adj[v].add(d)
+            adj[d].add(v)
+    cp = py.make_ctx(adj)
+    assert py.is_ld(cp, sum(1 << v for v in A))
+    assert not any(py.is_ld(cp, 0b11111 | 1 << x) for x in range(5, 63))
+    assert ck.brute_force_min(ck.make_ctx(adj), K.MODE_LD) == (6, 0b11111 | 1 << 63)
 
 
 @needs_c
@@ -347,6 +375,13 @@ def test_backends_reject_the_same_bad_input(kern):
     for mode in (-1, 3):
         with pytest.raises(ValueError, match="unknown mode"):
             kern.brute_force_min(ctx, mode)
+    # brute force takes one word of vertices, checked after the mode
+    wide = kern.make_ctx([[w for w in (v - 1, v + 1) if 0 <= w < 65] for v in range(65)])
+    for mode in (K.MODE_LD, K.MODE_REDLD, K.MODE_REDLD_DEF):
+        with pytest.raises(ValueError, match="^brute force takes at most 64 vertices$"):
+            kern.brute_force_min(wide, mode)
+    with pytest.raises(ValueError, match="unknown mode"):
+        kern.brute_force_min(wide, 3)
     # bnb searches by the characterization only: no removal-definition mode;
     # a mode is an int
     for mode in (-1, K.MODE_REDLD_DEF, 7, 1.0):
