@@ -4,7 +4,10 @@ Both backends have the same entry points: `make_ctx` builds a graph's
 context; `mask_of` turns an iterable of vertices into a mask, range-checked
 (C reads a list or tuple of ints below 64 in place, anything else item by
 item, with the same results and errors); the predicates `is_ld`, `is_redld`
-and `is_redld_def` judge a mask; `brute_force_min` (at most 64 vertices),
+and `is_redld_def` judge a mask; `report(cls, ctx, mode, g, mask)` judges it
+in a mode and returns an instance of `cls`, a subclass of the backend's
+verification report type `Report`, which holds the mode's name, the verdict,
+the graph and the mask; `brute_force_min` (at most 64 vertices),
 `pairs_scan`, `dom_candidates` and `bnb` search; and
 `tree_code` and `tree_orbits` give a tree's canonical code and the least
 vertex of each automorphism orbit, the tree given by its rows and a mask
@@ -50,6 +53,8 @@ mask_of = _impl.mask_of
 is_ld = _impl.is_ld
 is_redld = _impl.is_redld
 is_redld_def = _impl.is_redld_def
+Report = _impl.Report
+report = _impl.report
 brute_force_min = _impl.brute_force_min
 pairs_scan = _impl.pairs_scan
 bnb = _impl.bnb

@@ -70,8 +70,17 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h> /* first: it sets the feature macros of the C library */
+/* Python.h names the member types Py_T_* from 3.12 on, where the old names
+ * of structmember.h are deprecated */
+#if PY_VERSION_HEX < 0x030C0000
+#include <structmember.h>
+#define Py_T_OBJECT_EX T_OBJECT_EX
+#define Py_T_BOOL T_BOOL
+#define Py_READONLY READONLY
+#endif
 
 #include <limits.h>
+#include <stddef.h> /* offsetof, for the report's members */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -1349,8 +1358,9 @@ static const int *rlk_tree_orbits(rlk_tree *t)
  *
  * Every function takes positional arguments only (METH_FASTCALL) and checks
  * each one before the kernel reads it, so that no input crashes the process
- * and bad input raises what pybits.py raises: a context that is not a Ctx or
- * a mask that is not an int raises TypeError; a mask that is negative or
+ * and bad input raises what pybits.py raises: a context that is not a Ctx, a
+ * mask that is not an int, or a class for report that is not Report or a
+ * subclass of it raises TypeError; a mask that is negative or
  * names a vertex at n or above (a predicate's, a scan candidate, a forced
  * set of bnb) raises IndexError; an unknown mode, pair lists of two lengths,
  * a negative count, a domain below 1 x 1 or a lattice kind that is not in
@@ -1612,6 +1622,21 @@ static PyObject *py_make_ctx(PyObject *mod, PyObject *const *args, Py_ssize_t na
  * many words per row, 1024 vertices. */
 #define STACK_WORDS 16
 
+/* Whether the int mask is a valid set of the mode on c: 1 or 0, or -1 with
+ * the exception of mask_words (or MemoryError) set. */
+static int verdict(const rlk_ctx *c, int mode, PyObject *mask)
+{
+    u64 stack[3 * STACK_WORDS], *s = stack;
+    if (c->W > STACK_WORDS && !(s = PyMem_Malloc(3 * (size_t)c->W * sizeof(u64)))) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    int ok = mask_words(mask, c->n, s) == 0 ? valid(c, mode, s, s + c->W) : -1;
+    if (s != stack)
+        PyMem_Free(s);
+    return ok;
+}
+
 static PyObject *predicate(const char *name, int mode, PyObject *const *args, Py_ssize_t nargs)
 {
     if (!nargs_ok(name, nargs, 2))
@@ -1619,15 +1644,8 @@ static PyObject *predicate(const char *name, int mode, PyObject *const *args, Py
     const rlk_ctx *c = ctx_arg(args[0]);
     if (!c)
         return NULL;
-    u64 stack[3 * STACK_WORDS], *s = stack;
-    if (c->W > STACK_WORDS && !(s = PyMem_Malloc(3 * (size_t)c->W * sizeof(u64))))
-        return PyErr_NoMemory();
-    PyObject *result = NULL;
-    if (mask_words(args[1], c->n, s) == 0)
-        result = PyBool_FromLong(valid(c, mode, s, s + c->W));
-    if (s != stack)
-        PyMem_Free(s);
-    return result;
+    int ok = verdict(c, mode, args[1]);
+    return ok < 0 ? NULL : PyBool_FromLong(ok);
 }
 
 PyDoc_STRVAR(is_ld_doc, "is_ld(ctx, s) -> bool\n\nWhether the mask s is an LD set.");
@@ -1652,6 +1670,138 @@ static PyObject *py_is_redld_def(PyObject *mod, PyObject *const *args, Py_ssize_
 {
     (void)mod;
     return predicate("is_redld_def", MODE_REDLD_DEF, args, nargs);
+}
+
+/* A verification report: the name of the mode checked, the verdict, and the
+ * graph and mask that were checked, all read-only, with a writable cache
+ * _violations, None when made, for a subclass that lists the violations on
+ * demand (redld.verify.VerificationReport).  Report(mode, ok, g, mask) and
+ * report() fill it in C, so making one runs no Python code.  A report holds
+ * its graph, which the collector must then see: the type is a GC type. */
+typedef struct {
+    PyObject_HEAD
+    PyObject *mode, *g, *mask, *violations;
+    char ok;
+} ReportObject;
+
+/* "ld", "redld" and "redld-def", by mode: interned in exec_module */
+static PyObject *mode_names[MODE_REDLD_DEF + 1];
+
+static PyObject *report_make(PyTypeObject *cls, PyObject *mode, int ok, PyObject *g,
+                             PyObject *mask)
+{
+    ReportObject *self = (ReportObject *)cls->tp_alloc(cls, 0);
+    if (!self)
+        return NULL;
+    self->mode = Py_NewRef(mode);
+    self->g = Py_NewRef(g);
+    self->mask = Py_NewRef(mask);
+    self->violations = Py_NewRef(Py_None);
+    self->ok = (char)ok;
+    return (PyObject *)self;
+}
+
+static PyObject *report_new(PyTypeObject *cls, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"mode", "ok", "g", "mask", NULL};
+    PyObject *mode, *g, *mask;
+    int ok;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OpOO:Report", kwlist, &mode, &ok, &g, &mask))
+        return NULL;
+    return report_make(cls, mode, ok, g, mask);
+}
+
+static int report_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    ReportObject *r = (ReportObject *)self;
+    Py_VISIT(r->mode);
+    Py_VISIT(r->g);
+    Py_VISIT(r->mask);
+    Py_VISIT(r->violations);
+    return 0;
+}
+
+static int report_clear(PyObject *self)
+{
+    ReportObject *r = (ReportObject *)self;
+    Py_CLEAR(r->mode);
+    Py_CLEAR(r->g);
+    Py_CLEAR(r->mask);
+    Py_CLEAR(r->violations);
+    return 0;
+}
+
+static void report_dealloc(PyObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    report_clear(self);
+    Py_TYPE(self)->tp_free(self);
+}
+
+/* copy and pickle make a report again from its four fields, as the
+ * constructor takes them; the cache is not carried */
+static PyObject *report_reduce(PyObject *self, PyObject *unused)
+{
+    (void)unused;
+    ReportObject *r = (ReportObject *)self;
+    return Py_BuildValue("O(OOOO)", Py_TYPE(self), r->mode, r->ok ? Py_True : Py_False, r->g,
+                         r->mask);
+}
+
+static PyMethodDef report_methods[] = {
+    {"__reduce__", report_reduce, METH_NOARGS, NULL},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef report_members[] = {
+    {"mode", Py_T_OBJECT_EX, offsetof(ReportObject, mode), Py_READONLY, "the mode's name"},
+    {"ok", Py_T_BOOL, offsetof(ReportObject, ok), Py_READONLY, "the verdict"},
+    {"_g", Py_T_OBJECT_EX, offsetof(ReportObject, g), Py_READONLY, "the graph checked"},
+    {"_mask", Py_T_OBJECT_EX, offsetof(ReportObject, mask), Py_READONLY, "the mask checked"},
+    {"_violations", Py_T_OBJECT_EX, offsetof(ReportObject, violations), 0,
+     "the violations once listed, else None"},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyTypeObject ReportType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "redld._kernels._ckern.Report",
+    .tp_basicsize = sizeof(ReportObject),
+    .tp_dealloc = report_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "Report(mode, ok, g, mask): a verification's mode name, verdict, graph and\n"
+              "mask, read-only, and a writable _violations cache, None when made.",
+    .tp_traverse = report_traverse,
+    .tp_clear = report_clear,
+    .tp_methods = report_methods,
+    .tp_members = report_members,
+    .tp_new = report_new,
+};
+
+PyDoc_STRVAR(report_doc, "report(cls, ctx, mode, g, mask) -> cls\n\n"
+             "The report of the mask on the graph g, whose context is ctx, in the mode:\n"
+             "an instance of cls, Report or a subclass of it, made without calling cls.");
+
+/* The checks of predicate(), in its order, with the class first and the mode
+ * before the mask, as pybits.report makes them. */
+static PyObject *py_report(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)mod;
+    if (!nargs_ok("report", nargs, 5))
+        return NULL;
+    PyObject *cls = args[0];
+    if (!PyType_Check(cls) || !PyType_IsSubtype((PyTypeObject *)cls, &ReportType)) {
+        PyErr_Format(PyExc_TypeError, "cls must be a subclass of Report, not %R", cls);
+        return NULL;
+    }
+    const rlk_ctx *c = ctx_arg(args[1]);
+    if (!c)
+        return NULL;
+    int mode = mode_arg(args[2], MODE_REDLD_DEF);
+    if (mode < 0)
+        return NULL;
+    int ok = verdict(c, mode, args[4]);
+    return ok < 0 ? NULL : report_make((PyTypeObject *)cls, mode_names[mode], ok, args[3], args[4]);
 }
 
 PyDoc_STRVAR(mask_of_doc, "mask_of(n, vertices) -> int\n\n"
@@ -2107,6 +2257,7 @@ static PyMethodDef methods[] = {
     {"is_ld", FASTCALL(py_is_ld), is_ld_doc},
     {"is_redld", FASTCALL(py_is_redld), is_redld_doc},
     {"is_redld_def", FASTCALL(py_is_redld_def), is_redld_def_doc},
+    {"report", FASTCALL(py_report), report_doc},
     {"brute_force_min", FASTCALL(py_brute_force_min), brute_force_min_doc},
     {"pairs_scan", FASTCALL(py_pairs_scan), pairs_scan_doc},
     {"dom_candidates", FASTCALL(py_dom_candidates), dom_candidates_doc},
@@ -2118,9 +2269,15 @@ static PyMethodDef methods[] = {
 
 static int exec_module(PyObject *mod)
 {
-    if (PyType_Ready(&CtxType) < 0)
+    static const char *const names[] = {"ld", "redld", "redld-def"};
+    for (int m = 0; m <= MODE_REDLD_DEF; m++)
+        if (!mode_names[m] && !(mode_names[m] = PyUnicode_InternFromString(names[m])))
+            return -1;
+    if (PyType_Ready(&CtxType) < 0 || PyType_Ready(&ReportType) < 0)
         return -1;
-    return PyModule_AddObjectRef(mod, "Ctx", (PyObject *)&CtxType);
+    if (PyModule_AddObjectRef(mod, "Ctx", (PyObject *)&CtxType) < 0)
+        return -1;
+    return PyModule_AddObjectRef(mod, "Report", (PyObject *)&ReportType);
 }
 
 static PyModuleDef_Slot slots[] = {

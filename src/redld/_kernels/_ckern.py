@@ -12,10 +12,12 @@ vertices, steps its subsets inside that word.  `mask_of` reads a list or
 tuple of ints below 64 in place, and any other input item by item.
 
 Every kernel name here (`make_ctx`, `mask_of`, `is_ld`, `is_redld`,
-`is_redld_def`, `brute_force_min`, `pairs_scan`, `dom_candidates`, `bnb`,
-`tree_code`, `tree_orbits`) is the extension's own function: a call is one
-call into C, which checks its arguments there and raises the exceptions
-pybits.py raises.  The predicates and the tree functions keep the GIL;
+`is_redld_def`, `report`, `brute_force_min`, `pairs_scan`, `dom_candidates`,
+`bnb`, `tree_code`, `tree_orbits`) is the extension's own function: a call
+is one call into C, which checks its arguments there and raises the
+exceptions pybits.py raises.  `Report` is the extension's type of the
+verification report, which `report` fills in C, running no Python code.
+The predicates, `report` and the tree functions keep the GIL;
 `brute_force_min`, `pairs_scan`, `dom_candidates` and `bnb` release it while
 they search.  A context is read-only once made, so several threads can use
 one at once.  `dom_candidates` folds a lattice's constraints and pair
@@ -47,11 +49,13 @@ def _load():
 _ext = _load()
 
 Ctx = _ext.Ctx
+Report = _ext.Report
 make_ctx = _ext.make_ctx
 mask_of = _ext.mask_of
 is_ld = _ext.is_ld
 is_redld = _ext.is_redld
 is_redld_def = _ext.is_redld_def
+report = _ext.report
 brute_force_min = _ext.brute_force_min
 pairs_scan = _ext.pairs_scan
 dom_candidates = _ext.dom_candidates

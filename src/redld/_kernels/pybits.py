@@ -1,12 +1,13 @@
-"""Pure-Python kernel backend: bitmask predicates, brute force, branch and
-bound, the grid candidate walk, and tree codes and orbits.
+"""Pure-Python kernel backend: bitmask predicates and the verification
+reports built on them, brute force, branch and bound, the grid candidate
+walk, and tree codes and orbits.
 
 Vertex sets are Python ints used as bitmasks. The compiled backend implements
 the same algorithms with the same deterministic decision order, so search node
 counts are identical across backends.
 
 Modes: 0 = LD, 1 = RED:LD via the three-condition characterization,
-2 = RED:LD via the removal definition (brute force only).
+2 = RED:LD via the removal definition (not taken by branch and bound).
 """
 
 from __future__ import annotations
@@ -123,6 +124,51 @@ def is_redld_def(ctx: Ctx, s: int) -> bool:
             return False
         m ^= b
     return True
+
+
+class Report:
+    """A verification's mode name, verdict, and the graph and mask that were
+    checked, all read-only, and a writable cache `_violations`, None when
+    made.  `Report(mode, ok, g, mask)` stores `bool(ok)`; `report` makes one
+    without calling the class.  The compiled kernel's Report is its twin."""
+
+    __slots__ = ("_fields", "_violations")
+
+    def __new__(cls, mode, ok, g, mask):
+        self = object.__new__(cls)
+        self._fields = (mode, bool(ok), g, mask)
+        self._violations = None
+        return self
+
+    mode = property(lambda self: self._fields[0], doc="the mode's name")
+    ok = property(lambda self: self._fields[1], doc="the verdict")
+    _g = property(lambda self: self._fields[2], doc="the graph checked")
+    _mask = property(lambda self: self._fields[3], doc="the mask checked")
+
+    def __reduce__(self):
+        # copy and pickle make it again from its fields; the cache is not carried
+        return type(self), self._fields
+
+
+_MODE_NAMES = ("ld", "redld", "redld-def")
+_PREDICATES = (is_ld, is_redld, is_redld_def)
+
+
+def report(cls, ctx: Ctx, mode: int, g, mask: int) -> Report:
+    """The report of `mask` on the graph `g`, whose context is `ctx`, in
+    `mode`: an instance of `cls`, Report or a subclass of it, named "ld",
+    "redld" or "redld-def" by the mode.  The checks, in order: `cls`
+    (TypeError), `ctx` (TypeError), the mode (ValueError), then the mask as
+    the predicates check it."""
+    if not (isinstance(cls, type) and issubclass(cls, Report)):
+        raise TypeError(f"cls must be a subclass of Report, not {cls!r}")
+    if not isinstance(ctx, Ctx):
+        raise TypeError(f"expected a context made by this kernel's make_ctx, not "
+                        f"{type(ctx).__name__}")
+    _check_mode(mode, (MODE_LD, MODE_REDLD, MODE_REDLD_DEF))
+    # Report.__new__ itself, so that neither a subclass's __new__ nor its
+    # __init__ runs, as in C
+    return Report.__new__(cls, _MODE_NAMES[mode], _PREDICATES[mode](ctx, mask), g, mask)
 
 
 def _check_mode(mode: int, modes: tuple[int, ...]) -> None:

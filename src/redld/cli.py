@@ -72,8 +72,25 @@ def cmd_solve(args) -> RunReport:
     return RunReport("\n".join(lines), OK)
 
 
+# CPython (3.10.7 on) refuses str() of an int past sys.get_int_max_str_digits()
+# digits, 4,300 by default and never set below 640; the limit is shared by
+# the whole interpreter, so an optimum is converted in parts below it instead.
+_DIGITS_PER_PART = 512
+
+
+def _decimal(x: int) -> str:
+    """The decimal digits of x >= 0, however many there are."""
+    if x < 10 ** _DIGITS_PER_PART:
+        return str(x)
+    e = _DIGITS_PER_PART
+    while x >= 10 ** (2 * e):
+        e *= 2
+    high, low = divmod(x, 10 ** e)
+    return _decimal(high) + _decimal(low).zfill(e)
+
+
 def _family_report(value: families.FamilyValue) -> RunReport:
-    lines = [f"optimum: {value.optimum}"]
+    lines = [f"optimum: {_decimal(value.optimum)}"]
     if value.construction is not None and value.graph is not None:
         lines.append(_witness_line(value.graph, value.construction))
     return RunReport("\n".join(lines), OK)

@@ -73,13 +73,17 @@ class DetectorSet:
 Violation = tuple[str, tuple[int, ...]]
 
 
-class VerificationReport:
+class VerificationReport(K.Report):
     """Outcome of one verification: mode, verdict, and all violations.
 
-    The verdict comes from the kernel; the report keeps the graph and the
-    mask that were checked.  The violations are listed by the set-based
-    lister of the mode, looked up on first access to `violations`, and only
-    when the verdict fails; an ok report has none and runs no lister.
+    A check is two kernel calls: `mask_of` builds and range-checks the mask,
+    then `report` judges it and makes this report, filling the fields of the
+    kernel's Report type, whose `mode`, `ok`, graph and mask are read-only;
+    constructing one, `VerificationReport(mode, ok, g, mask)`, fills them the
+    same way.  The violations are listed by the set-based lister of the
+    mode, looked up on first access to `violations` and kept in the type's
+    `_violations` slot, and only when the verdict fails; an ok report has
+    none and runs no lister.
 
     Violation witnesses: (v,) for domination/existence conditions, (u, v) for
     pair conditions. For the removal-definition check the witness is prefixed
@@ -87,14 +91,7 @@ class VerificationReport:
     LD conditions on S − {r}.
     """
 
-    __slots__ = ("mode", "ok", "_g", "_mask", "_violations")
-
-    def __init__(self, mode: str, ok: bool, g: Graph, mask: int):
-        self.mode = mode
-        self.ok = ok
-        self._g = g
-        self._mask = mask
-        self._violations: list[Violation] | None = None
+    __slots__ = ()
 
     @property
     def violations(self) -> list[Violation]:
@@ -145,25 +142,26 @@ def _members(mask: int) -> frozenset[int]:
 
 
 # The checks below take any iterable of vertex ids (numpy ints too): the
-# kernel's mask_of reads it once and range-checks each one before its shift.
+# kernel's mask_of reads it once and range-checks each one before its shift,
+# so a bad detector raises before the graph's context is built.
 
 
 def is_ld_set(g: Graph, s: Iterable[int]) -> VerificationReport:
     """LD check: domination of non-detectors plus pairwise distinct traces."""
     mask = K.mask_of(g.n, s)
-    return VerificationReport("ld", K.is_ld(g.kernel_ctx(), mask), g, mask)
+    return K.report(VerificationReport, g.kernel_ctx(), K.MODE_LD, g, mask)
 
 
 def is_redld_set(g: Graph, s: Iterable[int]) -> VerificationReport:
     """RED:LD check through the three-condition characterization."""
     mask = K.mask_of(g.n, s)
-    return VerificationReport("redld", K.is_redld(g.kernel_ctx(), mask), g, mask)
+    return K.report(VerificationReport, g.kernel_ctx(), K.MODE_REDLD, g, mask)
 
 
 def is_redld_by_definition(g: Graph, s: Iterable[int]) -> VerificationReport:
     """RED:LD check straight from the definition: S and every S − {v} are LD."""
     mask = K.mask_of(g.n, s)
-    return VerificationReport("redld-def", K.is_redld_def(g.kernel_ctx(), mask), g, mask)
+    return K.report(VerificationReport, g.kernel_ctx(), K.MODE_REDLD_DEF, g, mask)
 
 
 # The set-based listers below name every violation of a failed check.  They

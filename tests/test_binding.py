@@ -4,7 +4,9 @@ arguments, no reference leaks on the paths that return or raise, and time
 limits on both backends.  tests/test_kernels.py has the rest of the
 agreement tests and the bad input both backends reject alike."""
 
+import copy
 import gc
+import pickle
 import sys
 from itertools import combinations, product
 
@@ -67,12 +69,18 @@ def test_verdicts_run_no_python_frame_of_the_kernel():
     # every kernel name of the compiled backend, and of the selected backend
     # when that is it, is the extension's own function; the extension is not
     # entered in sys.modules under a name of its own
-    for name in ("make_ctx", "mask_of", "is_ld", "is_redld", "is_redld_def", "brute_force_min",
-                 "pairs_scan", "dom_candidates", "bnb", "tree_code", "tree_orbits"):
+    for name in ("make_ctx", "mask_of", "is_ld", "is_redld", "is_redld_def", "report",
+                 "brute_force_min", "pairs_scan", "dom_candidates", "bnb", "tree_code",
+                 "tree_orbits"):
         assert getattr(ck, name) is getattr(ck._ext, name)
         assert type(getattr(ck, name)).__name__ == "builtin_function_or_method"
         if K.BACKEND == "c":
             assert getattr(K, name) is getattr(ck._ext, name)
+    # the report type is the extension's own, so constructing one runs no
+    # Python __new__ or __init__
+    assert ck.Report is ck._ext.Report and "__init__" not in vars(ck.Report)
+    if K.BACKEND == "c":
+        assert K.Report is ck.Report
     assert not [key for key, mod in sys.modules.items() if mod is ck._ext]
 
 
@@ -283,6 +291,106 @@ def test_backends_judge_the_same_masks(args):
             got = outcome(getattr(py, name), cp, mask)
             assert got == outcome(getattr(ck, name), cc, mask), (name, mask)
             assert isinstance(got, (bool, tuple))
+
+
+@pytest.mark.parametrize("kern", KERNELS, ids=IDS)
+def test_report_holds_the_verdict_in_read_only_fields(kern):
+    class Sub(kern.Report):
+        __slots__ = ()
+        inits = []
+
+        def __init__(self, *args):
+            Sub.inits.append(args)
+
+    g, ctx = object(), kern.make_ctx(path_adj(3))
+    for mode, name, pred in ((K.MODE_LD, "ld", kern.is_ld), (K.MODE_REDLD, "redld", kern.is_redld),
+                             (K.MODE_REDLD_DEF, "redld-def", kern.is_redld_def), (True, "redld",
+                                                                                  kern.is_redld)):
+        for mask in range(8):
+            for cls in (kern.Report, Sub):
+                rep = kern.report(cls, ctx, mode, g, mask)
+                assert type(rep) is cls
+                assert (rep.mode, rep.ok, rep._g, rep._mask, rep._violations) == \
+                    (name, pred(ctx, mask), g, mask, None)
+    assert Sub.inits == []  # report() calls no __init__
+    made = kern.Report(mode="ld", ok=2, g=g, mask=5)
+    assert (made.mode, made.ok, made._g, made._mask, made._violations) == ("ld", True, g, 5, None)
+    assert kern.Report("ld", [], g, 5).ok is False
+    for rep in (made, kern.report(Sub, ctx, K.MODE_REDLD, g, 0b111)):
+        for name in ("mode", "ok", "_g", "_mask"):
+            before = getattr(rep, name)
+            with pytest.raises(AttributeError):
+                setattr(rep, name, False)
+            with pytest.raises(AttributeError):
+                delattr(rep, name)
+            assert getattr(rep, name) is before
+        rep._violations = [("DOM2", (0,))]  # the one writable slot, a cache
+        assert rep._violations == [("DOM2", (0,))]
+        with pytest.raises(AttributeError):
+            rep.other = 1
+        # a copy is made from the four fields, without the cache
+        twin = copy.copy(rep)
+        assert type(twin) is type(rep) and twin is not rep
+        assert (twin.mode, twin.ok, twin._g, twin._mask, twin._violations) == \
+            (rep.mode, rep.ok, g, rep._mask, None)
+    back = pickle.loads(pickle.dumps(kern.Report("redld-def", False, (1, 2), 6)))
+    assert (back.mode, back.ok, back._g, back._mask, back._violations) == \
+        ("redld-def", False, (1, 2), 6, None)
+
+
+def report_cases(kern):
+    """report() argument lists for kern, whose class and context stand in
+    for "R" and "ctx": valid ones, one fault each (class, context, mode,
+    mask), and two faults, of which the first named is the one to raise."""
+    ctx = kern.make_ctx(path_adj(3))
+    other = (ck if kern is py else py).make_ctx(path_adj(3))
+    cases = [(kern.Report, ctx, mode, "g", mask) for mode in (0, 1, 2, True, False)
+             for mask in (0, 0b101, 0b111)]
+    for cls in (int, None, "Report", object):
+        cases.append((cls, ctx, K.MODE_REDLD, "g", 0b111))
+    for c in (None, 5, other, path_adj(3)):
+        cases.append((kern.Report, c, K.MODE_REDLD, "g", 0b111))
+    for mode in (3, -1, 1.0, None, 2**70, "1"):
+        cases.append((kern.Report, ctx, mode, "g", 0b111))
+    for mask in (0b1000, -1, 2**70, 1.0, None):
+        cases.append((kern.Report, ctx, K.MODE_REDLD, "g", mask))
+    cases += [(int, None, K.MODE_REDLD, "g", 0b111), (kern.Report, None, 3, "g", 0b111),
+              (kern.Report, ctx, 3, "g", -1), (None, ctx, K.MODE_REDLD, "g", None)]
+    return cases
+
+
+@needs_c
+def test_backends_report_alike():
+    # the same fields, or the same exception type and message, in the same
+    # order of checks
+    def outcome(kern, args):
+        try:
+            rep = kern.report(*args)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return type(rep) is kern.Report, rep.mode, rep.ok, rep._g, rep._mask, rep._violations
+
+    got = [outcome(ck, args) for args in report_cases(ck)]
+    assert got == [outcome(py, args) for args in report_cases(py)]
+    assert (True, "redld-def", True, "g", 0b111, None) in got
+    assert (TypeError, "cls must be a subclass of Report, not <class 'int'>") in got
+    assert (TypeError, "expected a context made by this kernel's make_ctx, not Ctx") in got
+    for kern in (py, ck):
+        with pytest.raises(TypeError):
+            kern.report(kern.Report, kern.make_ctx(path_adj(3)), K.MODE_REDLD, "g")
+
+
+@needs_c
+def test_c_report_rejects_a_class_that_is_no_report():
+    # a class whose instances are not laid out as a Report, given to the C
+    # kernel, raises instead of being written into
+    ctx = ck.make_ctx(path_adj(3))
+    instance = ck.Report("redld", True, None, 0b111)
+    for cls in (int, object, py.Report, type("Sub", (py.Report,), {"__slots__": ()}),
+                type("Look", (), {"__slots__": ("mode", "ok", "_g", "_mask", "_violations")}),
+                instance, "Report", None):
+        with pytest.raises(TypeError, match="^cls must be a subclass of Report, not "):
+            ck.report(cls, ctx, K.MODE_REDLD, None, 0b111)
 
 
 @pytest.mark.parametrize("kern", KERNELS, ids=IDS)
@@ -576,9 +684,19 @@ def test_calls_leave_no_reference_behind():
     # read in place, and turned down there then read item by item (9 >= 6)
     small_detectors, bad_small = [0, 5, 3, 5], [0, 9]
     cycle, list_rows = ((1, 2), (0, 2), (0, 1)), ([1], (0,))
+    # a report holds its graph, its mask and its class (a heap type, as
+    # VerificationReport is), and its cache once set: each is released with it
+    graph, cache = ["graph"], [("DOM2", (0,))]
+    reports = {py: type("Rep", (py.Report,), {"__slots__": ()}),
+               ck: type("Rep", (ck.Report,), {"__slots__": ()})}
+
+    def fields(rep):
+        rep._violations = cache
+        return type(rep).__name__, rep.mode, rep.ok, rep._g is graph, rep._mask == mask
+
     watched = (adj, adj[0], bad_adj, ctx, pctx, small, mask, wide, us, vs, cands, bad_cands,
                kind, bad_kind, detectors, bad_detectors, small_detectors, bad_small, cycle,
-               list_rows)
+               list_rows, graph, cache, reports[ck])
     calls = (
         lambda k, c, s: k.make_ctx(adj).n,
         lambda k, c, s: (k.is_ld(c, mask), k.is_redld(c, mask), k.is_redld_def(s, 0b110111)),
@@ -589,6 +707,9 @@ def test_calls_leave_no_reference_behind():
         lambda k, c, s: (k.mask_of(n, detectors), k.mask_of(6, iter(detectors[:1])),
                          k.mask_of(6, small_detectors)),
         lambda k, c, s: (k.tree_code(adj, mask), k.tree_orbits(adj, mask)),
+        lambda k, c, s: (fields(k.report(reports[k], c, K.MODE_REDLD, graph, mask)),
+                         fields(k.report(k.Report, s, K.MODE_REDLD_DEF, graph, 0b110111)),
+                         fields(reports[k]("redld", True, graph, mask))),
     )
     raising = (
         lambda: ck.make_ctx(bad_adj),
@@ -605,6 +726,11 @@ def test_calls_leave_no_reference_behind():
         lambda: ck.tree_orbits(adj, wide),
         lambda: ck.tree_code(bad_adj, 0),
         lambda: ck.tree_orbits(list_rows, 0),
+        lambda: ck.report(reports[ck], ctx, K.MODE_REDLD, graph, wide),
+        lambda: ck.report(reports[py], ctx, K.MODE_REDLD, graph, mask),
+        lambda: ck.report(reports[ck], pctx, K.MODE_REDLD, graph, mask),
+        lambda: ck.report(reports[ck], ctx, 3, graph, mask),
+        lambda: reports[ck]("redld", True, graph),
     )
     expected = [call(py, pctx, py.make_ctx(path_adj(6))) for call in calls]
 

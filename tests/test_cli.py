@@ -1,7 +1,10 @@
+import sys
+
 import pytest
 
-from redld import grids, satreduce
+from redld import cli, grids, satreduce
 from redld.cli import main
+from redld.families import kary_value
 from redld.graph import build_path, build_petersen, render_edge_list
 
 P7_CNF = """p cnf 3 2
@@ -159,6 +162,29 @@ def test_family_past_the_build_cap_prints_the_optimum_only(capsys):
     for family, want in (("path", -(-(2 * huge + 2) // 3)), ("cycle", -(-2 * huge // 3)),
                          ("ladder", huge + 2)):
         assert run(capsys, ["family", family, str(huge)])[:2] == (0, f"optimum: {want}\n")
+
+
+def test_family_prints_an_optimum_past_the_int_digit_limit(capsys):
+    # kary 2 15000 has 4,516 digits, past CPython's default limit of 4,300
+    # on int-to-str conversion, which the CLI must leave as it is
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, _ = run(capsys, ["family", "kary", "2", "15000"])
+    assert code == 0
+    head, digits = out.rstrip("\n").split(" ")
+    assert head == "optimum:" and digits.isdigit() and digits[0] != "0"
+    value = 0
+    for i in range(0, len(digits), 1000):  # each part within any limit
+        value = value * 10 ** len(digits[i:i + 1000]) + int(digits[i:i + 1000])
+    assert value == kary_value(2, 15000)
+    assert len(digits) == 4516
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+@pytest.mark.parametrize("digits", [1, 511, 512, 513, 1024, 1025, 2049, 4000])
+def test_optimum_digits_at_the_part_boundaries(digits):
+    # each x has at most 4,001 digits, which str() takes under the default limit
+    for x in (10 ** digits - 1, 10 ** digits, 10 ** digits + 1, 7 * 10 ** (digits - 1) + 3):
+        assert cli._decimal(x) == str(x)
 
 
 def test_family_param_count(capsys):

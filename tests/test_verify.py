@@ -169,6 +169,51 @@ def test_lazy_report_equals_eager_output(check, g, s, text):
     assert rep.violations is rep.violations
 
 
+def report_class(kern):
+    """VerificationReport when kern is the selected backend; else a subclass
+    of kern's Report with VerificationReport's own methods."""
+    if kern.Report is K.Report:
+        return VerificationReport
+    methods = {name: vars(VerificationReport)[name] for name in ("violations", "render", "__repr__")}
+    return type("VerificationReport", (kern.Report,), {"__slots__": (), **methods})
+
+
+@pytest.mark.parametrize("kern", BACKENDS)
+def test_kernel_report_equals_the_report_of_the_verdict(kern):
+    """On every graph with at most 4 vertices and every mask, in all three
+    modes, report() gives the report that the verdict of the mode's
+    predicate, put in the constructor, gives."""
+    cls = report_class(kern)
+    preds = ((K.MODE_LD, "ld", kern.is_ld), (K.MODE_REDLD, "redld", kern.is_redld),
+             (K.MODE_REDLD_DEF, "redld-def", kern.is_redld_def))
+    seen = set()
+    for n in range(1, 5):
+        slots = list(combinations(range(n), 2))
+        for picks in product((0, 1), repeat=len(slots)):
+            g = Graph(n, [e for e, take in zip(slots, picks) if take])
+            ctx = kern.make_ctx(g.adj)
+            for mask in range(1 << n):
+                for mode, name, pred in preds:
+                    got, want = kern.report(cls, ctx, mode, g, mask), cls(name, pred(ctx, mask), g, mask)
+                    assert type(got) is cls and got._g is g and got._mask == mask
+                    assert (got.ok, got.mode, got.render(), got.violations) == \
+                        (want.ok, want.mode, want.render(), want.violations), (g.adj, mask, name)
+                    seen.add((name, got.ok))
+    assert len(seen) == 6
+
+
+def test_report_verdict_and_mode_are_read_only():
+    g = build_path(4)
+    for rep in (is_ld_set(g, [1, 2]), is_redld_set(g, [0]), VerificationReport("redld", True, g, 0)):
+        ok, mode = rep.ok, rep.mode
+        for name in ("ok", "mode"):
+            with pytest.raises(AttributeError):
+                setattr(rep, name, None)
+        assert (rep.ok, rep.mode) == (ok, mode)
+        with pytest.raises(AttributeError):
+            rep.extra = 1  # no __dict__: the subclass adds no slot
+
+
 def _must_not_run(*args):
     raise AssertionError("called")
 
